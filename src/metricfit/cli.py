@@ -13,12 +13,11 @@ Exit codes: 0 success, 1 usage or validation error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from collections import defaultdict
 from pathlib import Path
 
+from .artefacts import ArtefactError, read_json, write_json
 from .corpus import (
     CorpusError,
     CorpusPaths,
@@ -41,7 +40,7 @@ from .metrics import (
     MetricScore,
     PrismMetric,
     ToyScorer,
-    read_metric_scores,
+    metric_score_rows,
     write_metric_scores,
 )
 from .rankings import (
@@ -62,6 +61,15 @@ EXIT_NUMERIC = 3
 
 KNOWN_METRICS = ("bleu", "chrf", "prism")
 
+# Every key some subcommand reads from a config file.
+CONFIG_KEYS = frozenset({
+    "alpha", "alpha_level", "batch_size", "corpus", "disable_backward",
+    "disable_ce", "disable_forward", "epochs", "epsilon", "holdout",
+    "include_human", "learning_rate", "lowercase", "metrics", "out", "ratings",
+    "rankings", "references", "resamples", "scorer", "scores", "seed",
+    "segments", "severity_weights", "system_outputs", "threshold",
+})
+
 
 class UsageError(Exception):
     """Bad command line or configuration."""
@@ -76,48 +84,50 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _load_config(args) -> dict:
     if getattr(args, "config", None) is None:
         return {}
-    path = Path(args.config)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            config = json.load(handle)
-    except json.JSONDecodeError as err:
-        raise UsageError(f"invalid JSON in config file {path}: {err}")
+    config = read_json(args.config)  # missing or not JSON: a data error
     if not isinstance(config, dict):
-        raise UsageError(f"config file {path} must contain a JSON object")
+        raise UsageError(f"config file {args.config} must contain a JSON object")
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
     return config
 
 
 def _setting(args, config: dict, name: str, default=None):
-    """Flag value if given, else config value, else default."""
+    """Flag value if given, else config value, else default, typed like a
+    bool, int or float default: a config boolean must be true or false."""
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
+    if value is None:
+        value = config.get(name)
+    if value is None:
+        return default
+    kind = type(default)
+    if kind is bool and not isinstance(value, bool):
+        raise UsageError(f"{name} must be true or false, got {value!r}")
+    if kind in (bool, int, float):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"{name} must be a number, got {value!r}") from None
+    return value
 
 
-def _require(args, config: dict, name: str):
+def _require(args, config: dict, name: str) -> str:
     value = _setting(args, config, name)
     if value is None:
         raise UsageError(f"--{name.replace('_', '-')} is required")
+    if not isinstance(value, str):
+        raise UsageError(f"{name} must be a path, got {value!r}")
     return value
 
 
 def _require_seed(args, config: dict) -> int:
-    value = _setting(args, config, "seed")
-    if value is None:
+    if _setting(args, config, "seed") is None:
         raise UsageError("--seed is required for this command (no implicit default)")
-    return int(value)
+    return _setting(args, config, "seed", 0)  # the 0 is never used; it makes seed an int
 
 
 def _out_dir(args, config: dict) -> Path:
@@ -127,21 +137,15 @@ def _out_dir(args, config: dict) -> Path:
 
 
 def _severity_weights(config: dict) -> SeverityWeights:
-    table = config.get("severity_weights")
-    if table is None:
-        return SeverityWeights()
-    return SeverityWeights(
-        major=float(table.get("major", 5.0)),
-        minor=float(table.get("minor", 1.0)),
-        minor_fluency_punctuation=float(table.get("minor_fluency_punctuation", 0.1)),
-    )
+    table = config.get("severity_weights", {})
+    try:
+        return SeverityWeights(**{key: float(value) for key, value in table.items()})
+    except (AttributeError, TypeError, ValueError) as err:  # not an object of numbers
+        raise UsageError(f"bad severity_weights {table!r}: {err}") from None
 
 
 def _load_bundle(args, config: dict) -> EvaluationSet:
-    corpus_dir = Path(_require(args, config, "corpus"))
-    if not corpus_dir.exists():
-        raise DataError(f"missing corpus bundle directory: {corpus_dir}")
-    return load_corpus(CorpusPaths.in_directory(corpus_dir))
+    return load_corpus(CorpusPaths.in_directory(_require(args, config, "corpus")))
 
 
 def _build_metrics(names, scorer_path) -> list[Metric]:
@@ -157,10 +161,7 @@ def _build_metrics(names, scorer_path) -> list[Metric]:
                     "metric 'prism' requires a trained scorer: pass --scorer "
                     "pointing at the scorer.json written by the train command"
                 )
-            path = Path(scorer_path)
-            if not path.exists():
-                raise DataError(f"missing scorer artifact: {path}")
-            metrics.append(PrismMetric(ToyScorer.load(path)))
+            metrics.append(PrismMetric(ToyScorer.load(scorer_path)))
         else:
             raise UsageError(
                 f"unknown metric {name!r}; known metrics: {', '.join(KNOWN_METRICS)}"
@@ -216,7 +217,7 @@ def cmd_ingest(args) -> int:
             "ratings": len(eval_set.ratings),
         },
     }
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     for group in groups:
         print(
             f"{group['lang_pair']}/{group['domain']}: "
@@ -233,9 +234,9 @@ def cmd_rankings(args) -> int:
     if not eval_set.segments:
         raise DataError("corpus is empty: no segments")
     seed = _require_seed(args, config)
-    threshold = float(_setting(args, config, "threshold", DEFAULT_THRESHOLD))
-    holdout = int(_setting(args, config, "holdout", DEFAULT_HOLDOUT_SIZE))
-    include_human = bool(_setting(args, config, "include_human", True))
+    threshold = _setting(args, config, "threshold", DEFAULT_THRESHOLD)
+    holdout = _setting(args, config, "holdout", DEFAULT_HOLDOUT_SIZE)
+    include_human = _setting(args, config, "include_human", True)
     out = _out_dir(args, config)
     weights = _severity_weights(config)
 
@@ -268,7 +269,7 @@ def cmd_rankings(args) -> int:
     write_rankings(derivation.rankings, out / "rankings.tsv")
     write_rankings(train_split, out / "train.tsv")
     write_rankings(validation_split, out / "validation.tsv")
-    _write_json(
+    write_json(
         out / "manifest.json",
         {
             "threshold": threshold,
@@ -306,21 +307,18 @@ def cmd_train(args) -> int:
 
     train_path = rankings_dir / "train.tsv"
     validation_path = rankings_dir / "validation.tsv"
-    for path in (train_path, validation_path):
-        if not path.exists():
-            raise DataError(f"missing rankings artifact: {path}")
 
     training_config = TrainingConfig(
-        epsilon=float(_setting(args, config, "epsilon", 0.1)),
-        alpha=float(_setting(args, config, "alpha", 0.1)),
-        learning_rate=float(_setting(args, config, "learning_rate", 1e-4)),
-        epochs=int(_setting(args, config, "epochs", 1)),
-        batch_size=int(_setting(args, config, "batch_size", 32)),
+        epsilon=_setting(args, config, "epsilon", 0.1),
+        alpha=_setting(args, config, "alpha", 0.1),
+        learning_rate=_setting(args, config, "learning_rate", 1e-4),
+        epochs=_setting(args, config, "epochs", 1),
+        batch_size=_setting(args, config, "batch_size", 32),
         seed=seed,
-        enable_ce=not bool(_setting(args, config, "disable_ce", False)),
-        enable_forward=not bool(_setting(args, config, "disable_forward", False)),
-        enable_backward=not bool(_setting(args, config, "disable_backward", False)),
-        lowercase=bool(_setting(args, config, "lowercase", False)),
+        enable_ce=not _setting(args, config, "disable_ce", False),
+        enable_forward=not _setting(args, config, "disable_forward", False),
+        enable_backward=not _setting(args, config, "disable_backward", False),
+        lowercase=_setting(args, config, "lowercase", False),
     )
 
     train_by_lp: dict[str, list] = defaultdict(list)
@@ -347,7 +345,7 @@ def cmd_train(args) -> int:
     )
     trained, report = train(scorer, datasets, corpus=eval_set, config=training_config)
     trained.save(out / "scorer.json")
-    _write_json(out / "training_report.json", report.to_dict())
+    write_json(out / "training_report.json", report.to_dict())
     last_validation = report.validation[-1] if report.validation else None
     forward = last_validation.forward_accuracy if last_validation else None
     print(
@@ -379,18 +377,12 @@ def cmd_score(args) -> int:
             reference = std_refs.get(seg_id)
             if reference is None:
                 continue
-            value = metric.segment_score(translation.text, reference.text)
-            if not math.isfinite(value):
-                raise NumericError(
-                    f"metric {metric.metric_id!r} produced a non-finite score "
-                    f"for ({system_id!r}, {seg_id!r})"
-                )
             scores.append(
                 MetricScore(
                     metric_id=metric.metric_id,
                     system_id=system_id,
                     seg_id=seg_id,
-                    value=value,
+                    value=metric.segment_score(translation.text, reference.text),
                 )
             )
     write_metric_scores(scores, eval_set, out / "scores.tsv")
@@ -398,15 +390,22 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _mean(values: list[float] | None) -> float | None:
+    # sum, not fsum: correlations.json keeps the bytes it always had
+    return sum(values) / len(values) if values else None
+
+
 def cmd_correlate(args) -> int:
     config = _load_config(args)
     eval_set = _load_bundle(args, config)
     scores_path = Path(_require(args, config, "scores"))
-    if not scores_path.exists():
-        raise DataError(f"missing scores artifact: {scores_path}")
     out = _out_dir(args, config)
     weights = _severity_weights(config)
-    all_scores = read_metric_scores(scores_path)
+    all_scores = []
+    for line, score in metric_score_rows(scores_path):
+        if (score.system_id, score.seg_id) not in eval_set.translations:
+            raise ArtefactError(scores_path, line, f"{score} is not in the corpus")
+        all_scores.append(score)
 
     contexts = []
     per_metric_taus: dict[str, list[float]] = defaultdict(list)
@@ -438,21 +437,12 @@ def cmd_correlate(args) -> int:
 
     averages = {
         metric_id: {
-            "segment_tau": (
-                sum(per_metric_taus[metric_id]) / len(per_metric_taus[metric_id])
-                if per_metric_taus.get(metric_id)
-                else None
-            ),
-            "pairwise_accuracy": (
-                sum(per_metric_accuracies[metric_id])
-                / len(per_metric_accuracies[metric_id])
-                if per_metric_accuracies.get(metric_id)
-                else None
-            ),
+            "segment_tau": _mean(per_metric_taus.get(metric_id)),
+            "pairwise_accuracy": _mean(per_metric_accuracies.get(metric_id)),
         }
         for metric_id in sorted(set(per_metric_taus) | set(per_metric_accuracies))
     }
-    _write_json(
+    write_json(
         out / "correlations.json", {"contexts": contexts, "averages": averages}
     )
     print(f"contexts={len(contexts)} metrics={len(averages)}")
@@ -468,8 +458,8 @@ def cmd_robustness(args) -> int:
     metrics = _build_metrics(
         _metric_names(args, config), _setting(args, config, "scorer")
     )
-    n_resamples = int(_setting(args, config, "resamples", DEFAULT_RESAMPLES))
-    alpha = float(_setting(args, config, "alpha_level", DEFAULT_ALPHA))
+    n_resamples = _setting(args, config, "resamples", DEFAULT_RESAMPLES)
+    alpha = _setting(args, config, "alpha_level", DEFAULT_ALPHA)
 
     report = robustness_report(
         eval_set,
@@ -479,10 +469,9 @@ def cmd_robustness(args) -> int:
         n_resamples=n_resamples,
         alpha=alpha,
     )
-    _write_json(out / "robustness.json", report.to_dict())
+    write_json(out / "robustness.json", report.to_dict())
     table = report.format_table()
-    with open(out / "robustness.txt", "w", encoding="utf-8") as handle:
-        handle.write(table)
+    (out / "robustness.txt").write_text(table, encoding="utf-8")
     print(table, end="")
     return EXIT_OK
 
@@ -589,13 +578,13 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericError as err:
+    except (NumericError, FloatingPointError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except TrainingError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, MetaEvalError, DataError, FileNotFoundError) as err:
+    except (ArtefactError, CorpusError, MetaEvalError, DataError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

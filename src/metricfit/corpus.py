@@ -13,12 +13,13 @@ computed from ratings are *penalties*: lower is better, zero is perfect.
 
 from __future__ import annotations
 
-import csv
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
+
+from .artefacts import ArtefactError, read_tsv, write_tsv
 
 SEVERITY_MAJOR = "major"
 SEVERITY_MINOR = "minor"
@@ -47,13 +48,8 @@ class CorpusError(Exception):
     """Base class for corpus loading and validation failures."""
 
 
-class CorpusFormatError(CorpusError):
-    """A TSV file could not be parsed; carries file name and line number."""
-
-    def __init__(self, path: Path | str, line: int, message: str):
-        super().__init__(f"{path}:{line}: {message}")
-        self.path = str(path)
-        self.line = line
+# A corpus TSV breaks its format; the error names the file and line.
+CorpusFormatError = ArtefactError
 
 
 class IntegrityError(CorpusError):
@@ -221,14 +217,8 @@ class EvaluationSet:
     def translation(self, system_id: str, seg_id: str) -> SystemTranslation | None:
         return self.translations.get((system_id, seg_id))
 
-    def translations_for_segment(self, seg_id: str) -> list[SystemTranslation]:
-        return [tr for tr in self.translations.values() if tr.seg_id == seg_id]
-
     def ratings_for(self, system_id: str, seg_id: str) -> list[MqmRating]:
         return list(self._ratings_index.get((system_id, seg_id), ()))
-
-    def is_annotated(self, system_id: str, seg_id: str) -> bool:
-        return (system_id, seg_id) in self._ratings_index
 
     def standard_reference(self, seg_id: str) -> ReferenceTranslation | None:
         """The standard (human) reference for a segment.
@@ -289,30 +279,6 @@ class CorpusPaths:
         )
 
 
-def _read_tsv(path: Path, columns: list[str]) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield (line_number, row_dict) for a TSV file with a fixed header."""
-    if not path.exists():
-        raise CorpusError(f"missing corpus file: {path}")
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t", quoting=csv.QUOTE_NONE)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusFormatError(path, 1, "empty file, expected a header row")
-        if header != columns:
-            raise CorpusFormatError(
-                path, 1, f"bad header {header!r}, expected {columns!r}"
-            )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise CorpusFormatError(
-                    path, line, f"expected {len(columns)} fields, got {len(row)}"
-                )
-            yield line, dict(zip(columns, row))
-
-
 def _parse_span(
     row: dict[str, str], path: Path, line: int
 ) -> tuple[int, int] | None:
@@ -330,18 +296,19 @@ def _parse_span(
     return span
 
 
-def load_corpus(paths: CorpusPaths, schema: str = "tsv") -> EvaluationSet:
+def load_corpus(paths: CorpusPaths) -> EvaluationSet:
     """Load and cross-link the four TSV files into an EvaluationSet.
 
     All text fields are NFC-normalized. Rows referencing unknown segments or
     systems are rejected with an :class:`IntegrityError` naming the offending
     key; malformed rows raise :class:`CorpusFormatError` with a line number.
     """
-    if schema != "tsv":
-        raise CorpusError(f"unsupported corpus schema: {schema!r}")
+    for path in (paths.segments, paths.system_outputs, paths.references, paths.ratings):
+        if not path.exists():
+            raise CorpusError(f"missing corpus file: {path}")
 
     segments: dict[str, Segment] = {}
-    for line, row in _read_tsv(paths.segments, _SEGMENTS_COLUMNS):
+    for line, row in read_tsv(paths.segments, _SEGMENTS_COLUMNS):
         seg_id = row["seg_id"].strip()
         source_text = nfc(row["source_text"])
         if not seg_id:
@@ -370,7 +337,7 @@ def load_corpus(paths: CorpusPaths, schema: str = "tsv") -> EvaluationSet:
             )
 
     translations: dict[tuple[str, str], SystemTranslation] = {}
-    for line, row in _read_tsv(paths.system_outputs, _OUTPUTS_COLUMNS):
+    for line, row in read_tsv(paths.system_outputs, _OUTPUTS_COLUMNS):
         key = (row["system_id"], row["seg_id"])
         check_segment(row["seg_id"], row["lang_pair"], row["domain"], "system output")
         if key in translations:
@@ -387,7 +354,7 @@ def load_corpus(paths: CorpusPaths, schema: str = "tsv") -> EvaluationSet:
         )
 
     references: dict[tuple[str, str], ReferenceTranslation] = {}
-    for line, row in _read_tsv(paths.references, _REFERENCES_COLUMNS):
+    for line, row in read_tsv(paths.references, _REFERENCES_COLUMNS):
         key = (row["ref_id"], row["seg_id"])
         check_segment(row["seg_id"], row["lang_pair"], row["domain"], "reference")
         if key in references:
@@ -402,7 +369,7 @@ def load_corpus(paths: CorpusPaths, schema: str = "tsv") -> EvaluationSet:
     # One rating per (annotator, system, segment); error rows accumulate and
     # a single no-error row stands for a zero-error rating.
     rating_errors: dict[tuple[str, str, str], list[MqmError]] = {}
-    for line, row in _read_tsv(paths.ratings, _RATINGS_COLUMNS):
+    for line, row in read_tsv(paths.ratings, _RATINGS_COLUMNS):
         check_segment(row["seg_id"], row["lang_pair"], row["domain"], "rating")
         translation_key = (row["system_id"], row["seg_id"])
         if translation_key not in translations:
@@ -453,14 +420,7 @@ def write_corpus(eval_set: EvaluationSet, directory: Path | str) -> CorpusPaths:
     directory.mkdir(parents=True, exist_ok=True)
     paths = CorpusPaths.in_directory(directory)
 
-    def dump(path: Path, columns: list[str], rows: Iterable[list[str]]) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, delimiter="\t", quoting=csv.QUOTE_NONE,
-                                lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(rows)
-
-    dump(
+    write_tsv(
         paths.segments,
         _SEGMENTS_COLUMNS,
         (
@@ -468,7 +428,7 @@ def write_corpus(eval_set: EvaluationSet, directory: Path | str) -> CorpusPaths:
             for s in eval_set.segments.values()
         ),
     )
-    dump(
+    write_tsv(
         paths.system_outputs,
         _OUTPUTS_COLUMNS,
         (
@@ -483,7 +443,7 @@ def write_corpus(eval_set: EvaluationSet, directory: Path | str) -> CorpusPaths:
             for tr in eval_set.translations.values()
         ),
     )
-    dump(
+    write_tsv(
         paths.references,
         _REFERENCES_COLUMNS,
         (
@@ -515,5 +475,5 @@ def write_corpus(eval_set: EvaluationSet, directory: Path | str) -> CorpusPaths:
                 span = ("", "") if error.span is None else tuple(map(str, error.span))
                 yield base + [error.category, error.severity, span[0], span[1]]
 
-    dump(paths.ratings, _RATINGS_COLUMNS, rating_rows())
+    write_tsv(paths.ratings, _RATINGS_COLUMNS, rating_rows())
     return paths

@@ -18,7 +18,7 @@ import hashlib
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -385,13 +385,6 @@ class ConditionPair:
             change = relative_change(std, mt)
         return cls(ref_std=std, ref_mt=mt, relative_change_pct=change)
 
-    def to_dict(self) -> dict:
-        return {
-            "ref_std": self.ref_std,
-            "ref_mt": self.ref_mt,
-            "relative_change_pct": self.relative_change_pct,
-        }
-
 
 @dataclass(frozen=True)
 class SignificanceEntry:
@@ -400,15 +393,6 @@ class SignificanceEntry:
     condition: str
     p_value: float | None
     significant: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "metric_a": self.metric_a,
-            "metric_b": self.metric_b,
-            "condition": self.condition,
-            "p_value": self.p_value,
-            "significant": self.significant,
-        }
 
 
 @dataclass
@@ -428,18 +412,7 @@ class ContextReport:
         return self.segments_total - self.segments_comparable
 
     def to_dict(self) -> dict:
-        return {
-            "lang_pair": self.lang_pair,
-            "domain": self.domain,
-            "systems": self.systems,
-            "segments_total": self.segments_total,
-            "segments_comparable": self.segments_comparable,
-            "segments_skipped": self.segments_skipped,
-            "skipped_system_pairs": self.skipped_system_pairs,
-            "segment_level": {m: c.to_dict() for m, c in self.segment_level.items()},
-            "system_level": {m: c.to_dict() for m, c in self.system_level.items()},
-            "significance": [entry.to_dict() for entry in self.significance],
-        }
+        return {**asdict(self), "segments_skipped": self.segments_skipped}
 
 
 @dataclass
@@ -453,19 +426,13 @@ class RobustnessReport:
     system_average: dict[str, ConditionPair] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "contexts": [context.to_dict() for context in self.contexts],
-            "averages": {
-                "segment_level": {
-                    m: c.to_dict() for m, c in self.segment_average.items()
-                },
-                "system_level": {
-                    m: c.to_dict() for m, c in self.system_average.items()
-                },
-            },
+        data = asdict(self)
+        data["contexts"] = [context.to_dict() for context in self.contexts]
+        data["averages"] = {
+            "segment_level": data.pop("segment_average"),
+            "system_level": data.pop("system_average"),
         }
+        return data
 
     def format_table(self) -> str:
         """Human-readable tables: correlations x100, one decimal."""

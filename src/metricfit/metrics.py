@@ -14,17 +14,23 @@ scale.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from .artefacts import (
+    ArtefactError,
+    parse_float,
+    read_json,
+    read_tsv,
+    write_json,
+    write_tsv,
+)
 from .corpus import EvaluationSet
 
 LN2 = math.log(2.0)
@@ -246,14 +252,18 @@ class ToyScorer:
         )
 
     def save(self, path: Path | str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: Path | str) -> "ToyScorer":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """Read a scorer; a NaN theta loads, and scoring with it fails later."""
+        data = read_json(path)
+        try:
+            return cls.from_dict(data)
+        except KeyError as err:
+            raise ArtefactError(path, None, f"missing key {err}") from None
+        except (AttributeError, TypeError, ValueError) as err:  # not a scorer object
+            raise ArtefactError(path, None, f"not a scorer: {err}") from None
 
 
 def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
@@ -451,51 +461,47 @@ class PrismMetric:
         self._lowercase = getattr(scorer, "lowercase", False)
 
     def segment_score(self, hypothesis: str, reference: str) -> float:
-        return prism_score(
+        value = prism_score(
             self.scorer,
             tokenize(hypothesis, self._lowercase),
             tokenize(reference, self._lowercase),
         )
+        if not math.isfinite(value):  # e.g. a NaN theta; it would corrupt tau
+            raise FloatingPointError(f"metric {self.metric_id!r}: non-finite score")
+        return value
 
 
 def write_metric_scores(
     scores: Iterable[MetricScore], eval_set: EvaluationSet, path: Path | str
 ) -> None:
     """Serialize metric scores to TSV, annotated with lang_pair and domain."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(
-            handle, delimiter="\t", quoting=csv.QUOTE_NONE, lineterminator="\n"
-        )
-        writer.writerow(_SCORES_COLUMNS)
-        for score in scores:
-            segment = eval_set.segments[score.seg_id]
-            writer.writerow(
-                [
-                    score.metric_id,
-                    segment.lang_pair,
-                    segment.domain,
-                    score.system_id,
-                    score.seg_id,
-                    repr(score.value),
-                ]
-            )
+    write_tsv(
+        path,
+        _SCORES_COLUMNS,
+        (
+            [
+                score.metric_id,
+                eval_set.segments[score.seg_id].lang_pair,
+                eval_set.segments[score.seg_id].domain,
+                score.system_id,
+                score.seg_id,
+                repr(score.value),
+            ]
+            for score in scores
+        ),
+    )
+
+
+def metric_score_rows(path: Path | str) -> Iterator[tuple[int, MetricScore]]:
+    """Yield ``(line, score)``; rejects non-finite values and repeated keys."""
+    seen: set[tuple[str, str, str]] = set()
+    for line, row in read_tsv(path, _SCORES_COLUMNS):
+        key = (row["metric_id"], row["system_id"], row["seg_id"])
+        if key in seen:
+            raise ArtefactError(path, line, f"duplicate score for {key!r}")
+        seen.add(key)
+        yield line, MetricScore(*key, parse_float(path, line, "value", row["value"]))
 
 
 def read_metric_scores(path: Path | str) -> list[MetricScore]:
-    scores = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t", quoting=csv.QUOTE_NONE)
-        header = next(reader)
-        if header != _SCORES_COLUMNS:
-            raise ValueError(f"{path}: bad scores header {header!r}")
-        for row in reader:
-            values = dict(zip(_SCORES_COLUMNS, row))
-            scores.append(
-                MetricScore(
-                    metric_id=values["metric_id"],
-                    system_id=values["system_id"],
-                    seg_id=values["seg_id"],
-                    value=float(values["value"]),
-                )
-            )
-    return scores
+    return [score for _, score in metric_score_rows(path)]

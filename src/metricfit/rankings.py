@@ -9,7 +9,6 @@ difference. Rankings from different annotators are concatenated.
 
 from __future__ import annotations
 
-import csv
 import logging
 import random
 from collections import defaultdict
@@ -18,6 +17,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .artefacts import parse_float, read_tsv, write_tsv
 from .corpus import (
     DEFAULT_WEIGHTS,
     EvaluationSet,
@@ -196,46 +196,37 @@ def split_holdout(
 
 def write_rankings(rankings: Iterable[RelativeRanking], path: Path | str) -> None:
     """Serialize rankings to TSV (texts must not contain tabs or newlines)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(
-            handle, delimiter="\t", quoting=csv.QUOTE_NONE, lineterminator="\n"
-        )
-        writer.writerow(_RANKINGS_COLUMNS)
-        for r in rankings:
-            writer.writerow(
-                [
-                    r.lang_pair,
-                    r.seg_id,
-                    r.annotator_id,
-                    r.src,
-                    r.ref,
-                    r.sys_plus,
-                    r.sys_minus,
-                    repr(r.score_delta),
-                ]
-            )
+    write_tsv(
+        path,
+        _RANKINGS_COLUMNS,
+        (
+            [
+                r.lang_pair,
+                r.seg_id,
+                r.annotator_id,
+                r.src,
+                r.ref,
+                r.sys_plus,
+                r.sys_minus,
+                repr(r.score_delta),
+            ]
+            for r in rankings
+        ),
+    )
 
 
 def read_rankings(path: Path | str) -> list[RelativeRanking]:
     """Read rankings back from the TSV written by :func:`write_rankings`."""
-    rankings = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t", quoting=csv.QUOTE_NONE)
-        header = next(reader)
-        if header != _RANKINGS_COLUMNS:
-            raise ValueError(f"{path}: bad rankings header {header!r}")
-        for row in reader:
-            values = dict(zip(_RANKINGS_COLUMNS, row))
-            rankings.append(
-                RelativeRanking(
-                    lang_pair=values["lang_pair"],
-                    seg_id=values["seg_id"],
-                    annotator_id=values["annotator_id"],
-                    src=values["src"],
-                    ref=values["ref"],
-                    sys_plus=values["sys_plus"],
-                    sys_minus=values["sys_minus"],
-                    score_delta=float(values["score_delta"]),
-                )
-            )
-    return rankings
+    return [
+        RelativeRanking(
+            lang_pair=row["lang_pair"],
+            seg_id=row["seg_id"],
+            annotator_id=row["annotator_id"],
+            src=row["src"],
+            ref=row["ref"],
+            sys_plus=row["sys_plus"],
+            sys_minus=row["sys_minus"],
+            score_delta=parse_float(path, line, "score_delta", row["score_delta"]),
+        )
+        for line, row in read_tsv(path, _RANKINGS_COLUMNS)
+    ]

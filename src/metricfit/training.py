@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -246,31 +246,7 @@ class TrainingReport:
     final_score_magnitude: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "steps": [
-                {
-                    "step": s.step,
-                    "epoch": s.epoch,
-                    "lang_pair": s.lang_pair,
-                    "batch_size": s.batch_size,
-                    "loss_total": s.loss_total,
-                    "loss_ce": s.loss_ce,
-                    "loss_forward": s.loss_forward,
-                    "loss_backward": s.loss_backward,
-                }
-                for s in self.steps
-            ],
-            "validation": [
-                {
-                    "epoch": v.epoch,
-                    "forward_accuracy": v.forward_accuracy,
-                    "backward_accuracy": v.backward_accuracy,
-                }
-                for v in self.validation
-            ],
-            "final_score_magnitude": self.final_score_magnitude,
-        }
+        return asdict(self)
 
 
 def _probe_pairs(

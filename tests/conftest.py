@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from pathlib import Path
@@ -40,11 +39,10 @@ RATINGS_HEADER = [
 
 
 def write_tsv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    """Plain tab-joined lines, independent of the package's own writer."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter="\t", quoting=csv.QUOTE_NONE,
-                            lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in [header, *rows]:
+            handle.write("\t".join(row) + "\n")
 
 
 def write_corpus_files(

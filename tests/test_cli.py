@@ -1,7 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from conftest import (
     ranking_pair_count_oracle,
@@ -301,3 +306,238 @@ def test_outputs_do_not_mutate_inputs(tmp_path):
                "--seed", 1, "--holdout", 1) == EXIT_OK
     after = {p: Path(p).read_bytes() for p in before}
     assert before == after
+
+
+# -- malformed artefacts -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def artefacts(tmp_path_factory):
+    """A bundle, its rankings, a scorer, a NaN-theta scorer and bleu scores."""
+    from metricfit.metrics import ToyScorer
+
+    tmp = tmp_path_factory.mktemp("artefacts")
+    bundle = ingest(tmp, robustness_corpus_rows(4, 10, 3))
+    rankings = tmp / "rankings"
+    assert run("rankings", "--corpus", bundle, "--out", rankings,
+               "--seed", 11, "--holdout", 30) == EXIT_OK
+    scorer = ToyScorer.from_texts(["ein text"])
+    scorer.save(tmp / "scorer.json")
+    payload = scorer.to_dict()
+    payload["theta"] = [float("nan"), 0.0, 0.0]
+    (tmp / "nan-scorer.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert run("score", "--corpus", bundle, "--out", tmp / "scores",
+               "--metrics", "bleu") == EXIT_OK
+    return {
+        "bundle": bundle,
+        "rankings": rankings,
+        "scorer": tmp / "scorer.json",
+        "nan_scorer": tmp / "nan-scorer.json",
+        "scores": tmp / "scores" / "scores.tsv",
+    }
+
+
+def _append(path: Path, text: str) -> int:
+    """Append ``text`` as the file's next line; return that line's number."""
+    content = path.read_text(encoding="utf-8")
+    path.write_text(content + text, encoding="utf-8")
+    return content.count("\n") + 1
+
+
+def _broken_train(tmp, art, text):
+    rankings = tmp / "rankings"
+    shutil.copytree(art["rankings"], rankings)
+    line = _append(rankings / "train.tsv", text)
+    argv = ["train", "--corpus", art["bundle"], "--rankings", rankings,
+            "--out", tmp / "model", "--seed", 1]
+    return argv, f"{rankings / 'train.tsv'}:{line}:"
+
+
+def _broken_scorer(tmp, art, edit):
+    payload = json.loads(art["scorer"].read_text(encoding="utf-8"))
+    edit(payload)
+    scorer = tmp / "scorer.json"
+    scorer.write_text(json.dumps(payload), encoding="utf-8")
+    argv = ["score", "--corpus", art["bundle"], "--out", tmp / "s",
+            "--metrics", "prism", "--scorer", scorer]
+    return argv, f"{scorer}:"
+
+
+def _broken_scores(tmp, art, row=None, data=None):
+    scores = tmp / "scores.tsv"
+    shutil.copy(art["scores"], scores)
+    if data is not None:
+        scores.write_bytes(scores.read_bytes() + data)
+        line = scores.read_bytes().count(b"\n")
+    else:
+        first = scores.read_text(encoding="utf-8").splitlines()[1].split("\t")
+        line = _append(scores, "\t".join(row(first)) + "\n")
+    argv = ["correlate", "--corpus", art["bundle"], "--scores", scores,
+            "--out", tmp / "c"]
+    return argv, f"{scores}:{line}:"
+
+
+def _config(tmp, art, command, payload):
+    config = tmp / "config.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    argv = [command, "--config", config, "--corpus", art["bundle"],
+            "--out", tmp / "out", "--seed", 1]
+    if command == "train":
+        argv += ["--rankings", art["rankings"]]
+    return argv, None
+
+
+def _non_utf8_segments(tmp, art):
+    paths = write_corpus_files(tmp / "raw", *tiny_corpus_rows())
+    data = paths.segments.read_bytes().replace(b"it rains", b"it r\xe4ins")
+    paths.segments.write_bytes(data)
+    argv = ["ingest", "--segments", paths.segments,
+            "--system-outputs", paths.system_outputs,
+            "--references", paths.references, "--ratings", paths.ratings,
+            "--out", tmp / "bundle"]
+    return argv, f"{paths.segments}:3:"
+
+
+def _not_json_scorer(tmp, art):
+    scorer = tmp / "scorer.json"
+    scorer.write_text('{\n  "theta": [1, 2, 3],\n  oops\n}\n', encoding="utf-8")
+    argv = ["score", "--corpus", art["bundle"], "--out", tmp / "s",
+            "--metrics", "prism", "--scorer", scorer]
+    return argv, f"{scorer}:3:"
+
+
+def _nan_robustness(tmp, art):
+    argv = ["robustness", "--corpus", art["bundle"], "--out", tmp / "rob",
+            "--seed", 2, "--metrics", "prism", "--scorer", art["nan_scorer"],
+            "--resamples", 5]
+    return argv, None
+
+
+# (id, make, exit code, message): make(tmp_path, artefacts) writes one broken
+# input and returns the command line plus the "path:line:" that stderr must
+# name (None where the problem has no file line).
+MALFORMED = [
+    ("ingest-non-utf8", _non_utf8_segments, EXIT_DATA, "not valid UTF-8"),
+    ("train-4-field-row",
+     lambda t, a: _broken_train(t, a, "en-de\tseg1\tann1\tsource\n"),
+     EXIT_DATA, "expected 8 fields, got 4"),
+    ("train-bad-delta",
+     lambda t, a: _broken_train(t, a, "\t".join(["en-de", "seg1", "ann1", "s", "r",
+                                                 "p", "m", "big"]) + "\n"),
+     EXIT_DATA, "score_delta is not a finite number"),
+    ("score-scorer-no-unigram-counts",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.pop("unigram_counts")),
+     EXIT_DATA, "missing key 'unigram_counts'"),
+    ("score-scorer-bad-version",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(format_version=99)),
+     EXIT_DATA, "format version"),
+    ("score-scorer-bad-theta-shape",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(theta=[1.0, 2.0])),
+     EXIT_DATA, "theta must have shape"),
+    ("score-scorer-not-json", _not_json_scorer, EXIT_DATA, "not JSON"),
+    ("correlate-short-row",
+     lambda t, a: _broken_scores(t, a, row=lambda r: r[:4]),
+     EXIT_DATA, "expected 6 fields, got 4"),
+    ("correlate-nan-value",
+     lambda t, a: _broken_scores(t, a, row=lambda r: ["chrf"] + r[1:5] + ["nan"]),
+     EXIT_DATA, "value is not a finite number"),
+    ("correlate-duplicate-row",
+     lambda t, a: _broken_scores(t, a, row=lambda r: r), EXIT_DATA, "duplicate score"),
+    ("correlate-unknown-translation",
+     lambda t, a: _broken_scores(t, a, row=lambda r: r[:3] + ["sysZ"] + r[4:]),
+     EXIT_DATA, "is not in the corpus"),
+    ("correlate-non-utf8",
+     lambda t, a: _broken_scores(t, a, data=b"bleu\ten-de\tnews\tsys\xff\tx\t1.0\n"),
+     EXIT_DATA, "not valid UTF-8"),
+    ("robustness-nan-theta", _nan_robustness, EXIT_NUMERIC, "non-finite"),
+    ("config-string-boolean",
+     lambda t, a: _config(t, a, "rankings", {"include_human": "false"}),
+     EXIT_USAGE, "include_human must be true or false"),
+    ("config-misspelt-weight",
+     lambda t, a: _config(t, a, "rankings", {"severity_weights": {"majr": 50}}),
+     EXIT_USAGE, "majr"),
+    ("config-weights-not-object",
+     lambda t, a: _config(t, a, "rankings", {"severity_weights": [1, 2]}),
+     EXIT_USAGE, "bad severity_weights [1, 2]"),
+    ("config-unknown-key",
+     lambda t, a: _config(t, a, "rankings", {"sede": 3}), EXIT_USAGE, "sede"),
+    ("config-epochs-not-number",
+     lambda t, a: _config(t, a, "train", {"epochs": "two"}),
+     EXIT_USAGE, "epochs must be a number"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, expected, message",
+    [row[1:] for row in MALFORMED],
+    ids=[row[0] for row in MALFORMED],
+)
+def test_malformed_artefact_exit_code_and_location(
+    artefacts, tmp_path, capsys, make, expected, message
+):
+    import numpy as np
+
+    argv, where = make(tmp_path, artefacts)
+    with np.errstate(invalid="ignore"):
+        code = run(*argv)
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert message in err
+    if where is not None:
+        assert where in err
+    assert "Traceback" not in err
+
+
+def test_quotes_round_trip_through_ingest_rankings_score(tmp_path):
+    from metricfit.rankings import read_rankings
+
+    segments, outputs, references, ratings = tiny_corpus_rows()
+    segments[0][4] = 'the "cat" sat on the mat'
+    outputs[0][5] = 'die "Katze" sass auf der Matte'
+    references[0][4] = 'die Katze sass auf der "Matte"'
+    bundle = ingest(tmp_path, (segments, outputs, references, ratings))
+    assert 'the "cat" sat' in (bundle / "segments.tsv").read_text(encoding="utf-8")
+
+    rankings_dir = tmp_path / "r"
+    assert run("rankings", "--corpus", bundle, "--out", rankings_dir,
+               "--seed", 1, "--holdout", 1) == EXIT_OK
+    loaded = read_rankings(rankings_dir / "rankings.tsv")
+    assert any(r.src == 'the "cat" sat on the mat' for r in loaded)
+    assert any(r.ref == 'die Katze sass auf der "Matte"' for r in loaded)
+
+    assert run("score", "--corpus", bundle, "--out", tmp_path / "s",
+               "--metrics", "bleu,chrf") == EXIT_OK
+    assert len((tmp_path / "s" / "scores.tsv").read_text().splitlines()) == 1 + 2 * 6
+
+
+def test_crlf_corpus_ingests_to_identical_bundle(tmp_path):
+    lf = write_corpus_files(tmp_path / "lf", *tiny_corpus_rows())
+    crlf = write_corpus_files(tmp_path / "crlf", *tiny_corpus_rows())
+    for path in (crlf.segments, crlf.system_outputs, crlf.references, crlf.ratings):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    bundles = []
+    for name, paths in (("lf-out", lf), ("crlf-out", crlf)):
+        assert run("ingest", "--segments", paths.segments,
+                   "--system-outputs", paths.system_outputs,
+                   "--references", paths.references, "--ratings", paths.ratings,
+                   "--out", tmp_path / name) == EXIT_OK
+        bundles.append(tmp_path / name)
+    names = sorted(p.name for p in bundles[0].iterdir())
+    assert names == sorted(p.name for p in bundles[1].iterdir())
+    for name in names:
+        assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes()
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    """The benchmark's tracer patches names in metricfit modules; a renamed or
+    removed name must fail here rather than in a traced benchmark run."""
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]; "
+        "from tracer import Tracer; Tracer('t').install()"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(root / "src"), str(root / "perfbench")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
