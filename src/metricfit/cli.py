@@ -32,6 +32,7 @@ from .metaeval import (
     JudgmentTable,
     MetaEvalError,
     robustness_report,
+    standard_reference_scores,
 )
 from .metrics import (
     BleuMetric,
@@ -235,7 +236,11 @@ def cmd_rankings(args) -> int:
         raise DataError("corpus is empty: no segments")
     seed = _require_seed(args, config)
     threshold = _setting(args, config, "threshold", DEFAULT_THRESHOLD)
+    if not threshold >= 0:  # NaN fails too
+        raise UsageError(f"threshold must be at least 0, got {threshold!r}")
     holdout = _setting(args, config, "holdout", DEFAULT_HOLDOUT_SIZE)
+    if holdout < 0:
+        raise UsageError(f"holdout must be at least 0, got {holdout!r}")
     include_human = _setting(args, config, "include_human", True)
     out = _out_dir(args, config)
     weights = _severity_weights(config)
@@ -364,27 +369,13 @@ def cmd_score(args) -> int:
         _metric_names(args, config), _setting(args, config, "scorer")
     )
 
-    std_refs = {
-        seg_id: reference
-        for seg_id in eval_set.seg_ids()
-        if (reference := eval_set.standard_reference(seg_id)) is not None
-    }
-    scores: list[MetricScore] = []
-    for metric in metrics:
-        for (system_id, seg_id), translation in eval_set.translations.items():
-            if translation.is_human:
-                continue
-            reference = std_refs.get(seg_id)
-            if reference is None:
-                continue
-            scores.append(
-                MetricScore(
-                    metric_id=metric.metric_id,
-                    system_id=system_id,
-                    seg_id=seg_id,
-                    value=metric.segment_score(translation.text, reference.text),
-                )
-            )
+    scores = [
+        MetricScore(metric.metric_id, system_id, seg_id, value)
+        for metric in metrics
+        for (system_id, seg_id), value in standard_reference_scores(
+            eval_set, metric.segment_score
+        ).items()
+    ]
     write_metric_scores(scores, eval_set, out / "scores.tsv")
     print(f"metrics={len(metrics)} scored_segments={len(scores)}")
     return EXIT_OK
@@ -453,13 +444,17 @@ def cmd_robustness(args) -> int:
     config = _load_config(args)
     eval_set = _load_bundle(args, config)
     seed = _require_seed(args, config)
+    n_resamples = _setting(args, config, "resamples", DEFAULT_RESAMPLES)
+    if n_resamples < 1:
+        raise UsageError(f"resamples must be at least 1, got {n_resamples!r}")
+    alpha = _setting(args, config, "alpha_level", DEFAULT_ALPHA)
+    if not 0 < alpha < 1:
+        raise UsageError(f"alpha_level must be between 0 and 1, got {alpha!r}")
     out = _out_dir(args, config)
     weights = _severity_weights(config)
     metrics = _build_metrics(
         _metric_names(args, config), _setting(args, config, "scorer")
     )
-    n_resamples = _setting(args, config, "resamples", DEFAULT_RESAMPLES)
-    alpha = _setting(args, config, "alpha_level", DEFAULT_ALPHA)
 
     report = robustness_report(
         eval_set,

@@ -174,12 +174,20 @@ class EvaluationSet:
     references: Mapping[tuple[str, str], ReferenceTranslation]
     ratings: tuple[MqmRating, ...]
     _ratings_index: dict = field(init=False, repr=False, compare=False)
+    _standard_references: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict[tuple[str, str], list[MqmRating]] = defaultdict(list)
         for rating in self.ratings:
             index[(rating.system_id, rating.seg_id)].append(rating)
         object.__setattr__(self, "_ratings_index", dict(index))
+        standard: dict[str, ReferenceTranslation] = {}
+        for (_, seg_id), reference in self.references.items():
+            if reference.origin == ORIGIN_HUMAN and (
+                seg_id not in standard or reference.ref_id < standard[seg_id].ref_id
+            ):
+                standard[seg_id] = reference
+        object.__setattr__(self, "_standard_references", standard)
 
     def group_keys(self) -> list[tuple[str, str]]:
         """Sorted (lang_pair, domain) pairs present in the set."""
@@ -226,14 +234,7 @@ class EvaluationSet:
         When several human references exist the one with the smallest ref_id
         is the standard one, so the choice is deterministic.
         """
-        candidates = [
-            ref
-            for (ref_id, ref_seg), ref in self.references.items()
-            if ref_seg == seg_id and ref.origin == ORIGIN_HUMAN
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda ref: ref.ref_id)
+        return self._standard_references.get(seg_id)
 
 
 def error_free_translations(

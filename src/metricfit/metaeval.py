@@ -14,6 +14,7 @@ and reports the relative change in correlation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -37,6 +38,7 @@ from .corpus import (
 from .metrics import Metric, MetricScore
 
 CorrelationFn = Callable[[Sequence[float], Sequence[float]], "float | None"]
+SegmentScoreFn = Callable[[str, str], float]
 
 DEFAULT_RESAMPLES = 1000
 DEFAULT_ALPHA = 0.05
@@ -197,6 +199,28 @@ def human_segment_scores(
     return scores
 
 
+def standard_reference_scores(
+    eval_set: EvaluationSet, segment_score: SegmentScoreFn
+) -> dict[tuple[str, str], float]:
+    """Score every non-human translation against its segment's standard
+    reference, keyed by (system, segment) in corpus order.
+
+    Translations of segments without a standard reference are left out. A
+    non-finite score raises :class:`FloatingPointError` naming the
+    (system, segment).
+    """
+    scores: dict[tuple[str, str], float] = {}
+    for (system_id, seg_id), translation in eval_set.translations.items():
+        reference = eval_set.standard_reference(seg_id)
+        if translation.is_human or reference is None:
+            continue
+        try:
+            scores[(system_id, seg_id)] = segment_score(translation.text, reference.text)
+        except FloatingPointError as err:
+            raise FloatingPointError(f"{err} for ({system_id!r}, {seg_id!r})") from None
+    return scores
+
+
 @dataclass(frozen=True)
 class JudgmentTable:
     """Aligned human penalties and metric scores per (system, segment)."""
@@ -254,16 +278,16 @@ class JudgmentTable:
         return pairwise_accuracy(metric_sys, human_sys)
 
 
-def _derived_rng(seed: int, context_id: str, seg_id: str) -> random.Random:
-    """Deterministic per-(context, segment) RNG stream from the master seed.
+def _hash_seed(*parts: object) -> int:
+    """A 64-bit seed: blake2b of the parts (master seed first) joined by "|".
 
     Hash-derived so that evaluation order and parallelism cannot change
-    which candidate gets sampled for a given segment.
+    which candidate gets sampled for a segment or which swaps a
+    significance test draws.
     """
-    digest = hashlib.blake2b(
-        f"{seed}|{context_id}|{seg_id}".encode("utf-8"), digest_size=8
-    ).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    key = "|".join(str(part) for part in parts)
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 @dataclass(frozen=True)
@@ -295,7 +319,7 @@ def _sample_references(
         if not candidates:
             skipped.append(seg_id)
             continue
-        rng = _derived_rng(seed, context_id, seg_id)
+        rng = random.Random(_hash_seed(seed, context_id, seg_id))
         chosen = candidates[rng.randrange(len(candidates))]
         choices[seg_id] = ReferenceTranslation(
             ref_id=f"mt:{chosen.system_id}",
@@ -481,13 +505,6 @@ class RobustnessReport:
         return "\n".join(lines)
 
 
-def _significance_seed(seed: int, context_id: str, condition: str, pair: str) -> int:
-    digest = hashlib.blake2b(
-        f"{seed}|perm|{context_id}|{condition}|{pair}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
 def _average_pairs(
     per_context: list[dict[str, ConditionPair]]
 ) -> dict[str, ConditionPair]:
@@ -539,17 +556,12 @@ def robustness_report(
         if not systems:
             raise MetaEvalError(f"no annotated systems in context {lang_pair}/{domain}")
 
-        std_refs = {
-            seg_id: reference
-            for seg_id in group.seg_ids()
-            if (reference := group.standard_reference(seg_id)) is not None
-        }
         assignments = {
             system: sample_refs_segment_level(group, system, seed)
             for system in systems
         }
         subset = comparable_subset(group, assignments.values())
-        subset = {seg_id for seg_id in subset if seg_id in std_refs}
+        subset = {s for s in subset if group.standard_reference(s) is not None}
         if not subset:
             raise MetaEvalError(
                 f"no comparable segments with a standard reference in context "
@@ -562,7 +574,6 @@ def robustness_report(
             for system in systems
             for seg_id in ordered_segments
             if (system, seg_id) in human_scores
-            and group.translation(system, seg_id) is not None
         ]
         human_vector = [human_scores[unit] for unit in units]
 
@@ -577,16 +588,19 @@ def robustness_report(
             skipped_system_pairs=0,
         )
 
+        # One memo per metric and context, keyed by (hypothesis, reference)
+        # text: every statistic below reads its scores from it.
+        memos = {
+            metric.metric_id: functools.cache(metric.segment_score) for metric in metrics
+        }
+        std_tables = {
+            metric_id: standard_reference_scores(group, memo)
+            for metric_id, memo in memos.items()
+        }
         for metric in metrics:
-            std_scores = [
-                metric.segment_score(
-                    group.translation(system, seg_id).text,
-                    std_refs[seg_id].text,
-                )
-                for system, seg_id in units
-            ]
+            std_scores = [std_tables[metric.metric_id][unit] for unit in units]
             mt_scores = [
-                metric.segment_score(
+                memos[metric.metric_id](
                     group.translation(system, seg_id).text,
                     assignments[system].choices[seg_id].text,
                 )
@@ -601,7 +615,7 @@ def robustness_report(
             )
 
         context_report.system_level, context_report.skipped_system_pairs = (
-            _system_level_accuracy(group, metrics, systems, human_scores, std_refs, seed)
+            _system_level_accuracy(group, systems, human_scores, memos, std_tables, seed)
         )
 
         context_id = f"{lang_pair}|{domain}"
@@ -612,8 +626,8 @@ def robustness_report(
                 ("ref_std", segment_scores_std),
                 ("ref_mt", segment_scores_mt),
             ):
-                entry_seed = _significance_seed(
-                    seed, context_id, condition, f"{metric_a}|{metric_b}"
+                entry_seed = _hash_seed(
+                    seed, "perm", context_id, condition, f"{metric_a}|{metric_b}"
                 )
                 try:
                     p_value = perm_both_test(
@@ -651,22 +665,22 @@ def robustness_report(
 
 def _system_level_accuracy(
     group: EvaluationSet,
-    metrics: Sequence[Metric],
     systems: list[str],
     human_scores: Mapping[tuple[str, str], float],
-    std_refs: Mapping[str, ReferenceTranslation],
+    memos: Mapping[str, SegmentScoreFn],
+    std_tables: Mapping[str, Mapping[tuple[str, str], float]],
     seed: int,
 ) -> tuple[dict[str, ConditionPair], int]:
     """Pairwise accuracy under both conditions with per-pair reference sets.
 
     For each unordered system pair, references are sampled excluding both
     systems; the pair is compared on the segments where the sampled reference,
-    the standard reference and both systems' judgments and translations all
-    exist. Human ties exclude a pair from the denominator; metric ties count
-    as incorrect. The denominator is shared between conditions.
+    the standard reference and both systems' judgments all exist. Human ties
+    exclude a pair from the denominator; metric ties count as incorrect. The
+    denominator is shared between conditions.
     """
-    correct_std: dict[str, int] = {metric.metric_id: 0 for metric in metrics}
-    correct_mt: dict[str, int] = {metric.metric_id: 0 for metric in metrics}
+    correct_std: dict[str, int] = dict.fromkeys(memos, 0)
+    correct_mt: dict[str, int] = dict.fromkeys(memos, 0)
     decided_pairs = 0
     skipped_pairs = 0
 
@@ -675,11 +689,9 @@ def _system_level_accuracy(
         pair_segments = sorted(
             seg_id
             for seg_id in assignment.choices
-            if seg_id in std_refs
+            if group.standard_reference(seg_id) is not None
             and (system_a, seg_id) in human_scores
             and (system_b, seg_id) in human_scores
-            and group.translation(system_a, seg_id) is not None
-            and group.translation(system_b, seg_id) is not None
         )
         if not pair_segments:
             skipped_pairs += 1
@@ -691,36 +703,30 @@ def _system_level_accuracy(
             continue
         decided_pairs += 1
 
-        for metric in metrics:
-            for condition, reference_text in (
-                ("std", lambda s: std_refs[s].text),
-                ("mt", lambda s: assignment.choices[s].text),
+        for metric_id, memo in memos.items():
+            mt_table = {
+                (system, s): memo(
+                    group.translation(system, s).text, assignment.choices[s].text
+                )
+                for system in (system_a, system_b)
+                for s in pair_segments
+            }
+            for correct, table in (
+                (correct_std, std_tables[metric_id]),
+                (correct_mt, mt_table),
             ):
-                score_a = math.fsum(
-                    metric.segment_score(
-                        group.translation(system_a, s).text, reference_text(s)
-                    )
-                    for s in pair_segments
-                )
-                score_b = math.fsum(
-                    metric.segment_score(
-                        group.translation(system_b, s).text, reference_text(s)
-                    )
-                    for s in pair_segments
-                )
+                score_a = math.fsum(table[(system_a, s)] for s in pair_segments)
+                score_b = math.fsum(table[(system_b, s)] for s in pair_segments)
                 if score_a != score_b and (score_a > score_b) == (human_a > human_b):
-                    if condition == "std":
-                        correct_std[metric.metric_id] += 1
-                    else:
-                        correct_mt[metric.metric_id] += 1
+                    correct[metric_id] += 1
 
     results: dict[str, ConditionPair] = {}
-    for metric in metrics:
+    for metric_id in memos:
         if decided_pairs == 0:
-            results[metric.metric_id] = ConditionPair.of(None, None)
+            results[metric_id] = ConditionPair.of(None, None)
             continue
-        results[metric.metric_id] = ConditionPair.of(
-            correct_std[metric.metric_id] / decided_pairs,
-            correct_mt[metric.metric_id] / decided_pairs,
+        results[metric_id] = ConditionPair.of(
+            correct_std[metric_id] / decided_pairs,
+            correct_mt[metric_id] / decided_pairs,
         )
     return results, skipped_pairs

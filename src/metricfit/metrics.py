@@ -501,7 +501,3 @@ def metric_score_rows(path: Path | str) -> Iterator[tuple[int, MetricScore]]:
             raise ArtefactError(path, line, f"duplicate score for {key!r}")
         seen.add(key)
         yield line, MetricScore(*key, parse_float(path, line, "value", row["value"]))
-
-
-def read_metric_scores(path: Path | str) -> list[MetricScore]:
-    return [score for _, score in metric_score_rows(path)]

@@ -504,3 +504,165 @@ def chrf_oracle(hypothesis: str, reference: str, beta: float = 2.0) -> float:
     if not f_scores:
         return 0.0
     return 100.0 * sum(f_scores) / len(f_scores)
+
+
+def robustness_report_oracle(
+    eval_set: EvaluationSet,
+    metrics,
+    seed: int,
+    n_resamples: int,
+    alpha: float = 0.05,
+    weights: SeverityWeights = DEFAULT_WEIGHTS,
+) -> dict:
+    """``robustness_report(...).to_dict()`` computed by rescoring: every
+    metric value is recomputed with ``segment_score`` where it is used (once
+    per unit and condition at segment level, once per system pair and
+    condition at system level), and the seeds are hashed from their key
+    strings here."""
+    import hashlib
+    from itertools import combinations
+
+    from metricfit import metaeval
+
+    def significance_seed(context_id, condition, pair):
+        key = f"{seed}|perm|{context_id}|{condition}|{pair}"
+        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+        return int.from_bytes(digest, "big")
+
+    report = metaeval.RobustnessReport(seed=seed, alpha=alpha)
+    for lang_pair, domain in eval_set.group_keys():
+        group = eval_set.subset(lang_pair, domain)
+        human_scores = metaeval.human_segment_scores(group, weights)
+        systems = sorted({system for system, _ in human_scores})
+        std_refs = {
+            seg_id: reference
+            for seg_id in group.seg_ids()
+            if (reference := group.standard_reference(seg_id)) is not None
+        }
+        assignments = {
+            system: metaeval.sample_refs_segment_level(group, system, seed)
+            for system in systems
+        }
+        subset = metaeval.comparable_subset(group, assignments.values())
+        subset = {seg_id for seg_id in subset if seg_id in std_refs}
+        units = [
+            (system, seg_id)
+            for system in systems
+            for seg_id in sorted(subset)
+            if (system, seg_id) in human_scores
+            and group.translation(system, seg_id) is not None
+        ]
+        human_vector = [human_scores[unit] for unit in units]
+        context = metaeval.ContextReport(
+            lang_pair=lang_pair,
+            domain=domain,
+            systems=systems,
+            segments_total=len(group.seg_ids()),
+            segments_comparable=len(subset),
+            skipped_system_pairs=0,
+        )
+
+        scores = {"ref_std": {}, "ref_mt": {}}
+        for metric in metrics:
+            std = [
+                metric.segment_score(
+                    group.translation(system, seg_id).text, std_refs[seg_id].text
+                )
+                for system, seg_id in units
+            ]
+            mt = [
+                metric.segment_score(
+                    group.translation(system, seg_id).text,
+                    assignments[system].choices[seg_id].text,
+                )
+                for system, seg_id in units
+            ]
+            scores["ref_std"][metric.metric_id] = std
+            scores["ref_mt"][metric.metric_id] = mt
+            tau_std = metaeval.kendall_tau(std, human_vector) if len(units) >= 2 else None
+            tau_mt = metaeval.kendall_tau(mt, human_vector) if len(units) >= 2 else None
+            context.segment_level[metric.metric_id] = metaeval.ConditionPair.of(
+                tau_std, tau_mt
+            )
+
+        correct = {
+            condition: {metric.metric_id: 0 for metric in metrics}
+            for condition in ("std", "mt")
+        }
+        decided = 0
+        for system_a, system_b in combinations(systems, 2):
+            assignment = metaeval.sample_refs_system_pair(group, system_a, system_b, seed)
+            pair_segments = sorted(
+                seg_id
+                for seg_id in assignment.choices
+                if seg_id in std_refs
+                and (system_a, seg_id) in human_scores
+                and (system_b, seg_id) in human_scores
+                and group.translation(system_a, seg_id) is not None
+                and group.translation(system_b, seg_id) is not None
+            )
+            if not pair_segments:
+                context.skipped_system_pairs += 1
+                continue
+            human_a = -math.fsum(human_scores[(system_a, s)] for s in pair_segments)
+            human_b = -math.fsum(human_scores[(system_b, s)] for s in pair_segments)
+            if human_a == human_b:
+                continue
+            decided += 1
+            for metric in metrics:
+                for condition, reference_text in (
+                    ("std", lambda s: std_refs[s].text),
+                    ("mt", lambda s: assignment.choices[s].text),
+                ):
+                    score_a = math.fsum(
+                        metric.segment_score(
+                            group.translation(system_a, s).text, reference_text(s)
+                        )
+                        for s in pair_segments
+                    )
+                    score_b = math.fsum(
+                        metric.segment_score(
+                            group.translation(system_b, s).text, reference_text(s)
+                        )
+                        for s in pair_segments
+                    )
+                    if score_a != score_b and (score_a > score_b) == (human_a > human_b):
+                        correct[condition][metric.metric_id] += 1
+        for metric in metrics:
+            metric_id = metric.metric_id
+            context.system_level[metric_id] = metaeval.ConditionPair.of(
+                correct["std"][metric_id] / decided if decided else None,
+                correct["mt"][metric_id] / decided if decided else None,
+            )
+
+        context_id = f"{lang_pair}|{domain}"
+        for metric_a, metric_b in combinations(sorted(m.metric_id for m in metrics), 2):
+            for condition in ("ref_std", "ref_mt"):
+                try:
+                    p_value = metaeval.perm_both_test(
+                        scores[condition][metric_a],
+                        scores[condition][metric_b],
+                        human_vector,
+                        metaeval.kendall_tau,
+                        n_resamples=n_resamples,
+                        seed=significance_seed(
+                            context_id, condition, f"{metric_a}|{metric_b}"
+                        ),
+                    )
+                    significant = p_value < alpha
+                except metaeval.MetaEvalError:
+                    p_value = significant = None
+                context.significance.append(
+                    metaeval.SignificanceEntry(
+                        metric_a, metric_b, condition, p_value, significant
+                    )
+                )
+        report.contexts.append(context)
+
+    report.segment_average = metaeval._average_pairs(
+        [context.segment_level for context in report.contexts]
+    )
+    report.system_average = metaeval._average_pairs(
+        [context.system_level for context in report.contexts]
+    )
+    return report.to_dict()

@@ -201,7 +201,7 @@ def test_score_with_corrupt_scorer_exits_with_numeric_failure(tmp_path, capsys):
         code = run("score", "--corpus", bundle, "--out", tmp_path / "s",
                    "--metrics", "prism", "--scorer", poisoned)
     assert code == EXIT_NUMERIC
-    assert "non-finite" in capsys.readouterr().err
+    assert "non-finite score for ('sysA', 'seg1')" in capsys.readouterr().err
 
 
 def test_score_requires_scorer_for_prism(tmp_path, capsys):
@@ -387,6 +387,12 @@ def _config(tmp, art, command, payload):
     return argv, None
 
 
+def _flags(tmp, art, command, *flags):
+    argv = [command, "--corpus", art["bundle"], "--out", tmp / "out", "--seed", 1,
+            *flags]
+    return argv, None
+
+
 def _non_utf8_segments(tmp, art):
     paths = write_corpus_files(tmp / "raw", *tiny_corpus_rows())
     data = paths.segments.read_bytes().replace(b"it rains", b"it r\xe4ins")
@@ -449,7 +455,20 @@ MALFORMED = [
     ("correlate-non-utf8",
      lambda t, a: _broken_scores(t, a, data=b"bleu\ten-de\tnews\tsys\xff\tx\t1.0\n"),
      EXIT_DATA, "not valid UTF-8"),
-    ("robustness-nan-theta", _nan_robustness, EXIT_NUMERIC, "non-finite"),
+    ("robustness-nan-theta", _nan_robustness, EXIT_NUMERIC,
+     "non-finite score for ('sys1', 'seg000')"),
+    ("rankings-negative-holdout",
+     lambda t, a: _flags(t, a, "rankings", "--holdout", -1),
+     EXIT_USAGE, "holdout must be at least 0, got -1"),
+    ("rankings-negative-threshold",
+     lambda t, a: _flags(t, a, "rankings", "--threshold", -1),
+     EXIT_USAGE, "threshold must be at least 0, got -1.0"),
+    ("robustness-zero-resamples",
+     lambda t, a: _flags(t, a, "robustness", "--resamples", 0),
+     EXIT_USAGE, "resamples must be at least 1, got 0"),
+    ("config-negative-alpha-level",
+     lambda t, a: _config(t, a, "robustness", {"alpha_level": -1}),
+     EXIT_USAGE, "alpha_level must be between 0 and 1, got -1.0"),
     ("config-string-boolean",
      lambda t, a: _config(t, a, "rankings", {"include_human": "false"}),
      EXIT_USAGE, "include_human must be true or false"),
@@ -541,3 +560,14 @@ def test_benchmark_tracer_finds_every_traced_name():
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_corpus_generator_matches_test_fixture():
+    """The benchmark generates its corpora with a copy of
+    robustness_corpus_rows; the copy must not drift from the fixture."""
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "corpus_gen.py"), "--self-check"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

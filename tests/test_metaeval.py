@@ -1,6 +1,8 @@
 """Tests for meta-evaluation statistics and the MT-reference protocol."""
 
+import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from conftest import (
     kendall_tau_oracle,
     load_robustness_corpus,
     make_eval_set,
+    robustness_report_oracle,
 )
 from metricfit.corpus import error_free_translations
 from metricfit.metaeval import (
     JudgmentTable,
+    _hash_seed,
     MetaEvalError,
     comparable_subset,
     human_segment_scores,
@@ -25,7 +29,7 @@ from metricfit.metaeval import (
     sample_refs_segment_level,
     sample_refs_system_pair,
 )
-from metricfit.metrics import BleuMetric, ChrfMetric, MetricScore
+from metricfit.metrics import BleuMetric, ChrfMetric, MetricScore, PrismMetric, ToyScorer
 
 
 def test_kendall_perfect_concordance():
@@ -396,3 +400,52 @@ def test_robustness_report_different_seed_changes_sampling(tmp_path):
     first = robustness_report(eval_set, metrics, seed=1, n_resamples=20)
     second = robustness_report(eval_set, metrics, seed=2, n_resamples=20)
     assert first.to_dict() != second.to_dict()
+
+
+class CountingMetric:
+    """A metric that counts its calls per (hypothesis, reference)."""
+
+    def __init__(self, metric):
+        self.metric = metric
+        self.metric_id = metric.metric_id
+        self.calls = Counter()
+
+    def segment_score(self, hypothesis, reference):
+        self.calls[(hypothesis, reference)] += 1
+        return self.metric.segment_score(hypothesis, reference)
+
+
+def test_robustness_report_scores_each_pair_once(tmp_path):
+    eval_set = load_robustness_corpus(tmp_path, n_systems=6, n_segments=30)
+    assert len(eval_set.group_keys()) == 1  # one context: counts are per context
+    metrics = [CountingMetric(BleuMetric()), CountingMetric(ChrfMetric())]
+    robustness_report(eval_set, metrics, seed=4, n_resamples=5)
+    for metric in metrics:
+        assert metric.calls
+        assert max(metric.calls.values()) == 1, metric.metric_id
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_robustness_report_matches_rescoring_oracle(tmp_path, seed):
+    eval_set = load_robustness_corpus(tmp_path, n_systems=6, n_segments=30)
+    scorer = ToyScorer.from_texts(
+        [tr.text for tr in eval_set.translations.values()], theta=(2.0, 1.0, 1.0)
+    )
+    metrics = [BleuMetric(), ChrfMetric(), PrismMetric(scorer)]
+    report = robustness_report(eval_set, metrics, seed=seed, n_resamples=40)
+    assert report.to_dict() == robustness_report_oracle(
+        eval_set, metrics, seed=seed, n_resamples=40
+    )
+
+
+def test_hash_seed_hashes_the_sampling_and_significance_keys():
+    def blake(key):
+        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+        return int.from_bytes(digest, "big")
+
+    assert _hash_seed(7, "segment-level|sys1", "seg003") == blake(
+        "7|segment-level|sys1|seg003"
+    )
+    assert _hash_seed(7, "perm", "en-de|news", "ref_mt", "bleu|chrf") == blake(
+        "7|perm|en-de|news|ref_mt|bleu|chrf"
+    )

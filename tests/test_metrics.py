@@ -23,8 +23,8 @@ from metricfit.metrics import (
     ToyScorer,
     bleu,
     chrf,
+    metric_score_rows,
     prism_score,
-    read_metric_scores,
     score_magnitude,
     segment_bleu,
     sequence_score,
@@ -321,4 +321,4 @@ def test_metric_scores_tsv_round_trip(tmp_path):
     ]
     path = tmp_path / "scores.tsv"
     write_metric_scores(scores, eval_set, path)
-    assert read_metric_scores(path) == scores
+    assert [score for _, score in metric_score_rows(path)] == scores
