@@ -176,7 +176,11 @@ def _metric_names(args, config: dict) -> list[str]:
     value = _setting(args, config, "metrics", "bleu,chrf")
     if isinstance(value, str):
         value = [name.strip() for name in value.split(",") if name.strip()]
-    return list(value)
+    names = list(value)
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise UsageError(f"metric given more than once: {', '.join(repeated)}")
+    return names
 
 
 def cmd_ingest(args) -> int:
@@ -242,8 +246,8 @@ def cmd_rankings(args) -> int:
     if holdout < 0:
         raise UsageError(f"holdout must be at least 0, got {holdout!r}")
     include_human = _setting(args, config, "include_human", True)
-    out = _out_dir(args, config)
     weights = _severity_weights(config)
+    out = _out_dir(args, config)
 
     derivation = derive_rankings(
         eval_set, threshold=threshold, weights=weights, include_human=include_human
@@ -308,11 +312,6 @@ def cmd_train(args) -> int:
     eval_set = _load_bundle(args, config)
     seed = _require_seed(args, config)
     rankings_dir = Path(_require(args, config, "rankings"))
-    out = _out_dir(args, config)
-
-    train_path = rankings_dir / "train.tsv"
-    validation_path = rankings_dir / "validation.tsv"
-
     training_config = TrainingConfig(
         epsilon=_setting(args, config, "epsilon", 0.1),
         alpha=_setting(args, config, "alpha", 0.1),
@@ -325,7 +324,10 @@ def cmd_train(args) -> int:
         enable_backward=not _setting(args, config, "disable_backward", False),
         lowercase=_setting(args, config, "lowercase", False),
     )
+    out = _out_dir(args, config)
 
+    train_path = rankings_dir / "train.tsv"
+    validation_path = rankings_dir / "validation.tsv"
     train_by_lp: dict[str, list] = defaultdict(list)
     for ranking in read_rankings(train_path):
         train_by_lp[ranking.lang_pair].append(ranking)
@@ -364,10 +366,10 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     config = _load_config(args)
     eval_set = _load_bundle(args, config)
-    out = _out_dir(args, config)
     metrics = _build_metrics(
         _metric_names(args, config), _setting(args, config, "scorer")
     )
+    out = _out_dir(args, config)
 
     scores = [
         MetricScore(metric.metric_id, system_id, seg_id, value)
@@ -450,11 +452,11 @@ def cmd_robustness(args) -> int:
     alpha = _setting(args, config, "alpha_level", DEFAULT_ALPHA)
     if not 0 < alpha < 1:
         raise UsageError(f"alpha_level must be between 0 and 1, got {alpha!r}")
-    out = _out_dir(args, config)
     weights = _severity_weights(config)
     metrics = _build_metrics(
         _metric_names(args, config), _setting(args, config, "scorer")
     )
+    out = _out_dir(args, config)
 
     report = robustness_report(
         eval_set,

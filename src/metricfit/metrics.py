@@ -14,6 +14,7 @@ scale.
 
 from __future__ import annotations
 
+import copy
 import math
 import unicodedata
 from collections import Counter
@@ -157,15 +158,8 @@ class ToyScorer:
 
     def with_theta(self, theta: Sequence[float]) -> "ToyScorer":
         """A copy of this scorer sharing the count tables but with new weights."""
-        clone = ToyScorer.__new__(ToyScorer)
-        clone.unigram_counts = self.unigram_counts
-        clone.bigrams = self.bigrams
-        clone.lowercase = self.lowercase
-        clone.vocab = self.vocab
-        clone._index = self._index
+        clone = copy.copy(self)
         clone.theta = np.asarray(theta, dtype=np.float64).copy()
-        clone._unigram_feature = self._unigram_feature
-        clone._bigram_rows = self._bigram_rows
         return clone
 
     def _lookup(self, token: str) -> str:

@@ -59,10 +59,10 @@ class TrainingConfig:
     lowercase: bool = False
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise TrainingError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.alpha < 0:
-            raise TrainingError(f"alpha must be nonnegative, got {self.alpha}")
+        for name in ("epsilon", "alpha", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise TrainingError(f"{name} must be finite and nonnegative, got {value}")
         if self.epochs < 1:
             raise TrainingError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -113,34 +113,59 @@ def backward_ranking_loss(
 
 @dataclass(frozen=True)
 class LossTerms:
-    """Per-term loss values for one example; disabled terms are zero."""
+    """Per-term loss values for one example, disabled terms zero, and the
+    exact gradient of ``total`` w.r.t. the scorer weights."""
 
     ce: float
     forward: float
     backward: float
     total: float
+    gradient: np.ndarray = field(compare=False)
+
+
+def _score_with_gradient(
+    scorer: ToyScorer, target: Sequence[str], context: Sequence[str]
+) -> tuple[float, np.ndarray]:
+    """``sequence_score`` and its gradient, from one scoring pass."""
+    logprobs, gradients = scorer.token_logprob_gradients(target, context)
+    return math.fsum(logprobs) / len(logprobs), gradients.mean(axis=0)
 
 
 def loss_terms(scorer, example: RelativeRanking, config: TrainingConfig) -> LossTerms:
-    """All loss terms of the combined objective for one ranking example."""
+    """All loss terms of the combined objective for one ranking example and
+    the gradient of their total, scoring each enabled sequence once.
+
+    A hinge whose margin is met contributes its subgradient 0, so the
+    zero-loss region is genuinely flat. A NaN hinge adds no gradient but
+    makes ``total`` NaN, which ``train`` refuses.
+    """
     source = tokenize(example.src, config.lowercase)
     reference = tokenize(example.ref, config.lowercase)
     better = tokenize(example.sys_plus, config.lowercase)
     worse = tokenize(example.sys_minus, config.lowercase)
 
-    ce = cross_entropy_loss(scorer, source, reference) if config.enable_ce else 0.0
-    forward = (
-        forward_ranking_loss(scorer, reference, better, worse, config.epsilon)
-        if config.enable_forward
-        else 0.0
-    )
-    backward = (
-        backward_ranking_loss(scorer, reference, better, worse, config.epsilon)
-        if config.enable_backward
-        else 0.0
-    )
+    ce = forward = backward = 0.0
+    grad = np.zeros(len(ToyScorer.FEATURE_NAMES))
+    if config.enable_ce:
+        score, ce_grad = _score_with_gradient(scorer, reference, source)
+        ce = -score
+        grad += config.alpha * -ce_grad
+    if config.enable_forward:
+        better_score, better_grad = _score_with_gradient(scorer, better, reference)
+        worse_score, worse_grad = _score_with_gradient(scorer, worse, reference)
+        forward = _hinge(config.epsilon, better_score, worse_score)
+        if forward > 0.0:
+            grad += 0.5 * (worse_grad - better_grad)
+    if config.enable_backward:
+        better_score, better_grad = _score_with_gradient(scorer, reference, better)
+        worse_score, worse_grad = _score_with_gradient(scorer, reference, worse)
+        backward = _hinge(config.epsilon, better_score, worse_score)
+        if backward > 0.0:
+            grad += 0.5 * (worse_grad - better_grad)
     total = config.alpha * ce + 0.5 * forward + 0.5 * backward
-    return LossTerms(ce=ce, forward=forward, backward=backward, total=total)
+    return LossTerms(
+        ce=ce, forward=forward, backward=backward, total=total, gradient=grad
+    )
 
 
 def combined_loss(scorer, example: RelativeRanking, config: TrainingConfig) -> float:
@@ -148,41 +173,12 @@ def combined_loss(scorer, example: RelativeRanking, config: TrainingConfig) -> f
     return loss_terms(scorer, example, config).total
 
 
-def _score_with_gradient(
-    scorer: ToyScorer, target: Sequence[str], context: Sequence[str]
-) -> tuple[float, np.ndarray]:
-    logprobs, gradients = scorer.token_logprob_gradients(target, context)
-    return math.fsum(logprobs) / len(logprobs), gradients.mean(axis=0)
-
-
 def gradient(
     scorer: ToyScorer, example: RelativeRanking, config: TrainingConfig
 ) -> np.ndarray:
-    """Exact gradient of the combined loss w.r.t. the scorer weights.
-
-    The hinge contributes its subgradient 0 whenever the margin is met, so
-    the zero-loss region is genuinely flat.
-    """
-    source = tokenize(example.src, config.lowercase)
-    reference = tokenize(example.ref, config.lowercase)
-    better = tokenize(example.sys_plus, config.lowercase)
-    worse = tokenize(example.sys_minus, config.lowercase)
-
-    grad = np.zeros_like(scorer.theta)
-    if config.enable_ce:
-        _, ce_grad = _score_with_gradient(scorer, reference, source)
-        grad += config.alpha * -ce_grad
-    if config.enable_forward:
-        better_score, better_grad = _score_with_gradient(scorer, better, reference)
-        worse_score, worse_grad = _score_with_gradient(scorer, worse, reference)
-        if config.epsilon - better_score + worse_score > 0.0:
-            grad += 0.5 * (worse_grad - better_grad)
-    if config.enable_backward:
-        better_score, better_grad = _score_with_gradient(scorer, reference, better)
-        worse_score, worse_grad = _score_with_gradient(scorer, reference, worse)
-        if config.epsilon - better_score + worse_score > 0.0:
-            grad += 0.5 * (worse_grad - better_grad)
-    return grad
+    """Exact gradient of the combined loss w.r.t. the scorer weights; a view
+    of ``loss_terms``."""
+    return loss_terms(scorer, example, config).gradient
 
 
 def ranking_accuracy(
@@ -325,8 +321,8 @@ def train(
                 batch_grad = np.zeros_like(trained.theta)
                 ce_sum = forward_sum = backward_sum = total_sum = 0.0
                 for example in batch:
-                    batch_grad += gradient(trained, example, config)
                     terms = loss_terms(trained, example, config)
+                    batch_grad += terms.gradient
                     ce_sum += terms.ce
                     forward_sum += terms.forward
                     backward_sum += terms.backward

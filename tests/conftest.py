@@ -292,6 +292,9 @@ class FlatScorer:
     def token_logprobs(self, target, context):
         return [self.logprob] * (len(target) + 1)
 
+    def token_logprob_gradients(self, target, context):
+        return _zero_gradients(self.token_logprobs(target, context))
+
 
 class TableScorer:
     """Stub scorer with a fixed sequence score per (target, context) pair."""
@@ -305,6 +308,15 @@ class TableScorer:
     def token_logprobs(self, target, context):
         score = self.table[(tuple(target), tuple(context))]
         return [score] * (len(target) + 1)
+
+    def token_logprob_gradients(self, target, context):
+        return _zero_gradients(self.token_logprobs(target, context))
+
+
+def _zero_gradients(logprobs):
+    """Stub scores do not depend on the weights: one zero gradient row per
+    scored token, as ``ToyScorer.token_logprob_gradients`` returns."""
+    return logprobs, np.zeros((len(logprobs), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +411,57 @@ def ranking_pair_count_oracle(
                 if delta > threshold + 1e-9:
                     count += 1
     return count
+
+
+def loss_terms_oracle(scorer, example, config):
+    """The objective as two scoring passes over the example: the loss values
+    through ``token_logprobs``, then the gradient through
+    ``token_logprob_gradients``. Returns ``(ce, forward, backward, total)``
+    and the gradient."""
+    from metricfit.metrics import tokenize
+    from metricfit.training import (
+        backward_ranking_loss,
+        cross_entropy_loss,
+        forward_ranking_loss,
+    )
+
+    source = tokenize(example.src, config.lowercase)
+    reference = tokenize(example.ref, config.lowercase)
+    better = tokenize(example.sys_plus, config.lowercase)
+    worse = tokenize(example.sys_minus, config.lowercase)
+
+    ce = cross_entropy_loss(scorer, source, reference) if config.enable_ce else 0.0
+    forward = (
+        forward_ranking_loss(scorer, reference, better, worse, config.epsilon)
+        if config.enable_forward
+        else 0.0
+    )
+    backward = (
+        backward_ranking_loss(scorer, reference, better, worse, config.epsilon)
+        if config.enable_backward
+        else 0.0
+    )
+    total = config.alpha * ce + 0.5 * forward + 0.5 * backward
+
+    def score_with_gradient(target, context):
+        logprobs, gradients = scorer.token_logprob_gradients(target, context)
+        return math.fsum(logprobs) / len(logprobs), gradients.mean(axis=0)
+
+    grad = np.zeros_like(scorer.theta)
+    if config.enable_ce:
+        _, ce_grad = score_with_gradient(reference, source)
+        grad += config.alpha * -ce_grad
+    if config.enable_forward:
+        better_score, better_grad = score_with_gradient(better, reference)
+        worse_score, worse_grad = score_with_gradient(worse, reference)
+        if config.epsilon - better_score + worse_score > 0.0:
+            grad += 0.5 * (worse_grad - better_grad)
+    if config.enable_backward:
+        better_score, better_grad = score_with_gradient(reference, better)
+        worse_score, worse_grad = score_with_gradient(reference, worse)
+        if config.epsilon - better_score + worse_score > 0.0:
+            grad += 0.5 * (worse_grad - better_grad)
+    return (ce, forward, backward, total), grad
 
 
 def central_difference_gradient(fn, theta, step: float = 1e-5) -> np.ndarray:

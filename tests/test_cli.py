@@ -390,6 +390,8 @@ def _config(tmp, art, command, payload):
 def _flags(tmp, art, command, *flags):
     argv = [command, "--corpus", art["bundle"], "--out", tmp / "out", "--seed", 1,
             *flags]
+    if command == "train":
+        argv += ["--rankings", art["rankings"]]
     return argv, None
 
 
@@ -463,6 +465,18 @@ MALFORMED = [
     ("rankings-negative-threshold",
      lambda t, a: _flags(t, a, "rankings", "--threshold", -1),
      EXIT_USAGE, "threshold must be at least 0, got -1.0"),
+    ("train-negative-learning-rate",
+     lambda t, a: _flags(t, a, "train", "--learning-rate", -1),
+     EXIT_USAGE, "learning_rate must be finite and nonnegative, got -1.0"),
+    ("train-nan-epsilon",
+     lambda t, a: _flags(t, a, "train", "--epsilon", "nan"),
+     EXIT_USAGE, "epsilon must be finite and nonnegative, got nan"),
+    ("score-repeated-metric",
+     lambda t, a: _flags(t, a, "score", "--metrics", "bleu,chrf,bleu"),
+     EXIT_USAGE, "metric given more than once: bleu"),
+    ("robustness-repeated-metric",
+     lambda t, a: _flags(t, a, "robustness", "--metrics", "chrf,chrf"),
+     EXIT_USAGE, "metric given more than once: chrf"),
     ("robustness-zero-resamples",
      lambda t, a: _flags(t, a, "robustness", "--resamples", 0),
      EXIT_USAGE, "resamples must be at least 1, got 0"),
@@ -505,6 +519,8 @@ def test_malformed_artefact_exit_code_and_location(
     if where is not None:
         assert where in err
     assert "Traceback" not in err
+    if expected == EXIT_USAGE:  # settings are checked before --out is made
+        assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
 def test_quotes_round_trip_through_ingest_rankings_score(tmp_path):

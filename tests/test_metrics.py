@@ -119,6 +119,26 @@ def test_toy_scorer_deterministic():
     assert first == second
 
 
+def test_with_theta_shares_tables_but_not_theta():
+    scorer = _small_scorer(theta=(0.25, -1.5, 2.0))
+    theta = np.array([1.0, 0.5, -0.5])
+    clone = scorer.with_theta(theta)
+    shared = ("unigram_counts", "bigrams", "vocab", "_unigram_feature", "_bigram_rows")
+    for name in shared:
+        assert getattr(clone, name) is getattr(scorer, name), name
+    theta[0] = 9.0
+    clone.theta[1] = 7.0
+    assert clone.theta.tolist() == [1.0, 7.0, -0.5]
+    assert scorer.theta.tolist() == [0.25, -1.5, 2.0]
+    target, context = ("der", "hund"), ("die", "sonne")
+    fresh = ToyScorer(
+        scorer.unigram_counts, scorer.bigrams, theta=clone.theta, lowercase=False
+    )
+    assert clone.token_logprobs(target, context) == fresh.token_logprobs(
+        target, context
+    )
+
+
 def test_toy_scorer_serialization_round_trip(tmp_path):
     scorer = _small_scorer(theta=(0.25, -1.5, 2.0))
     path = tmp_path / "scorer.json"

@@ -1,6 +1,7 @@
 """Tests for the fine-tuning objective, gradients and the training loop."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from conftest import (
     FlatScorer,
     TableScorer,
     central_difference_gradient,
+    loss_terms_oracle,
     separable_ranking_examples,
 )
 from metricfit.metrics import ToyScorer, sequence_score, tokenize
@@ -54,6 +56,11 @@ def test_config_validation():
         TrainingConfig(batch_size=0)
     with pytest.raises(TrainingError):
         TrainingConfig(enable_ce=False, enable_forward=False, enable_backward=False)
+    for name in ("epsilon", "alpha", "learning_rate"):
+        for value in (-1.0, math.nan, math.inf):
+            with pytest.raises(TrainingError, match=name):
+                TrainingConfig(**{name: value})
+    assert TrainingConfig(learning_rate=0.0).learning_rate == 0.0
 
 
 def test_cross_entropy_uniform_vocab_of_four():
@@ -297,6 +304,45 @@ def test_gradient_scaled_weights_still_match():
             step=1e-5,
         )
         assert_gradient_matches(analytic, numeric)
+
+
+def test_fused_loss_terms_match_two_pass_oracle():
+    rng = random.Random(23)
+    base = _training_scorer()
+    words = [f"gut{i}" for i in range(12)] + [f"schlecht{i}" for i in range(6)]
+    extreme = list(itertools.product((-50.0, 50.0), repeat=3))
+    hinges = set()
+    for _ in range(10):
+        example, theta = random_gradient_draw(rng, words)
+        for weights in [theta] + extreme:
+            scorer = base.with_theta(weights)
+            for ablation in ABLATION_CONFIGS:
+                config = TrainingConfig(**ablation)
+                terms = loss_terms(scorer, example, config)
+                values, grad = loss_terms_oracle(scorer, example, config)
+                assert (terms.ce, terms.forward, terms.backward, terms.total) == values
+                assert np.array_equal(terms.gradient, grad)
+                assert np.array_equal(gradient(scorer, example, config), grad)
+                assert combined_loss(scorer, example, config) == values[3]
+                if config.enable_forward and config.enable_backward:
+                    hinges.update(value > 0.0 for value in values[1:3])
+    assert hinges == {True, False}  # both the active and the flat branch ran
+
+
+def test_training_scores_each_sequence_once_per_example(monkeypatch):
+    calls = []
+    for name in ("token_logprobs", "token_logprob_gradients"):
+        method = getattr(ToyScorer, name)
+
+        def counted(self, target, context, method=method):
+            calls.append(method.__name__)
+            return method(self, target, context)
+
+        monkeypatch.setattr(ToyScorer, name, counted)
+    datasets, scorer = _separable_dataset(40, holdout=0)
+    _, report = train(scorer, datasets, config=TrainingConfig(seed=1))
+    assert report.final_score_magnitude is None  # no validation, no probe
+    assert len(calls) == 5 * sum(step.batch_size for step in report.steps)
 
 
 def _separable_dataset(n_examples=240, holdout=40, seed=5):
