@@ -175,8 +175,11 @@ def _build_metrics(names, scorer_path) -> list[Metric]:
 def _metric_names(args, config: dict) -> list[str]:
     value = _setting(args, config, "metrics", "bleu,chrf")
     if isinstance(value, str):
-        value = [name.strip() for name in value.split(",") if name.strip()]
-    names = list(value)
+        names = [name.strip() for name in value.split(",") if name.strip()]
+    elif isinstance(value, list) and all(isinstance(name, str) for name in value):
+        names = value
+    else:
+        raise UsageError(f"metrics must be a string or a list of strings, got {value!r}")
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise UsageError(f"metric given more than once: {', '.join(repeated)}")

@@ -32,6 +32,7 @@ from .corpus import (
     EvaluationSet,
     ReferenceTranslation,
     SeverityWeights,
+    SystemTranslation,
     error_free_translations,
     mqm_score,
 )
@@ -39,6 +40,7 @@ from .metrics import Metric, MetricScore
 
 CorrelationFn = Callable[[Sequence[float], Sequence[float]], "float | None"]
 SegmentScoreFn = Callable[[str, str], float]
+ErrorFreeIndex = Mapping[str, Sequence[SystemTranslation]]
 
 DEFAULT_RESAMPLES = 1000
 DEFAULT_ALPHA = 0.05
@@ -306,8 +308,10 @@ def _sample_references(
     excluded_systems: frozenset[str],
     context_id: str,
     seed: int,
+    error_free: ErrorFreeIndex | None,
 ) -> MtReferenceAssignment:
-    error_free = error_free_translations(eval_set)
+    if error_free is None:
+        error_free = error_free_translations(eval_set)
     choices: dict[str, ReferenceTranslation] = {}
     skipped: list[str] = []
     for seg_id in eval_set.seg_ids():
@@ -338,25 +342,38 @@ def _sample_references(
 
 
 def sample_refs_segment_level(
-    eval_set: EvaluationSet, evaluated_system: str, seed: int
+    eval_set: EvaluationSet,
+    evaluated_system: str,
+    seed: int,
+    error_free: ErrorFreeIndex | None = None,
 ) -> MtReferenceAssignment:
     """Sample one error-free reference per segment from systems other than
-    the evaluated one; segments without a candidate are marked skipped."""
+    the evaluated one; segments without a candidate are marked skipped.
+
+    ``error_free`` is ``error_free_translations(eval_set)``, built here when
+    not given; a caller sampling many assignments builds it once.
+    """
     return _sample_references(
         eval_set,
         excluded_systems=frozenset({evaluated_system}),
         context_id=f"segment-level|{evaluated_system}",
         seed=seed,
+        error_free=error_free,
     )
 
 
 def sample_refs_system_pair(
-    eval_set: EvaluationSet, system_a: str, system_b: str, seed: int
+    eval_set: EvaluationSet,
+    system_a: str,
+    system_b: str,
+    seed: int,
+    error_free: ErrorFreeIndex | None = None,
 ) -> MtReferenceAssignment:
     """Sample references for comparing a pair of systems, excluding both.
 
     Assignments are independent per pair, so different pairs are generally
-    ranked under slightly different reference sets.
+    ranked under slightly different reference sets. ``error_free`` is as
+    for :func:`sample_refs_segment_level`.
     """
     first, second = sorted((system_a, system_b))
     return _sample_references(
@@ -364,6 +381,7 @@ def sample_refs_system_pair(
         excluded_systems=frozenset({system_a, system_b}),
         context_id=f"system-pair|{first}|{second}",
         seed=seed,
+        error_free=error_free,
     )
 
 
@@ -556,8 +574,9 @@ def robustness_report(
         if not systems:
             raise MetaEvalError(f"no annotated systems in context {lang_pair}/{domain}")
 
+        error_free = error_free_translations(group)
         assignments = {
-            system: sample_refs_segment_level(group, system, seed)
+            system: sample_refs_segment_level(group, system, seed, error_free)
             for system in systems
         }
         subset = comparable_subset(group, assignments.values())
@@ -615,7 +634,9 @@ def robustness_report(
             )
 
         context_report.system_level, context_report.skipped_system_pairs = (
-            _system_level_accuracy(group, systems, human_scores, memos, std_tables, seed)
+            _system_level_accuracy(
+                group, systems, human_scores, memos, std_tables, error_free, seed
+            )
         )
 
         context_id = f"{lang_pair}|{domain}"
@@ -669,6 +690,7 @@ def _system_level_accuracy(
     human_scores: Mapping[tuple[str, str], float],
     memos: Mapping[str, SegmentScoreFn],
     std_tables: Mapping[str, Mapping[tuple[str, str], float]],
+    error_free: ErrorFreeIndex,
     seed: int,
 ) -> tuple[dict[str, ConditionPair], int]:
     """Pairwise accuracy under both conditions with per-pair reference sets.
@@ -685,7 +707,9 @@ def _system_level_accuracy(
     skipped_pairs = 0
 
     for system_a, system_b in combinations(systems, 2):
-        assignment = sample_refs_system_pair(group, system_a, system_b, seed)
+        assignment = sample_refs_system_pair(
+            group, system_a, system_b, seed, error_free
+        )
         pair_segments = sorted(
             seg_id
             for seg_id in assignment.choices

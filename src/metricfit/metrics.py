@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import math
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
@@ -35,6 +35,7 @@ from .artefacts import (
 from .corpus import EvaluationSet
 
 LN2 = math.log(2.0)
+_NO_SUCCESSORS = np.empty(0, dtype=np.intp)
 
 EOS_TOKEN = "</s>"
 BOS_TOKEN = "<s>"
@@ -106,6 +107,10 @@ class ToyScorer:
     The vocabulary always contains the end-of-sequence and unknown tokens;
     out-of-vocabulary tokens are mapped to the unknown token both as
     prediction targets and as context.
+
+    The bigram feature is indexed by previous token: each one maps to the
+    sorted vocabulary indices of its successors, so the index takes
+    O(#bigrams) memory and scoring adds no state to the scorer.
     """
 
     FEATURE_NAMES = ("copy_from_context", "log2_unigram_prob", "bigram_seen")
@@ -135,7 +140,14 @@ class ToyScorer:
             dtype=np.float64,
         )
         self._unigram_feature = np.log2((counts + 1.0) / (total + len(self.vocab)))
-        self._bigram_rows: dict[str, np.ndarray] = {}
+        successors: dict[str, list[int]] = defaultdict(list)
+        for previous, token in self.bigrams:
+            if token in self._index:
+                successors[previous].append(self._index[token])
+        self._successors = {
+            previous: np.array(sorted(indices), dtype=np.intp)
+            for previous, indices in successors.items()
+        }
 
     @classmethod
     def from_texts(
@@ -165,23 +177,12 @@ class ToyScorer:
     def _lookup(self, token: str) -> str:
         return token if token in self._index else UNK_TOKEN
 
-    def _bigram_row(self, previous: str) -> np.ndarray:
-        row = self._bigram_rows.get(previous)
-        if row is None:
-            row = np.array(
-                [(previous, v) in self.bigrams for v in self.vocab], dtype=np.float64
-            )
-            self._bigram_rows[previous] = row
-        return row
-
     def _score(
         self,
         target: Sequence[str],
         context: Sequence[str],
         with_gradients: bool,
     ) -> tuple[list[float], np.ndarray | None]:
-        context_tokens = {self._lookup(token) for token in context}
-        copy_row = np.array([v in context_tokens for v in self.vocab], dtype=np.float64)
         targets = [self._lookup(token) for token in target] + [EOS_TOKEN]
 
         n_features = len(self.FEATURE_NAMES)
@@ -189,11 +190,13 @@ class ToyScorer:
         gradients = np.zeros((len(targets), n_features)) if with_gradients else None
 
         features = np.empty((len(self.vocab), n_features))
-        features[:, 0] = copy_row
+        features[:, 0] = 0.0
+        features[[self._index[self._lookup(token)] for token in context], 0] = 1.0
         features[:, 1] = self._unigram_feature
         previous = BOS_TOKEN
         for position, token in enumerate(targets):
-            features[:, 2] = self._bigram_row(previous)
+            features[:, 2] = 0.0
+            features[self._successors.get(previous, _NO_SUCCESSORS), 2] = 1.0
             logits = features @ self.theta
             shift = logits.max()
             exps = np.exp(logits - shift)
@@ -238,9 +241,18 @@ class ToyScorer:
         version = data.get("format_version")
         if version != cls.FORMAT_VERSION:
             raise ValueError(f"unsupported scorer format version: {version!r}")
+        bigrams = data["bigrams"]
+        for pair in bigrams:
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and isinstance(pair[0], str)
+                and isinstance(pair[1], str)
+            ):
+                raise ValueError(f"bigram is not a pair of strings: {pair!r}")
         return cls(
             unigram_counts=data["unigram_counts"],
-            bigrams=[tuple(pair) for pair in data["bigrams"]],
+            bigrams=[tuple(pair) for pair in bigrams],
             theta=data["theta"],
             lowercase=data.get("lowercase", False),
         )

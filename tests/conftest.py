@@ -360,6 +360,50 @@ def toy_logprob_oracle(scorer, target, context) -> list[float]:
     return logprobs
 
 
+def toy_dense_score_oracle(scorer, target, context, with_gradients):
+    """ToyScorer's scoring loop with dense, Python-built feature rows.
+
+    The copy column tests every vocabulary word against the context set, and
+    each bigram row tests every vocabulary word against ``scorer.bigrams``;
+    the softmax and gradient use the same numpy operations as
+    ``ToyScorer._score``, so its results must agree bit for bit.
+    """
+
+    def lookup(token):
+        return token if token in scorer._index else "<unk>"
+
+    def bigram_row(previous):
+        return np.array(
+            [(previous, v) in scorer.bigrams for v in scorer.vocab], dtype=np.float64
+        )
+
+    context_tokens = {lookup(token) for token in context}
+    copy_row = np.array([v in context_tokens for v in scorer.vocab], dtype=np.float64)
+    targets = [lookup(token) for token in target] + ["</s>"]
+
+    logprobs = []
+    gradients = np.zeros((len(targets), 3)) if with_gradients else None
+    features = np.empty((len(scorer.vocab), 3))
+    features[:, 0] = copy_row
+    features[:, 1] = scorer._unigram_feature
+    previous = "<s>"
+    for position, token in enumerate(targets):
+        features[:, 2] = bigram_row(previous)
+        logits = features @ scorer.theta
+        shift = logits.max()
+        exps = np.exp(logits - shift)
+        log_norm = shift + math.log(exps.sum())
+        token_index = scorer._index[token]
+        logprobs.append((logits[token_index] - log_norm) / math.log(2.0))
+        if with_gradients:
+            probs = exps / exps.sum()
+            gradients[position] = (
+                features[token_index] - probs @ features
+            ) / math.log(2.0)
+        previous = token
+    return logprobs, gradients
+
+
 def kendall_tau_oracle(metric_scores, human_penalties) -> float | None:
     """Brute-force O(n^2) tau-b by counting concordant/discordant/tied pairs."""
     metric = np.asarray(metric_scores, dtype=np.float64)

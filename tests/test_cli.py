@@ -443,6 +443,9 @@ MALFORMED = [
      lambda t, a: _broken_scorer(t, a, lambda p: p.update(theta=[1.0, 2.0])),
      EXIT_DATA, "theta must have shape"),
     ("score-scorer-not-json", _not_json_scorer, EXIT_DATA, "not JSON"),
+    ("score-scorer-bad-bigram",
+     lambda t, a: _broken_scorer(t, a, lambda p: p["bigrams"].append(["ein", 3])),
+     EXIT_DATA, "bigram is not a pair of strings: ['ein', 3]"),
     ("correlate-short-row",
      lambda t, a: _broken_scores(t, a, row=lambda r: r[:4]),
      EXIT_DATA, "expected 6 fields, got 4"),
@@ -494,6 +497,12 @@ MALFORMED = [
      EXIT_USAGE, "bad severity_weights [1, 2]"),
     ("config-unknown-key",
      lambda t, a: _config(t, a, "rankings", {"sede": 3}), EXIT_USAGE, "sede"),
+    ("config-metrics-number",
+     lambda t, a: _config(t, a, "score", {"metrics": 3}),
+     EXIT_USAGE, "metrics must be a string or a list of strings, got 3"),
+    ("config-metrics-object",
+     lambda t, a: _config(t, a, "score", {"metrics": {"bleu": 1}}),
+     EXIT_USAGE, "metrics must be a string or a list of strings, got {'bleu': 1}"),
     ("config-epochs-not-number",
      lambda t, a: _config(t, a, "train", {"epochs": "two"}),
      EXIT_USAGE, "epochs must be a number"),

@@ -13,6 +13,7 @@ from conftest import (
     make_eval_set,
     robustness_report_oracle,
 )
+from metricfit import metaeval
 from metricfit.corpus import error_free_translations
 from metricfit.metaeval import (
     JudgmentTable,
@@ -288,8 +289,16 @@ def test_sampling_invariants_on_fixture(tmp_path):
         for seg_id, translations in error_free.items()
         for translation in translations
     }
-    for system in eval_set.system_ids(include_human=False):
+    systems = eval_set.system_ids(include_human=False)
+    # a caller-built index gives the same assignments as building it here
+    assert sample_refs_system_pair(
+        eval_set, *systems[:2], 9, error_free
+    ) == sample_refs_system_pair(eval_set, *systems[:2], 9)
+    for system in systems:
         assignment = sample_refs_segment_level(eval_set, system, seed=9)
+        assert assignment == sample_refs_segment_level(
+            eval_set, system, 9, error_free
+        )
         for seg_id, reference in assignment.choices.items():
             assert reference.source_system != system
             assert (reference.source_system, seg_id) in error_free_keys
@@ -423,6 +432,21 @@ def test_robustness_report_scores_each_pair_once(tmp_path):
     for metric in metrics:
         assert metric.calls
         assert max(metric.calls.values()) == 1, metric.metric_id
+
+
+def test_robustness_report_builds_error_free_index_once_per_context(
+    tmp_path, monkeypatch
+):
+    eval_set = load_robustness_corpus(tmp_path, n_systems=6, n_segments=30)
+    built = []
+
+    def counting(group):
+        built.append(group.group_keys())
+        return error_free_translations(group)
+
+    monkeypatch.setattr(metaeval, "error_free_translations", counting)
+    robustness_report(eval_set, [BleuMetric()], seed=4, n_resamples=5)
+    assert built == [[key] for key in eval_set.group_keys()]
 
 
 @pytest.mark.parametrize("seed", [3, 8])

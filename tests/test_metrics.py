@@ -6,6 +6,8 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FlatScorer,
@@ -13,6 +15,7 @@ from conftest import (
     chrf_oracle,
     corpus_bleu_oracle,
     segment_bleu_oracle,
+    toy_dense_score_oracle,
     toy_logprob_oracle,
 )
 from metricfit.metrics import (
@@ -123,7 +126,7 @@ def test_with_theta_shares_tables_but_not_theta():
     scorer = _small_scorer(theta=(0.25, -1.5, 2.0))
     theta = np.array([1.0, 0.5, -0.5])
     clone = scorer.with_theta(theta)
-    shared = ("unigram_counts", "bigrams", "vocab", "_unigram_feature", "_bigram_rows")
+    shared = ("unigram_counts", "bigrams", "vocab", "_unigram_feature", "_successors")
     for name in shared:
         assert getattr(clone, name) is getattr(scorer, name), name
     theta[0] = 9.0
@@ -158,6 +161,93 @@ def test_toy_scorer_rejects_unknown_format_version():
     payload["format_version"] = 99
     with pytest.raises(ValueError):
         ToyScorer.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "pair", [["ein"], ["ein", 3], ["a", "b", "c"], "ab", None], ids=repr
+)
+def test_toy_scorer_refuses_malformed_bigram(pair):
+    payload = _small_scorer().to_dict()
+    payload["bigrams"].append(pair)
+    with pytest.raises(ValueError, match="bigram is not a pair of strings"):
+        ToyScorer.from_dict(payload)
+
+
+# Successors outside the vocabulary and an <unk> predecessor can only come
+# from a scorer file; the index must leave the first out and keep the second.
+_ORACLE_SCORER = _small_scorer()
+_ORACLE_BIGRAMS = _ORACLE_SCORER.bigrams | {
+    ("der", "fremd"),
+    ("fremd", "der"),
+    ("<unk>", "hund"),
+    ("<unk>", "</s>"),
+}
+_ORACLE_WORDS = (
+    "der", "hund", "katze", "schläft", "sonne", "scheint", "gern",
+    "<unk>", "</s>", "<s>", "fremd", "xyz",
+)
+_WEIGHTS = st.one_of(
+    st.floats(-50.0, 50.0), st.sampled_from([50.0, -50.0, 0.0, math.nan])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.lists(_WEIGHTS, min_size=3, max_size=3),
+    target=st.lists(st.sampled_from(_ORACLE_WORDS), max_size=6),
+    context=st.lists(st.sampled_from(_ORACLE_WORDS), max_size=6),
+)
+def test_toy_scorer_matches_dense_oracle_bit_for_bit(theta, target, context):
+    scorer = ToyScorer(_ORACLE_SCORER.unigram_counts, _ORACLE_BIGRAMS, theta=theta)
+    with np.errstate(invalid="ignore", over="ignore"):
+        logprobs = scorer.token_logprobs(target, context)
+        expected_logprobs, _ = toy_dense_score_oracle(scorer, target, context, False)
+        with_grad, gradients = scorer.token_logprob_gradients(target, context)
+        expected_with_grad, expected_gradients = toy_dense_score_oracle(
+            scorer, target, context, True
+        )
+    assert np.array(logprobs).tobytes() == np.array(expected_logprobs).tobytes()
+    assert np.array(with_grad).tobytes() == np.array(expected_with_grad).tobytes()
+    assert gradients.tobytes() == expected_gradients.tobytes()
+
+
+def test_successor_index_has_one_entry_per_bigram_and_scoring_adds_no_state():
+    rng = random.Random(29)
+    words = [f"w{i:05d}" for i in range(20_000)]
+    rng.shuffle(words)
+    texts = [" ".join(words[i : i + 10]) for i in range(0, len(words), 10)]
+    texts += [" ".join(rng.choice(words) for _ in range(10)) for _ in range(500)]
+    built = ToyScorer.from_texts(texts, theta=(2.0, 1.0, 1.0))
+    scorer = ToyScorer(
+        built.unigram_counts,
+        built.bigrams | {(words[0], "unseen"), ("unseen", words[1])},
+        theta=built.theta,
+    )
+    assert len(scorer.vocab) == 20_002
+
+    def index_length():
+        return sum(len(indices) for indices in scorer._successors.values())
+
+    in_vocab = {pair for pair in scorer.bigrams if pair[1] in scorer._index}
+    assert index_length() == len(in_vocab) == len(scorer.bigrams) - 1
+    assert {
+        (previous, scorer.vocab[i])
+        for previous, indices in scorer._successors.items()
+        for i in indices
+    } == in_vocab
+
+    def state():
+        return {
+            name: (id(value), len(value) if hasattr(value, "__len__") else value)
+            for name, value in vars(scorer).items()
+        }
+
+    before = state()
+    for _ in range(50):
+        target = [rng.choice(words) for _ in range(10)]
+        scorer.token_logprobs(target, [rng.choice(words) for _ in range(10)])
+    assert state() == before
+    assert index_length() == len(in_vocab)
 
 
 def test_prism_average_of_directions():
