@@ -59,10 +59,7 @@ from .training import (
     TrainingConfig,
     TrainingError,
     TrainingReport,
-    backward_ranking_loss,
     combined_loss,
-    cross_entropy_loss,
-    forward_ranking_loss,
     gradient,
     train,
 )

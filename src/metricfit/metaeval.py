@@ -36,7 +36,7 @@ from .corpus import (
     error_free_translations,
     mqm_score,
 )
-from .metrics import Metric, MetricScore
+from .metrics import Metric, MetricScore, system_score
 
 CorrelationFn = Callable[[Sequence[float], Sequence[float]], "float | None"]
 SegmentScoreFn = Callable[[str, str], float]
@@ -264,11 +264,11 @@ class JudgmentTable:
         for unit in units:
             by_system[unit[0]].append(unit)
         metric_sys = {
-            system: math.fsum(metric[u] for u in sys_units) / len(sys_units)
+            system: system_score([metric[u] for u in sys_units])
             for system, sys_units in by_system.items()
         }
         human_sys = {
-            system: -math.fsum(self.human[u] for u in sys_units) / len(sys_units)
+            system: -system_score([self.human[u] for u in sys_units])
             for system, sys_units in by_system.items()
         }
         return metric_sys, human_sys

@@ -15,6 +15,7 @@ scale.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import unicodedata
 from collections import Counter, defaultdict
@@ -36,6 +37,7 @@ from .corpus import EvaluationSet
 
 LN2 = math.log(2.0)
 _NO_SUCCESSORS = np.empty(0, dtype=np.intp)
+_BLOCK_BYTES = 64 * 1024  # per ToyScorer scoring block; see its docstring
 
 EOS_TOKEN = "</s>"
 BOS_TOKEN = "<s>"
@@ -111,6 +113,14 @@ class ToyScorer:
     The bigram feature is indexed by previous token: each one maps to the
     sorted vocabulary indices of its successors, so the index takes
     O(#bigrams) memory and scoring adds no state to the scorer.
+
+    Scoring runs a sequence's positions in blocks of at most ``_BLOCK_BYTES``
+    (64 KiB) of features, at least one position each: one stacked matmul,
+    max, exp and sum per block rather than per position. Each stacked call
+    does, slice by slice, a per-position call's arithmetic, so results keep
+    their bits. One block per sequence would pass glibc's 128 KiB mmap
+    threshold at a few thousand words, and every call would then fault in
+    fresh pages.
     """
 
     FEATURE_NAMES = ("copy_from_context", "log2_unigram_prob", "bigram_seen")
@@ -184,29 +194,60 @@ class ToyScorer:
         with_gradients: bool,
     ) -> tuple[list[float], np.ndarray | None]:
         targets = [self._lookup(token) for token in target] + [EOS_TOKEN]
+        n_positions = len(targets)
+        n_vocab, n_features = len(self.vocab), len(self.FEATURE_NAMES)
+        chunk = max(1, min(n_positions, _BLOCK_BYTES // (n_vocab * n_features * 8)))
 
-        n_features = len(self.FEATURE_NAMES)
+        # A block of `chunk` positions' feature rows. The copy and unigram
+        # columns hold for every position; each block of positions sets its
+        # bigram cells and clears them again.
+        features = np.zeros((chunk, n_vocab, n_features))
+        features[:, [self._index[self._lookup(token)] for token in context], 0] = 1.0
+        features[:, :, 1] = self._unigram_feature
+        bigram = features[:, :, 2].reshape(-1)  # a strided view, one cell per word
+        # Each block's bigram cells in `bigram`: its positions' successors,
+        # moved to each position's row when a block holds several positions.
+        successors = [
+            self._successors.get(previous, _NO_SUCCESSORS)
+            for previous in [BOS_TOKEN, *targets[:-1]]
+        ]
+        block_cells = successors
+        if chunk > 1:
+            ends = list(itertools.accumulate(map(len, successors), initial=0))
+            rows = np.arange(n_positions) % chunk * n_vocab
+            offsets = np.concatenate(successors) + np.repeat(rows, np.diff(ends))
+            block_cells = [
+                offsets[ends[start] : ends[min(start + chunk, n_positions)]]
+                for start in range(0, n_positions, chunk)
+            ]
+        target_rows = [
+            position % chunk * n_vocab + self._index[token]
+            for position, token in enumerate(targets)
+        ]
+
         logprobs: list[float] = []
-        gradients = np.zeros((len(targets), n_features)) if with_gradients else None
-
-        features = np.empty((len(self.vocab), n_features))
-        features[:, 0] = 0.0
-        features[[self._index[self._lookup(token)] for token in context], 0] = 1.0
-        features[:, 1] = self._unigram_feature
-        previous = BOS_TOKEN
-        for position, token in enumerate(targets):
-            features[:, 2] = 0.0
-            features[self._successors.get(previous, _NO_SUCCESSORS), 2] = 1.0
-            logits = features @ self.theta
-            shift = logits.max()
-            exps = np.exp(logits - shift)
-            log_norm = shift + math.log(exps.sum())
-            token_index = self._index[token]
-            logprobs.append((logits[token_index] - log_norm) / LN2)
+        gradients = np.empty((n_positions, n_features)) if with_gradients else None
+        for start, cells in zip(range(0, n_positions, chunk), block_cells):
+            stop = min(start + chunk, n_positions)
+            block = features[: stop - start]
+            block_targets = target_rows[start:stop]
+            bigram[cells] = 1.0
+            logits = block @ self.theta
+            target_logits = list(map(logits.item, block_targets))  # before the shift
+            shifts = logits.max(axis=1, keepdims=True)
+            logits -= shifts
+            exps = np.exp(logits, out=logits)
+            sums = exps.sum(axis=1, keepdims=True)
+            for logit, (shift,), (total,) in zip(
+                target_logits, shifts.tolist(), sums.tolist()
+            ):
+                logprobs.append((logit - (shift + math.log(total))) / LN2)
             if with_gradients:
-                probs = exps / exps.sum()
-                gradients[position] = (features[token_index] - probs @ features) / LN2
-            previous = token
+                exps /= sums
+                expected = exps[:, None, :] @ block
+                observed = features.reshape(-1, n_features)[block_targets]
+                gradients[start:stop] = (observed - expected[:, 0]) / LN2
+            bigram[cells] = 0.0
         return logprobs, gradients
 
     def token_logprobs(

@@ -71,44 +71,11 @@ class TrainingConfig:
             raise TrainingError("at least one loss term must be enabled")
 
 
-def cross_entropy_loss(
-    scorer, source: Sequence[str], reference: Sequence[str]
-) -> float:
-    """Negative sequence score of the reference given the source; >= 0."""
-    return -sequence_score(scorer, reference, source)
-
-
 def _hinge(margin: float, better_score: float, worse_score: float) -> float:
     value = margin - better_score + worse_score
     if math.isnan(value):  # max(0.0, nan) would silently hide broken scores
         return value
     return max(0.0, value)
-
-
-def forward_ranking_loss(
-    scorer,
-    reference: Sequence[str],
-    better: Sequence[str],
-    worse: Sequence[str],
-    margin: float,
-) -> float:
-    """Hinge on scoring the better translation above the worse one given the reference."""
-    better_score = sequence_score(scorer, better, reference)
-    worse_score = sequence_score(scorer, worse, reference)
-    return _hinge(margin, better_score, worse_score)
-
-
-def backward_ranking_loss(
-    scorer,
-    reference: Sequence[str],
-    better: Sequence[str],
-    worse: Sequence[str],
-    margin: float,
-) -> float:
-    """Hinge on reconstructing the reference more easily from the better translation."""
-    better_score = sequence_score(scorer, reference, better)
-    worse_score = sequence_score(scorer, reference, worse)
-    return _hinge(margin, better_score, worse_score)
 
 
 @dataclass(frozen=True)

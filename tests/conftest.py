@@ -18,6 +18,7 @@ from metricfit.corpus import (
     SeverityWeights,
     SystemTranslation,
 )
+from metricfit.metrics import sequence_score, tokenize
 from metricfit.rankings import RelativeRanking
 
 DEFAULT_WEIGHTS = SeverityWeights()
@@ -457,18 +458,41 @@ def ranking_pair_count_oracle(
     return count
 
 
-def loss_terms_oracle(scorer, example, config):
-    """The objective as two scoring passes over the example: the loss values
-    through ``token_logprobs``, then the gradient through
-    ``token_logprob_gradients``. Returns ``(ce, forward, backward, total)``
-    and the gradient."""
-    from metricfit.metrics import tokenize
-    from metricfit.training import (
-        backward_ranking_loss,
-        cross_entropy_loss,
-        forward_ranking_loss,
+def cross_entropy_loss(scorer, source, reference) -> float:
+    """Negative sequence score of the reference given the source; >= 0."""
+    return -sequence_score(scorer, reference, source)
+
+
+def _hinge(margin, better_score, worse_score) -> float:
+    value = margin - better_score + worse_score
+    return value if math.isnan(value) else max(0.0, value)
+
+
+def forward_ranking_loss(scorer, reference, better, worse, margin) -> float:
+    """Hinge on scoring the better translation above the worse one given the
+    reference."""
+    return _hinge(
+        margin,
+        sequence_score(scorer, better, reference),
+        sequence_score(scorer, worse, reference),
     )
 
+
+def backward_ranking_loss(scorer, reference, better, worse, margin) -> float:
+    """Hinge on reconstructing the reference more easily from the better
+    translation."""
+    return _hinge(
+        margin,
+        sequence_score(scorer, reference, better),
+        sequence_score(scorer, reference, worse),
+    )
+
+
+def loss_terms_oracle(scorer, example, config):
+    """The objective as two scoring passes over the example: the loss values
+    through ``token_logprobs`` (the three value-only losses above), then the
+    gradient through ``token_logprob_gradients``. Returns
+    ``(ce, forward, backward, total)`` and the gradient."""
     source = tokenize(example.src, config.lowercase)
     reference = tokenize(example.ref, config.lowercase)
     better = tokenize(example.sys_plus, config.lowercase)

@@ -14,9 +14,11 @@ import pytest
 
 from conftest import (
     TableScorer,
+    backward_ranking_loss,
     central_difference_gradient,
     chrf_oracle,
     corpus_bleu_oracle,
+    forward_ranking_loss,
     kendall_tau_oracle,
     load_robustness_corpus,
     random_mqm_eval_set,
@@ -49,9 +51,7 @@ from metricfit.metrics import ToyScorer, bleu, chrf, segment_bleu
 from metricfit.rankings import derive_rankings, split_holdout
 from metricfit.training import (
     TrainingConfig,
-    backward_ranking_loss,
     combined_loss,
-    forward_ranking_loss,
     gradient,
     loss_terms,
     ranking_accuracy,
@@ -163,21 +163,28 @@ def test_criterion_04_gradients_match_finite_differences():
 def test_criterion_05_margin_and_combined_loss_arithmetic():
     # Hand-derived decimal values, compared at 1e-12 (the decimals are not
     # exactly representable in binary floating point).
-    ref, plus, minus = ("ref",), ("plus",), ("minus",)
-    satisfied = forward_ranking_loss(
-        TableScorer({(plus, ref): -1.0, (minus, ref): -1.2}), ref, plus, minus, 0.1
-    )
-    equal = forward_ranking_loss(
-        TableScorer({(plus, ref): -1.0, (minus, ref): -1.0}), ref, plus, minus, 0.1
-    )
-    violated = forward_ranking_loss(
-        TableScorer({(plus, ref): -1.0, (minus, ref): -0.95}), ref, plus, minus, 0.1
-    )
-    backward = backward_ranking_loss(
-        TableScorer({(ref, plus): -1.5, (ref, minus): -1.0}), ref, plus, minus, 0.1
-    )
-
     from metricfit.rankings import RelativeRanking
+
+    ref, plus, minus = ("ref",), ("plus",), ("minus",)
+    example = RelativeRanking(
+        "xx-yy", "seg", "ann", "src", "ref", "plus", "minus", 1.0
+    )
+    forward_only = TrainingConfig(epsilon=0.1, enable_ce=False, enable_backward=False)
+    backward_only = TrainingConfig(epsilon=0.1, enable_ce=False, enable_forward=False)
+
+    def forward_losses(s_plus, s_minus):
+        scorer = TableScorer({(plus, ref): s_plus, (minus, ref): s_minus})
+        return (
+            forward_ranking_loss(scorer, ref, plus, minus, 0.1),
+            loss_terms(scorer, example, forward_only).forward,
+        )
+
+    satisfied, fused_satisfied = forward_losses(-1.0, -1.2)
+    equal, fused_equal = forward_losses(-1.0, -1.0)
+    violated, fused_violated = forward_losses(-1.0, -0.95)
+    backward_scorer = TableScorer({(ref, plus): -1.5, (ref, minus): -1.0})
+    backward = backward_ranking_loss(backward_scorer, ref, plus, minus, 0.1)
+    fused_backward = loss_terms(backward_scorer, example, backward_only).backward
 
     combined_scorer = TableScorer(
         {
@@ -188,9 +195,6 @@ def test_criterion_05_margin_and_combined_loss_arithmetic():
             (("ref",), ("minus",)): -1.5,
         }
     )
-    example = RelativeRanking(
-        "xx-yy", "seg", "ann", "src", "ref", "plus", "minus", 1.0
-    )
     config = TrainingConfig(alpha=0.1, epsilon=0.1)
     terms = loss_terms(combined_scorer, example, config)
     combined = combined_loss(combined_scorer, example, config)
@@ -200,6 +204,8 @@ def test_criterion_05_margin_and_combined_loss_arithmetic():
         and abs(equal - 0.1) < 1e-12
         and abs(violated - 0.15) < 1e-12
         and abs(backward - 0.6) < 1e-12
+        and (fused_satisfied, fused_equal, fused_violated, fused_backward)
+        == (satisfied, equal, violated, backward)
         and abs(terms.ce - 2.0) < 1e-12
         and abs(terms.forward - 0.3) < 1e-12
         and abs(terms.backward - 0.1) < 1e-12

@@ -19,6 +19,7 @@ from conftest import (
     toy_logprob_oracle,
 )
 from metricfit.metrics import (
+    _BLOCK_BYTES,
     BleuMetric,
     ChrfMetric,
     MetricScore,
@@ -199,6 +200,10 @@ _WEIGHTS = st.one_of(
 )
 def test_toy_scorer_matches_dense_oracle_bit_for_bit(theta, target, context):
     scorer = ToyScorer(_ORACLE_SCORER.unigram_counts, _ORACLE_BIGRAMS, theta=theta)
+    _assert_matches_dense_oracle(scorer, target, context)
+
+
+def _assert_matches_dense_oracle(scorer, target, context):
     with np.errstate(invalid="ignore", over="ignore"):
         logprobs = scorer.token_logprobs(target, context)
         expected_logprobs, _ = toy_dense_score_oracle(scorer, target, context, False)
@@ -209,6 +214,71 @@ def test_toy_scorer_matches_dense_oracle_bit_for_bit(theta, target, context):
     assert np.array(logprobs).tobytes() == np.array(expected_logprobs).tobytes()
     assert np.array(with_grad).tobytes() == np.array(expected_with_grad).tobytes()
     assert gradients.tobytes() == expected_gradients.tobytes()
+
+
+def _wide_oracle_scorer(n_filler):
+    """The oracle scorer plus ``n_filler`` words, each with a few successors."""
+    fillers = [f"f{i:04d}" for i in range(n_filler)]
+    counts = dict(_ORACLE_SCORER.unigram_counts)
+    counts.update({word: 1 + i % 7 for i, word in enumerate(fillers)})
+    bigrams = set(_ORACLE_BIGRAMS)
+    for i, word in enumerate(fillers):
+        bigrams.add((word, fillers[(7 * i + 1) % n_filler]))
+        bigrams.add((word, _ORACLE_WORDS[i % 7]))
+        bigrams.add((_ORACLE_WORDS[i % 4], word))
+    return ToyScorer(counts, bigrams), fillers[:12]
+
+
+# Positions per feature block (metrics._BLOCK_BYTES // (8 * 3 * vocabulary)):
+# 2 at about 1.2k words, so a sequence spans several blocks and its last one
+# may be partial; 1 from about 2.7k words on.
+_WIDE_SCORERS = {
+    2: _wide_oracle_scorer(1_190),
+    1: _wide_oracle_scorer(2_800),
+}
+
+
+@pytest.mark.parametrize("positions_per_block", sorted(_WIDE_SCORERS))
+@settings(max_examples=40, deadline=None)
+@given(theta=st.lists(_WEIGHTS, min_size=3, max_size=3), data=st.data())
+def test_toy_scorer_matches_dense_oracle_across_feature_blocks(
+    positions_per_block, theta, data
+):
+    base, fillers = _WIDE_SCORERS[positions_per_block]
+    assert max(1, _BLOCK_BYTES // (8 * 3 * len(base.vocab))) == positions_per_block
+    words = st.sampled_from(_ORACLE_WORDS + tuple(fillers))
+    target = data.draw(st.lists(words, min_size=3, max_size=9), label="target")
+    context = data.draw(st.lists(words, max_size=6), label="context")
+    _assert_matches_dense_oracle(base.with_theta(theta), target, context)
+
+
+def test_scoring_a_sequence_leaves_no_feature_set_for_the_next():
+    rng = random.Random(41)
+    theta = (1.5, 0.5, 2.0)
+    bases = [(_ORACLE_SCORER, ())] + list(_WIDE_SCORERS.values())
+    for base, fillers in bases:
+        words = _ORACLE_WORDS + tuple(fillers)
+        for _ in range(10):
+            first, second = (
+                (
+                    [rng.choice(words) for _ in range(rng.randint(0, 9))],
+                    [rng.choice(words) for _ in range(rng.randint(0, 6))],
+                )
+                for _ in range(2)
+            )
+            scorer = ToyScorer(base.unigram_counts, base.bigrams, theta=theta)
+            scorer.token_logprob_gradients(*first)
+            scorer.token_logprobs(*first)
+            fresh = ToyScorer(base.unigram_counts, base.bigrams, theta=theta)
+            logprobs, gradients = scorer.token_logprob_gradients(*second)
+            expected_logprobs, expected_gradients = fresh.token_logprob_gradients(
+                *second
+            )
+            assert np.array(logprobs).tobytes() == np.array(expected_logprobs).tobytes()
+            assert gradients.tobytes() == expected_gradients.tobytes()
+            assert np.array(scorer.token_logprobs(*second)).tobytes() == (
+                np.array(fresh.token_logprobs(*second)).tobytes()
+            )
 
 
 def test_successor_index_has_one_entry_per_bigram_and_scoring_adds_no_state():

@@ -11,7 +11,10 @@ import pytest
 from conftest import (
     FlatScorer,
     TableScorer,
+    backward_ranking_loss,
     central_difference_gradient,
+    cross_entropy_loss,
+    forward_ranking_loss,
     loss_terms_oracle,
     separable_ranking_examples,
 )
@@ -21,10 +24,7 @@ from metricfit.training import (
     NumericError,
     TrainingConfig,
     TrainingError,
-    backward_ranking_loss,
     combined_loss,
-    cross_entropy_loss,
-    forward_ranking_loss,
     gradient,
     loss_terms,
     ranking_accuracy,
@@ -63,14 +63,23 @@ def test_config_validation():
     assert TrainingConfig(learning_rate=0.0).learning_rate == 0.0
 
 
+# Only ce, only forward, or only backward.
+_CE_ONLY = TrainingConfig(enable_forward=False, enable_backward=False)
+_FORWARD_ONLY = TrainingConfig(epsilon=0.1, enable_ce=False, enable_backward=False)
+_BACKWARD_ONLY = TrainingConfig(epsilon=0.1, enable_ce=False, enable_forward=False)
+
+
 def test_cross_entropy_uniform_vocab_of_four():
     scorer = FlatScorer(math.log2(0.25))
     assert cross_entropy_loss(scorer, ("x",), ("r", "e", "f")) == pytest.approx(2.0)
+    terms = loss_terms(scorer, _example(src="x", ref="r e f"), _CE_ONLY)
+    assert terms.ce == pytest.approx(2.0)
 
 
 def test_cross_entropy_perfect_scorer_is_zero():
     scorer = FlatScorer(0.0)
     assert cross_entropy_loss(scorer, ("x",), ("r",)) == 0.0
+    assert loss_terms(scorer, _example(src="x", ref="r"), _CE_ONLY).ce == 0.0
 
 
 def test_cross_entropy_equals_negated_sequence_score():
@@ -79,6 +88,8 @@ def test_cross_entropy_equals_negated_sequence_score():
     assert cross_entropy_loss(scorer, src, ref) == pytest.approx(
         -sequence_score(scorer, ref, src)
     )
+    terms = loss_terms(scorer, _example(src="s1 s2", ref="r1 r2 r3"), _CE_ONLY)
+    assert terms.ce == cross_entropy_loss(scorer, src, ref)
 
 
 def _pair_scorer(s_plus, s_minus, direction="forward"):
@@ -90,34 +101,47 @@ def _pair_scorer(s_plus, s_minus, direction="forward"):
     return TableScorer(table), ref, plus, minus
 
 
+_PAIR_EXAMPLE = _example(src="src", ref="ref", plus="plus", minus="minus")
+
+
 def test_forward_margin_satisfied():
     scorer, ref, plus, minus = _pair_scorer(-1.0, -1.2)
     assert forward_ranking_loss(scorer, ref, plus, minus, 0.1) == 0.0
+    assert loss_terms(scorer, _PAIR_EXAMPLE, _FORWARD_ONLY).forward == 0.0
 
 
 def test_forward_equal_scores():
     scorer, ref, plus, minus = _pair_scorer(-1.0, -1.0)
     assert forward_ranking_loss(scorer, ref, plus, minus, 0.1) == pytest.approx(0.1)
+    terms = loss_terms(scorer, _PAIR_EXAMPLE, _FORWARD_ONLY)
+    assert terms.forward == pytest.approx(0.1)
 
 
 def test_forward_violation():
     scorer, ref, plus, minus = _pair_scorer(-1.0, -0.95)
     assert forward_ranking_loss(scorer, ref, plus, minus, 0.1) == pytest.approx(0.15)
+    terms = loss_terms(scorer, _PAIR_EXAMPLE, _FORWARD_ONLY)
+    assert terms.forward == pytest.approx(0.15)
 
 
 def test_backward_margin_satisfied():
     scorer, ref, plus, minus = _pair_scorer(-1.0, -1.2, direction="backward")
     assert backward_ranking_loss(scorer, ref, plus, minus, 0.1) == 0.0
+    assert loss_terms(scorer, _PAIR_EXAMPLE, _BACKWARD_ONLY).backward == 0.0
 
 
 def test_backward_equal_scores():
     scorer, ref, plus, minus = _pair_scorer(-2.0, -2.0, direction="backward")
     assert backward_ranking_loss(scorer, ref, plus, minus, 0.1) == pytest.approx(0.1)
+    terms = loss_terms(scorer, _PAIR_EXAMPLE, _BACKWARD_ONLY)
+    assert terms.backward == pytest.approx(0.1)
 
 
 def test_backward_violation_of_half():
     scorer, ref, plus, minus = _pair_scorer(-1.5, -1.0, direction="backward")
     assert backward_ranking_loss(scorer, ref, plus, minus, 0.1) == pytest.approx(0.6)
+    terms = loss_terms(scorer, _PAIR_EXAMPLE, _BACKWARD_ONLY)
+    assert terms.backward == pytest.approx(0.6)
 
 
 def _combined_fixture():
