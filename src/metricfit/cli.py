@@ -13,8 +13,11 @@ Exit codes: 0 success, 1 usage or validation error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import defaultdict
+from contextlib import suppress
+from functools import partial
 from pathlib import Path
 
 from .artefacts import ArtefactError, read_json, write_json
@@ -62,15 +65,6 @@ EXIT_NUMERIC = 3
 
 KNOWN_METRICS = ("bleu", "chrf", "prism")
 
-# Every key some subcommand reads from a config file.
-CONFIG_KEYS = frozenset({
-    "alpha", "alpha_level", "batch_size", "corpus", "disable_backward",
-    "disable_ce", "disable_forward", "epochs", "epsilon", "holdout",
-    "include_human", "learning_rate", "lowercase", "metrics", "out", "ratings",
-    "rankings", "references", "resamples", "scorer", "scores", "seed",
-    "segments", "severity_weights", "system_outputs", "threshold",
-})
-
 
 class UsageError(Exception):
     """Bad command line or configuration."""
@@ -85,116 +79,143 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    config = read_json(args.config)  # missing or not JSON: a data error
-    if not isinstance(config, dict):
-        raise UsageError(f"config file {args.config} must contain a JSON object")
-    unknown = sorted(set(config) - CONFIG_KEYS)
-    if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
-    return config
+# A converter maps a setting's name and its flag text or config value to the
+# typed value, or raises UsageError("<name> must be ..."), which argparse lets
+# through: a flag and its config key fail alike.
 
 
-def _setting(args, config: dict, name: str, default=None):
-    """Flag value if given, else config value, else default, typed like a
-    bool, int or float default: a config boolean must be true or false."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name)
-    if value is None:
-        return default
-    kind = type(default)
-    if kind is bool and not isinstance(value, bool):
-        raise UsageError(f"{name} must be true or false, got {value!r}")
-    if kind in (bool, int, float):
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"{name} must be a number, got {value!r}") from None
-    return value
-
-
-def _require(args, config: dict, name: str) -> str:
-    value = _setting(args, config, name)
-    if value is None:
-        raise UsageError(f"--{name.replace('_', '-')} is required")
+def _path(name: str, value) -> str:
     if not isinstance(value, str):
         raise UsageError(f"{name} must be a path, got {value!r}")
     return value
 
 
-def _require_seed(args, config: dict) -> int:
-    if _setting(args, config, "seed") is None:
-        raise UsageError("--seed is required for this command (no implicit default)")
-    return _setting(args, config, "seed", 0)  # the 0 is never used; it makes seed an int
+def _boolean(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise UsageError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
-def _out_dir(args, config: dict) -> Path:
-    out = Path(_require(args, config, "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _number(kind: type, test=None, rule: str = ""):
+    """Converter for an int or float setting: a JSON number or a string of
+    one, never a boolean, and for an int never a fraction. With ``test`` the
+    value must be finite and pass it; the training settings have no test,
+    because ``TrainingConfig`` checks them."""
+
+    def convert(name: str, value):
+        number = value
+        if isinstance(value, str):
+            with suppress(ValueError):  # "1.9" stays a float, "two" a string
+                number = float(value)
+                number = int(value)
+        if isinstance(number, bool) or not isinstance(number, (int, float)):
+            raise UsageError(f"{name} must be a number, got {value!r}")
+        if kind is int and isinstance(number, float):
+            must = "an integer" if math.isfinite(number) else "finite"
+            raise UsageError(f"{name} must be {must}, got {number!r}")
+        if kind is float:
+            try:
+                number = float(number)
+            except OverflowError:  # an integer beyond the float range
+                number = math.inf
+            if test is not None and not math.isfinite(number):
+                raise UsageError(f"{name} must be finite, got {number!r}")
+        if test is not None and not test(number):
+            raise UsageError(f"{name} must be {rule}, got {number!r}")
+        return number
+
+    return convert
 
 
-def _severity_weights(config: dict) -> SeverityWeights:
-    table = config.get("severity_weights", {})
-    try:
-        return SeverityWeights(**{key: float(value) for key, value in table.items()})
-    except (AttributeError, TypeError, ValueError) as err:  # not an object of numbers
-        raise UsageError(f"bad severity_weights {table!r}: {err}") from None
-
-
-def _load_bundle(args, config: dict) -> EvaluationSet:
-    return load_corpus(CorpusPaths.in_directory(_require(args, config, "corpus")))
-
-
-def _build_metrics(names, scorer_path) -> list[Metric]:
-    metrics: list[Metric] = []
-    for name in names:
-        if name == "bleu":
-            metrics.append(BleuMetric())
-        elif name == "chrf":
-            metrics.append(ChrfMetric())
-        elif name == "prism":
-            if scorer_path is None:
-                raise DataError(
-                    "metric 'prism' requires a trained scorer: pass --scorer "
-                    "pointing at the scorer.json written by the train command"
-                )
-            metrics.append(PrismMetric(ToyScorer.load(scorer_path)))
-        else:
-            raise UsageError(
-                f"unknown metric {name!r}; known metrics: {', '.join(KNOWN_METRICS)}"
-            )
-    if not metrics:
-        raise UsageError("empty metric list")
-    return metrics
-
-
-def _metric_names(args, config: dict) -> list[str]:
-    value = _setting(args, config, "metrics", "bleu,chrf")
+def _metrics(name: str, value) -> list[str]:
     if isinstance(value, str):
-        names = [name.strip() for name in value.split(",") if name.strip()]
-    elif isinstance(value, list) and all(isinstance(name, str) for name in value):
+        names = [part.strip() for part in value.split(",") if part.strip()]
+    elif isinstance(value, list) and all(isinstance(item, str) for item in value):
         names = value
     else:
-        raise UsageError(f"metrics must be a string or a list of strings, got {value!r}")
-    repeated = sorted({name for name in names if names.count(name) > 1})
+        raise UsageError(f"{name} must be a string or a list of strings, got {value!r}")
+    unknown = [metric for metric in names if metric not in KNOWN_METRICS]
+    if unknown:
+        raise UsageError(
+            f"unknown metric {unknown[0]!r}; known metrics: {', '.join(KNOWN_METRICS)}"
+        )
+    if not names:
+        raise UsageError("empty metric list")
+    repeated = sorted({metric for metric in names if names.count(metric) > 1})
     if repeated:
         raise UsageError(f"metric given more than once: {', '.join(repeated)}")
     return names
 
 
+def _severity_weights(name: str, table) -> SeverityWeights:
+    try:
+        return SeverityWeights(**{
+            key: _number(float)(f"{name}.{key}", value) for key, value in table.items()
+        })
+    except (AttributeError, TypeError, ValueError) as err:  # not an object, a bad key
+        raise UsageError(f"bad {name} {table!r}: {err}") from None
+
+
+# Settings that only a config file gives: name -> (converter, default).
+_CONFIG_ONLY = {
+    "alpha_level": (
+        _number(float, lambda v: 0 < v < 1, "between 0 and 1"), DEFAULT_ALPHA
+    ),
+    "lowercase": (_boolean, None),  # None: TrainingConfig's default
+    "severity_weights": (_severity_weights, SeverityWeights()),
+}
+
+
+def _read_config(path: str, converters: dict) -> dict:
+    """The settings of a config file, each through its converter."""
+    config = read_json(path)  # missing or not JSON: a data error
+    if not isinstance(config, dict):
+        raise UsageError(f"config file {path} must contain a JSON object")
+    unknown = sorted(set(config) - set(converters))
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    return {name: converters[name](name, value) for name, value in config.items()}
+
+
+def _require(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise UsageError(f"--{name.replace('_', '-')} is required")
+    return value
+
+
+def _out_dir(args) -> Path:
+    out = Path(_require(args, "out"))
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _load_bundle(args) -> EvaluationSet:
+    return load_corpus(CorpusPaths.in_directory(_require(args, "corpus")))
+
+
+def _build_metrics(names: list[str], scorer_path: str | None) -> list[Metric]:
+    if "prism" in names and scorer_path is None:
+        raise DataError(
+            "metric 'prism' requires a trained scorer: pass --scorer "
+            "pointing at the scorer.json written by the train command"
+        )
+    build = {
+        "bleu": BleuMetric,
+        "chrf": ChrfMetric,
+        "prism": lambda: PrismMetric(ToyScorer.load(scorer_path)),
+    }
+    return [build[name]() for name in names]
+
+
 def cmd_ingest(args) -> int:
-    config = _load_config(args)
     paths = CorpusPaths(
-        segments=Path(_require(args, config, "segments")),
-        system_outputs=Path(_require(args, config, "system_outputs")),
-        references=Path(_require(args, config, "references")),
-        ratings=Path(_require(args, config, "ratings")),
+        segments=Path(_require(args, "segments")),
+        system_outputs=Path(_require(args, "system_outputs")),
+        references=Path(_require(args, "references")),
+        ratings=Path(_require(args, "ratings")),
     )
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     eval_set = load_corpus(paths)
     write_corpus(eval_set, out)
 
@@ -237,23 +258,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rankings(args) -> int:
-    config = _load_config(args)
-    eval_set = _load_bundle(args, config)
+    eval_set = _load_bundle(args)
     if not eval_set.segments:
         raise DataError("corpus is empty: no segments")
-    seed = _require_seed(args, config)
-    threshold = _setting(args, config, "threshold", DEFAULT_THRESHOLD)
-    if not threshold >= 0:  # NaN fails too
-        raise UsageError(f"threshold must be at least 0, got {threshold!r}")
-    holdout = _setting(args, config, "holdout", DEFAULT_HOLDOUT_SIZE)
-    if holdout < 0:
-        raise UsageError(f"holdout must be at least 0, got {holdout!r}")
-    include_human = _setting(args, config, "include_human", True)
-    weights = _severity_weights(config)
-    out = _out_dir(args, config)
+    seed = _require(args, "seed")
+    out = _out_dir(args)
 
     derivation = derive_rankings(
-        eval_set, threshold=threshold, weights=weights, include_human=include_human
+        eval_set, threshold=args.threshold, weights=args.severity_weights,
+        include_human=args.include_human,
     )
     if not derivation.rankings:
         print("warning: no relative rankings derived", file=sys.stderr)
@@ -267,8 +280,8 @@ def cmd_rankings(args) -> int:
     per_lang_pair = {}
     for lang_pair in sorted(by_lang_pair):
         dataset = split_holdout(
-            by_lang_pair[lang_pair], holdout_size=holdout, seed=seed,
-            threshold=threshold,
+            by_lang_pair[lang_pair], holdout_size=args.holdout, seed=seed,
+            threshold=args.threshold,
         )
         train_split.extend(dataset.train)
         validation_split.extend(dataset.validation)
@@ -284,10 +297,10 @@ def cmd_rankings(args) -> int:
     write_json(
         out / "manifest.json",
         {
-            "threshold": threshold,
-            "holdout_size": holdout,
+            "threshold": args.threshold,
+            "holdout_size": args.holdout,
             "seed": seed,
-            "include_human": include_human,
+            "include_human": args.include_human,
             "rankings": len(derivation.rankings),
             "train": len(train_split),
             "validation": len(validation_split),
@@ -311,23 +324,18 @@ def _scorer_training_texts(eval_set: EvaluationSet) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
-    eval_set = _load_bundle(args, config)
-    seed = _require_seed(args, config)
-    rankings_dir = Path(_require(args, config, "rankings"))
-    training_config = TrainingConfig(
-        epsilon=_setting(args, config, "epsilon", 0.1),
-        alpha=_setting(args, config, "alpha", 0.1),
-        learning_rate=_setting(args, config, "learning_rate", 1e-4),
-        epochs=_setting(args, config, "epochs", 1),
-        batch_size=_setting(args, config, "batch_size", 32),
-        seed=seed,
-        enable_ce=not _setting(args, config, "disable_ce", False),
-        enable_forward=not _setting(args, config, "disable_forward", False),
-        enable_backward=not _setting(args, config, "disable_backward", False),
-        lowercase=_setting(args, config, "lowercase", False),
-    )
-    out = _out_dir(args, config)
+    eval_set = _load_bundle(args)
+    seed = _require(args, "seed")
+    rankings_dir = Path(_require(args, "rankings"))
+    names = ("epsilon", "alpha", "learning_rate", "epochs", "batch_size", "lowercase")
+    given = {  # only what was given: TrainingConfig holds defaults and checks
+        name: getattr(args, name) for name in names if getattr(args, name) is not None
+    }
+    for term in ("ce", "forward", "backward"):
+        if getattr(args, f"disable_{term}") is not None:
+            given[f"enable_{term}"] = not getattr(args, f"disable_{term}")
+    training_config = TrainingConfig(seed=seed, **given)
+    out = _out_dir(args)
 
     train_path = rankings_dir / "train.tsv"
     validation_path = rankings_dir / "validation.tsv"
@@ -367,12 +375,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    config = _load_config(args)
-    eval_set = _load_bundle(args, config)
-    metrics = _build_metrics(
-        _metric_names(args, config), _setting(args, config, "scorer")
-    )
-    out = _out_dir(args, config)
+    eval_set = _load_bundle(args)
+    metrics = _build_metrics(args.metrics, args.scorer)
+    out = _out_dir(args)
 
     scores = [
         MetricScore(metric.metric_id, system_id, seg_id, value)
@@ -392,11 +397,9 @@ def _mean(values: list[float] | None) -> float | None:
 
 
 def cmd_correlate(args) -> int:
-    config = _load_config(args)
-    eval_set = _load_bundle(args, config)
-    scores_path = Path(_require(args, config, "scores"))
-    out = _out_dir(args, config)
-    weights = _severity_weights(config)
+    eval_set = _load_bundle(args)
+    scores_path = Path(_require(args, "scores"))
+    out = _out_dir(args)
     all_scores = []
     for line, score in metric_score_rows(scores_path):
         if (score.system_id, score.seg_id) not in eval_set.translations:
@@ -412,7 +415,7 @@ def cmd_correlate(args) -> int:
         table = JudgmentTable.build(
             group,
             [s for s in all_scores if s.seg_id in group_seg_ids],
-            weights,
+            args.severity_weights,
         )
         metrics_result = {}
         for metric_id in sorted(table.metrics):
@@ -446,28 +449,18 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    config = _load_config(args)
-    eval_set = _load_bundle(args, config)
-    seed = _require_seed(args, config)
-    n_resamples = _setting(args, config, "resamples", DEFAULT_RESAMPLES)
-    if n_resamples < 1:
-        raise UsageError(f"resamples must be at least 1, got {n_resamples!r}")
-    alpha = _setting(args, config, "alpha_level", DEFAULT_ALPHA)
-    if not 0 < alpha < 1:
-        raise UsageError(f"alpha_level must be between 0 and 1, got {alpha!r}")
-    weights = _severity_weights(config)
-    metrics = _build_metrics(
-        _metric_names(args, config), _setting(args, config, "scorer")
-    )
-    out = _out_dir(args, config)
+    eval_set = _load_bundle(args)
+    seed = _require(args, "seed")
+    metrics = _build_metrics(args.metrics, args.scorer)
+    out = _out_dir(args)
 
     report = robustness_report(
         eval_set,
         metrics,
         seed=seed,
-        weights=weights,
-        n_resamples=n_resamples,
-        alpha=alpha,
+        weights=args.severity_weights,
+        n_resamples=args.resamples,
+        alpha=args.alpha_level,
     )
     write_json(out / "robustness.json", report.to_dict())
     table = report.format_table()
@@ -477,6 +470,8 @@ def cmd_robustness(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser. ``parser.converters`` maps every config key to its
+    converter, and ``parser.commands`` every subcommand to its parser."""
     parser = _ArgumentParser(
         prog="metricfit",
         description=(
@@ -486,86 +481,78 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    parser.converters = {name: convert for name, (convert, _) in _CONFIG_ONLY.items()}
+    parser.commands = {}
 
-    def add_common(sub):
+    def setting(sub, flag: str, convert, **kwargs):
+        name = flag[2:].replace("-", "_")
+        parser.converters[name] = convert
+        if "action" not in kwargs:  # the flag takes a value
+            kwargs["type"] = partial(convert, name)
+        sub.add_argument(flag, dest=name, **kwargs)
+
+    def command(name: str, func, summary: str):
+        sub = subparsers.add_parser(name, help=summary)
+        sub.set_defaults(
+            func=func, **{key: default for key, (_, default) in _CONFIG_ONLY.items()}
+        )
+        parser.commands[name] = sub
         sub.add_argument("--config", help="JSON config file; flags override it")
-        sub.add_argument("--seed", type=int, help="random seed (explicit, no default)")
-        sub.add_argument("--out", help="output directory")
+        setting(sub, "--seed", _number(int), help="random seed (explicit, no default)")
+        setting(sub, "--out", _path, help="output directory")
+        return sub
 
-    ingest = subparsers.add_parser("ingest", help="validate and bundle a corpus")
-    add_common(ingest)
-    ingest.add_argument("--segments", help="segments.tsv")
-    ingest.add_argument("--system-outputs", dest="system_outputs",
-                        help="system_outputs.tsv")
-    ingest.add_argument("--references", help="references.tsv")
-    ingest.add_argument("--ratings", help="mqm_ratings.tsv")
-    ingest.set_defaults(func=cmd_ingest)
+    def corpus_command(name: str, func, summary: str):
+        sub = command(name, func, summary)
+        setting(sub, "--corpus", _path, help="ingested corpus bundle directory")
+        return sub
 
-    rankings = subparsers.add_parser(
-        "rankings", help="derive relative rankings and split off a validation set"
-    )
-    add_common(rankings)
-    rankings.add_argument("--corpus", help="ingested corpus bundle directory")
-    rankings.add_argument("--threshold", type=float,
-                          help="minimum penalty difference (strict)")
-    rankings.add_argument("--holdout", type=int,
-                          help="validation rankings per language pair")
-    rankings.add_argument(
-        "--include-human",
-        dest="include_human",
-        action=argparse.BooleanOptionalAction,
-        help="pair human translations too (default: yes)",
-    )
-    rankings.set_defaults(func=cmd_rankings)
+    def metric_options(sub):
+        setting(sub, "--metrics", _metrics, default="bleu,chrf",
+                help="comma-separated metric ids")
+        setting(sub, "--scorer", _path, help="scorer.json for the prism metric")
 
-    train_cmd = subparsers.add_parser("train", help="fine-tune the toy scorer")
-    add_common(train_cmd)
-    train_cmd.add_argument("--corpus", help="ingested corpus bundle directory")
-    train_cmd.add_argument("--rankings", help="rankings artifact directory")
-    train_cmd.add_argument("--epsilon", type=float, help="ranking margin")
-    train_cmd.add_argument("--alpha", type=float, help="cross-entropy weight")
-    train_cmd.add_argument("--learning-rate", dest="learning_rate", type=float)
-    train_cmd.add_argument("--epochs", type=int)
-    train_cmd.add_argument("--batch-size", dest="batch_size", type=int)
-    train_cmd.add_argument("--disable-ce", dest="disable_ce",
-                           action="store_const", const=True,
-                           help="ablation: drop the cross-entropy term")
-    train_cmd.add_argument("--disable-forward", dest="disable_forward",
-                           action="store_const", const=True,
-                           help="ablation: drop the forward ranking term")
-    train_cmd.add_argument("--disable-backward", dest="disable_backward",
-                           action="store_const", const=True,
-                           help="ablation: drop the backward ranking term")
-    train_cmd.set_defaults(func=cmd_train)
+    ingest = command("ingest", cmd_ingest, "validate and bundle a corpus")
+    setting(ingest, "--segments", _path, help="segments.tsv")
+    setting(ingest, "--system-outputs", _path, help="system_outputs.tsv")
+    setting(ingest, "--references", _path, help="references.tsv")
+    setting(ingest, "--ratings", _path, help="mqm_ratings.tsv")
 
-    score = subparsers.add_parser(
-        "score", help="score system translations under standard references"
-    )
-    add_common(score)
-    score.add_argument("--corpus", help="ingested corpus bundle directory")
-    score.add_argument("--metrics", help="comma-separated metric ids")
-    score.add_argument("--scorer", help="scorer.json for the prism metric")
-    score.set_defaults(func=cmd_score)
+    rankings = corpus_command("rankings", cmd_rankings,
+                              "derive relative rankings and split off a validation set")
+    setting(rankings, "--threshold", _number(float, lambda v: v >= 0, "at least 0"),
+            default=DEFAULT_THRESHOLD, help="minimum penalty difference (strict)")
+    setting(rankings, "--holdout", _number(int, lambda v: v >= 0, "at least 0"),
+            default=DEFAULT_HOLDOUT_SIZE, help="validation rankings per language pair")
+    setting(rankings, "--include-human", _boolean, default=True,
+            action=argparse.BooleanOptionalAction,
+            help="pair human translations too (default: yes)")
 
-    correlate = subparsers.add_parser(
-        "correlate", help="correlate metric scores with human judgments"
-    )
-    add_common(correlate)
-    correlate.add_argument("--corpus", help="ingested corpus bundle directory")
-    correlate.add_argument("--scores", help="scores.tsv from the score command")
-    correlate.set_defaults(func=cmd_correlate)
+    train_cmd = corpus_command("train", cmd_train, "fine-tune the toy scorer")
+    setting(train_cmd, "--rankings", _path, help="rankings artifact directory")
+    setting(train_cmd, "--epsilon", _number(float), help="ranking margin")
+    setting(train_cmd, "--alpha", _number(float), help="cross-entropy weight")
+    setting(train_cmd, "--learning-rate", _number(float))
+    setting(train_cmd, "--epochs", _number(int))
+    setting(train_cmd, "--batch-size", _number(int))
+    for term, label in (("ce", "cross-entropy"), ("forward", "forward ranking"),
+                        ("backward", "backward ranking")):
+        setting(train_cmd, f"--disable-{term}", _boolean, action="store_const",
+                const=True, help=f"ablation: drop the {label} term")
 
-    robustness = subparsers.add_parser(
-        "robustness",
-        help="compare metrics under standard vs machine-translated references",
-    )
-    add_common(robustness)
-    robustness.add_argument("--corpus", help="ingested corpus bundle directory")
-    robustness.add_argument("--metrics", help="comma-separated metric ids")
-    robustness.add_argument("--scorer", help="scorer.json for the prism metric")
-    robustness.add_argument("--resamples", type=int,
-                            help="perm-both resamples per metric pair")
-    robustness.set_defaults(func=cmd_robustness)
+    score = corpus_command("score", cmd_score,
+                           "score system translations under standard references")
+    metric_options(score)
+
+    correlate = corpus_command("correlate", cmd_correlate,
+                               "correlate metric scores with human judgments")
+    setting(correlate, "--scores", _path, help="scores.tsv from the score command")
+
+    robustness = corpus_command("robustness", cmd_robustness, "compare metrics under "
+                                "standard vs machine-translated references")
+    metric_options(robustness)
+    setting(robustness, "--resamples", _number(int, lambda v: v >= 1, "at least 1"),
+            default=DEFAULT_RESAMPLES, help="perm-both resamples per metric pair")
 
     return parser
 
@@ -574,6 +561,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:  # config values become defaults; flags win
+            config = _read_config(args.config, parser.converters)
+            parser.commands[args.command].set_defaults(**config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

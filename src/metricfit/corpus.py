@@ -13,6 +13,7 @@ computed from ratings are *penalties*: lower is better, zero is perfect.
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -138,6 +139,11 @@ class SeverityWeights:
     major: float = 5.0
     minor: float = 1.0
     minor_fluency_punctuation: float = 0.1
+
+    def __post_init__(self):
+        for name, value in vars(self).items():  # a penalty is >= 0; 0 is perfect
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     def weight(self, error: MqmError) -> float:
         severity = error.severity.lower()

@@ -291,11 +291,14 @@ class ToyScorer:
                 and isinstance(pair[1], str)
             ):
                 raise ValueError(f"bigram is not a pair of strings: {pair!r}")
+        lowercase = data.get("lowercase", False)
+        if not isinstance(lowercase, bool):
+            raise ValueError(f"lowercase must be true or false, got {lowercase!r}")
         return cls(
             unigram_counts=data["unigram_counts"],
             bigrams=[tuple(pair) for pair in bigrams],
             theta=data["theta"],
-            lowercase=data.get("lowercase", False),
+            lowercase=lowercase,
         )
 
     def save(self, path: Path | str) -> None:

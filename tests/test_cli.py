@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -506,6 +507,30 @@ MALFORMED = [
     ("config-epochs-not-number",
      lambda t, a: _config(t, a, "train", {"epochs": "two"}),
      EXIT_USAGE, "epochs must be a number"),
+    ("config-infinite-epochs",
+     lambda t, a: _config(t, a, "train", {"epochs": math.inf}),
+     EXIT_USAGE, "epochs must be finite, got inf"),
+    ("config-boolean-epochs",
+     lambda t, a: _config(t, a, "train", {"epochs": True}),
+     EXIT_USAGE, "epochs must be a number, got True"),
+    ("config-huge-integer-threshold",
+     lambda t, a: _config(t, a, "rankings", {"threshold": 10**400}),
+     EXIT_USAGE, "threshold must be finite, got inf"),
+    ("rankings-infinite-threshold",
+     lambda t, a: _flags(t, a, "rankings", "--threshold", "inf"),
+     EXIT_USAGE, "threshold must be finite, got inf"),
+    ("config-scorer-not-path",
+     lambda t, a: _config(t, a, "score", {"scorer": 0}),
+     EXIT_USAGE, "scorer must be a path, got 0"),
+    ("config-nan-severity-weight",
+     lambda t, a: _config(t, a, "rankings", {"severity_weights": {"major": math.nan}}),
+     EXIT_USAGE, "major must be finite and nonnegative, got nan"),
+    ("config-key-of-another-command",
+     lambda t, a: _config(t, a, "correlate", {"resamples": 0}),
+     EXIT_USAGE, "resamples must be at least 1, got 0"),
+    ("score-scorer-string-lowercase",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(lowercase="no")),
+     EXIT_DATA, "lowercase must be true or false, got 'no'"),
 ]
 
 
@@ -530,6 +555,63 @@ def test_malformed_artefact_exit_code_and_location(
     assert "Traceback" not in err
     if expected == EXIT_USAGE:  # settings are checked before --out is made
         assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+# setting -> the command that reads it; seed has no lower bound
+SETTING_COMMANDS = {"seed": "rankings", "threshold": "rankings", "holdout": "rankings",
+                    "epochs": "train", "batch_size": "train", "resamples": "robustness"}
+SETTING_CASES = [
+    (name, value)
+    for name in SETTING_COMMANDS
+    for value in (-1, 1.9, "two", math.inf)
+    if not (value == -1 and name == "seed" or value == 1.9 and name == "threshold")
+]
+
+
+@pytest.mark.parametrize(
+    "name, value", SETTING_CASES, ids=[f"{n}={v}" for n, v in SETTING_CASES]
+)
+def test_flag_and_config_key_fail_alike(artefacts, tmp_path, capsys, name, value):
+    command = SETTING_COMMANDS[name]
+    argv = [command, "--corpus", artefacts["bundle"]]
+    if command == "train":
+        argv += ["--rankings", artefacts["rankings"]]
+    if name != "seed":
+        argv += ["--seed", 1]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: value}), encoding="utf-8")
+    results = []
+    for route, setting in (("flag", [f"--{name.replace('_', '-')}", value]),
+                           ("config", ["--config", config])):
+        out = tmp_path / route
+        code = run(*argv, *setting, "--out", out)
+        err = capsys.readouterr().err
+        assert f"error: {name} must be " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        results.append((code, err))
+    assert results[0] == results[1]
+    assert results[0][0] == EXIT_USAGE
+
+
+def test_train_passes_only_the_given_settings(artefacts, tmp_path, monkeypatch):
+    """TrainingConfig alone holds the training defaults."""
+    import metricfit.cli as cli
+    from metricfit.training import TrainingError
+
+    given = {}
+
+    def record(**kwargs):
+        given.update(kwargs)
+        raise TrainingError("recorded")
+
+    monkeypatch.setattr(cli, "TrainingConfig", record)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"disable_ce": True, "lowercase": True}))
+    assert run("train", "--config", config, "--corpus", artefacts["bundle"],
+               "--rankings", artefacts["rankings"], "--seed", 4, "--epochs", 2,
+               "--out", tmp_path / "model") == EXIT_USAGE
+    assert given == {"seed": 4, "epochs": 2, "enable_ce": False, "lowercase": True}
 
 
 def test_quotes_round_trip_through_ingest_rankings_score(tmp_path):

@@ -167,6 +167,14 @@ def test_mqm_score_configurable_weights():
     assert mqm_score(rating, weights) == 10.5
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("field", ["major", "minor", "minor_fluency_punctuation"])
+def test_severity_weights_refuse_non_finite_or_negative(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+        SeverityWeights(**{field: bad})
+    assert getattr(SeverityWeights(**{field: 0.0}), field) == 0.0  # zero stays legal
+
+
 def test_mqm_score_additive():
     rng = random.Random(7)
     categories = ["accuracy/mistranslation", "fluency/punctuation", "fluency/grammar"]
