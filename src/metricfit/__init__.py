@@ -25,6 +25,7 @@ from .metaeval import (
     RobustnessReport,
     comparable_subset,
     kendall_tau,
+    kendall_tau_swaps,
     pairwise_accuracy,
     perm_both_test,
     relative_change,

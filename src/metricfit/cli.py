@@ -498,9 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser.commands[name] = sub
         sub.add_argument("--config", help="JSON config file; flags override it")
-        setting(sub, "--seed", _number(int), help="random seed (explicit, no default)")
         setting(sub, "--out", _path, help="output directory")
         return sub
+
+    def seed_option(sub):
+        setting(sub, "--seed", _number(int), help="random seed (explicit, no default)")
 
     def corpus_command(name: str, func, summary: str):
         sub = command(name, func, summary)
@@ -520,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rankings = corpus_command("rankings", cmd_rankings,
                               "derive relative rankings and split off a validation set")
+    seed_option(rankings)
     setting(rankings, "--threshold", _number(float, lambda v: v >= 0, "at least 0"),
             default=DEFAULT_THRESHOLD, help="minimum penalty difference (strict)")
     setting(rankings, "--holdout", _number(int, lambda v: v >= 0, "at least 0"),
@@ -529,6 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="pair human translations too (default: yes)")
 
     train_cmd = corpus_command("train", cmd_train, "fine-tune the toy scorer")
+    seed_option(train_cmd)
     setting(train_cmd, "--rankings", _path, help="rankings artifact directory")
     setting(train_cmd, "--epsilon", _number(float), help="ranking margin")
     setting(train_cmd, "--alpha", _number(float), help="cross-entropy weight")
@@ -550,6 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     robustness = corpus_command("robustness", cmd_robustness, "compare metrics under "
                                 "standard vs machine-translated references")
+    seed_option(robustness)
     metric_options(robustness)
     setting(robustness, "--resamples", _number(int, lambda v: v >= 1, "at least 1"),
             default=DEFAULT_RESAMPLES, help="perm-both resamples per metric pair")

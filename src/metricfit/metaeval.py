@@ -20,8 +20,8 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain, combinations
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -38,12 +38,19 @@ from .corpus import (
 )
 from .metrics import Metric, MetricScore, system_score
 
-CorrelationFn = Callable[[Sequence[float], Sequence[float]], "float | None"]
+SwapStatistic = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, Iterable[np.ndarray]],
+    "tuple[np.ndarray, np.ndarray]",
+]
 SegmentScoreFn = Callable[[str, str], float]
 ErrorFreeIndex = Mapping[str, Sequence[SystemTranslation]]
 
 DEFAULT_RESAMPLES = 1000
 DEFAULT_ALPHA = 0.05
+# Cells (rows x units) in one chunk of perm-both swap masks, and in one column
+# block of kendall_tau_swaps' pair matrix: this bounds the temporaries of a
+# perm-both test whatever its number of resamples.
+_CHUNK_CELLS = 1 << 18
 
 
 class MetaEvalError(Exception):
@@ -123,11 +130,132 @@ def pairwise_accuracy(
     return correct / total
 
 
+def _sign(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sgn(p - q) elementwise, as int8."""
+    return (p > q).astype(np.int8) - (p < q).astype(np.int8)
+
+
+def _tied_pairs(x: np.ndarray) -> np.ndarray:
+    """Pairs of equal values in each row of the unsigned integer array ``x``,
+    which is sorted in place."""
+    x.sort(axis=1)
+    position = np.arange(x.shape[1], dtype=x.dtype)
+    run_start = np.ones(x.shape, dtype=bool)
+    np.not_equal(x[:, 1:], x[:, :-1], out=run_start[:, 1:])
+    first = np.where(run_start, position, 0)
+    np.maximum.accumulate(first, axis=1, out=first)
+    return (position - first).sum(axis=1, dtype=np.int64)
+
+
+def kendall_tau_swaps(
+    metric_a: Sequence[float],
+    metric_b: Sequence[float],
+    human_penalties: Sequence[float],
+    swaps: Iterable[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`kendall_tau` of every swap-resampled pair of metrics at once.
+
+    ``swaps`` is an iterable of 2-D boolean arrays with one swap mask per
+    row. For each row u, this returns tau-b of ``where(u, b, a)`` and of
+    ``where(u, a, b)`` against the human penalties, NaN where
+    :func:`kendall_tau` returns None. Every value has the bits of
+    :func:`kendall_tau`: the integer counts are scipy's, and so are the
+    float operations on them.
+
+    With y the negated penalties, G_pq[i, j] = sgn(p_i - q_j) * sgn(y_i - y_j)
+    and K = G_aa + G_bb - G_ab - G_ba, twice the concordant-minus-discordant
+    count of a row is sum(G_aa) + 2 (rowsum(G_ba) - rowsum(G_aa)) . u
+    + u' K u for the first resample, and the same with a and b exchanged
+    for the second; the quadratic term is shared. K is an int8 n x n
+    matrix built once per call, and each chunk of rows costs one float32
+    matmul with it, exact because every partial sum is an integer below
+    4n < 2**24.
+
+    The cost is O(n^2) for K plus O(rows * n^2) for the matmuls, against
+    O(rows * n log n) for scipy, so per-row :func:`kendall_tau` is faster
+    for contexts of several thousand units with few resamples: at 8,000
+    units and 100 resamples, 2.4 s against 0.5 s with one BLAS thread on a
+    2-vCPU host. No benchmark workload or test context exceeds 2,500 units.
+    """
+    a = np.asarray(metric_a, dtype=np.float64)
+    b = np.asarray(metric_b, dtype=np.float64)
+    human = np.asarray(human_penalties, dtype=np.float64)
+    if not (a.shape == b.shape == human.shape) or a.ndim != 1:
+        raise ValueError("metric_a, metric_b and human must be aligned vectors")
+    n = a.size
+    if n < 2:
+        raise ValueError("need at least 2 paired observations")
+    if n >= 1 << 22:
+        raise ValueError(f"{n} units exceed the float32-exact limit of 2**22")
+    if np.isnan(a).any() or np.isnan(b).any() or np.isnan(human).any():
+        raise ValueError("scores must not be NaN")
+
+    ranks = np.unique(np.concatenate([a, b]), return_inverse=True)[1]
+    ranks = ranks.astype(np.min_scalar_type(2 * n))
+    rank_a, rank_b = ranks[:n], ranks[n:]
+    rank_y = np.unique(-human, return_inverse=True)[1].astype(ranks.dtype)
+    total = n * (n - 1) // 2
+    y_ties = int(_tied_pairs(rank_y[None, :].copy())[0])
+
+    width = max(1, _CHUNK_CELLS // n)
+    blocks = [slice(start, start + width) for start in range(0, n, width)]
+    pair_matrix = np.empty((n, n), dtype=np.int8)
+    row_sums = np.zeros((4, n), dtype=np.int64)  # rowsum of G_aa, G_bb, G_ab, G_ba
+    for cols in blocks:
+        y_sign = _sign(rank_y[:, None], rank_y[None, cols])
+        g = [
+            y_sign * _sign(p[:, None], q[None, cols])
+            for p, q in ((rank_a, rank_a), (rank_b, rank_b),
+                         (rank_a, rank_b), (rank_b, rank_a))
+        ]
+        pair_matrix[:, cols] = g[0] + g[1] - g[2] - g[3]
+        for row_sum, g_pq in zip(row_sums, g):
+            row_sum += g_pq.sum(axis=1)
+    sum_aa, sum_bb, sum_ab, sum_ba = row_sums
+    constant = np.array([sum_aa.sum(), sum_bb.sum()], dtype=np.float64)
+    linear = 2.0 * np.stack([sum_ba - sum_aa, sum_ab - sum_bb], axis=1)
+
+    taus = []
+    for chunk in swaps:
+        u = np.asarray(chunk, dtype=bool)
+        if u.ndim != 2 or u.shape[1] != n:
+            raise ValueError(f"swap masks must have shape (rows, {n}), got {u.shape}")
+        rows = u.shape[0]
+        u_float = u.astype(np.float32)
+        twice_cmd = np.tile(constant, (rows, 1))
+        for cols in blocks:
+            u_cols = u_float[:, cols]
+            partial = u_float @ pair_matrix[:, cols].astype(np.float32)
+            twice_cmd += (partial * u_cols).sum(axis=1, dtype=np.float64)[:, None]
+            twice_cmd += u_cols @ linear[cols]
+        x_ties = np.stack(
+            [_tied_pairs(np.where(u, rank_b, rank_a)),
+             _tied_pairs(np.where(u, rank_a, rank_b))],
+            axis=1,
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = (twice_cmd / 2) / np.sqrt((total - x_ties).astype(np.float64))
+            tau = np.clip(tau / np.sqrt(np.float64(total - y_ties)), -1.0, 1.0)
+        tau[(x_ties == total) | (y_ties == total)] = np.nan
+        taus.append(tau)
+    tau = np.concatenate(taus)
+    return tau[:, 0], tau[:, 1]
+
+
+def _swap_chunks(rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
+    """``rows`` masks swapping each of ``n`` units with probability 1/2, in
+    chunks of at most ``_CHUNK_CELLS`` cells; the values are those of
+    ``rows`` consecutive ``rng.random(n)`` draws."""
+    per_chunk = max(1, _CHUNK_CELLS // n)
+    for start in range(0, rows, per_chunk):
+        yield rng.random((min(per_chunk, rows - start), n)) < 0.5
+
+
 def perm_both_test(
     metric_a: Sequence[float],
     metric_b: Sequence[float],
     human: Sequence[float],
-    correlation_fn: CorrelationFn,
+    statistic: SwapStatistic,
     n_resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
 ) -> float:
@@ -138,6 +266,14 @@ def perm_both_test(
     recomputes the statistic; the p-value uses the +1/+1 finite-sample
     correction so it can never be exactly 0. Resamples on which the
     correlation is undefined are redrawn, up to 10 * n_resamples attempts.
+
+    ``statistic(a, b, human, swaps)`` computes the correlation of both
+    resampled metrics for each swap mask row in ``swaps`` (an iterable of
+    2-D boolean arrays), NaN where it is undefined, as
+    :func:`kendall_tau_swaps` does. Resamples are drawn and evaluated in
+    batches: the first holds all ``n_resamples`` draws, preceded by an
+    all-False row for the observed scores, and each later one the draws
+    still missing after redraws.
     """
     a = np.asarray(metric_a, dtype=np.float64)
     b = np.asarray(metric_b, dtype=np.float64)
@@ -149,34 +285,31 @@ def perm_both_test(
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
 
-    corr_a = correlation_fn(a, h)
-    corr_b = correlation_fn(b, h)
-    if corr_a is None or corr_b is None:
-        raise MetaEvalError("correlation undefined on the observed scores")
-    observed = abs(corr_a - corr_b)
-
     rng = np.random.default_rng(seed)
+    observed = None
     at_least_as_large = 0
     completed = 0
     attempts = 0
     max_attempts = 10 * n_resamples
     while completed < n_resamples:
-        attempts += 1
-        if attempts > max_attempts:
+        rows = min(n_resamples - completed, max_attempts - attempts)
+        if rows == 0:
             raise MetaEvalError(
                 f"exceeded {max_attempts} resampling attempts; correlations "
                 "are undefined on almost all resamples"
             )
-        swap = rng.random(a.size) < 0.5
-        resampled_a = np.where(swap, b, a)
-        resampled_b = np.where(swap, a, b)
-        corr_ra = correlation_fn(resampled_a, h)
-        corr_rb = correlation_fn(resampled_b, h)
-        if corr_ra is None or corr_rb is None:
-            continue
-        if abs(corr_ra - corr_rb) >= observed:
-            at_least_as_large += 1
-        completed += 1
+        swaps = _swap_chunks(rng, a.size, rows)
+        if observed is None:
+            swaps = chain([np.zeros((1, a.size), dtype=bool)], swaps)
+        gaps = np.abs(np.subtract(*statistic(a, b, h, swaps)))
+        if observed is None:
+            observed, gaps = gaps[0], gaps[1:]
+            if np.isnan(observed):
+                raise MetaEvalError("correlation undefined on the observed scores")
+        attempts += rows
+        gaps = gaps[~np.isnan(gaps)]
+        completed += gaps.size
+        at_least_as_large += int(np.count_nonzero(gaps >= observed))
     return (1 + at_least_as_large) / (1 + n_resamples)
 
 
@@ -655,7 +788,7 @@ def robustness_report(
                         scores[metric_a],
                         scores[metric_b],
                         human_vector,
-                        kendall_tau,
+                        kendall_tau_swaps,
                         n_resamples=n_resamples,
                         seed=entry_seed,
                     )

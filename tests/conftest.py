@@ -427,6 +427,61 @@ def kendall_tau_oracle(metric_scores, human_penalties) -> float | None:
     return (concordant - discordant) / denominator
 
 
+def rowwise(fn):
+    """A scalar statistic ``fn(x, human) -> float | None`` in the swap-batched
+    form ``perm_both_test`` takes: for each swap mask row it calls ``fn`` on
+    resample A, then on resample B, and gives NaN for None."""
+
+    def statistic(a, b, human, swaps):
+        rows_a, rows_b = [], []
+        for chunk in swaps:
+            for swap in chunk:
+                for rows, x in ((rows_a, np.where(swap, b, a)),
+                                (rows_b, np.where(swap, a, b))):
+                    value = fn(x, human)
+                    rows.append(math.nan if value is None else value)
+        return np.array(rows_a, dtype=np.float64), np.array(rows_b, dtype=np.float64)
+
+    return statistic
+
+
+def perm_both_oracle(metric_a, metric_b, human, correlation_fn, n_resamples, seed):
+    """The scalar perm-both loop: one ``rng.random(n)`` draw and two calls of
+    the scalar ``correlation_fn(x, human) -> float | None`` per attempt."""
+    from metricfit.metaeval import MetaEvalError
+
+    a = np.asarray(metric_a, dtype=np.float64)
+    b = np.asarray(metric_b, dtype=np.float64)
+    h = np.asarray(human, dtype=np.float64)
+    corr_a = correlation_fn(a, h)
+    corr_b = correlation_fn(b, h)
+    if corr_a is None or corr_b is None:
+        raise MetaEvalError("correlation undefined on the observed scores")
+    observed = abs(corr_a - corr_b)
+
+    rng = np.random.default_rng(seed)
+    at_least_as_large = 0
+    completed = 0
+    attempts = 0
+    max_attempts = 10 * n_resamples
+    while completed < n_resamples:
+        attempts += 1
+        if attempts > max_attempts:
+            raise MetaEvalError(
+                f"exceeded {max_attempts} resampling attempts; correlations "
+                "are undefined on almost all resamples"
+            )
+        swap = rng.random(a.size) < 0.5
+        corr_ra = correlation_fn(np.where(swap, b, a), h)
+        corr_rb = correlation_fn(np.where(swap, a, b), h)
+        if corr_ra is None or corr_rb is None:
+            continue
+        if abs(corr_ra - corr_rb) >= observed:
+            at_least_as_large += 1
+        completed += 1
+    return (1 + at_least_as_large) / (1 + n_resamples)
+
+
 def ranking_pair_count_oracle(
     eval_set: EvaluationSet,
     threshold: float = 0.1,
@@ -648,8 +703,8 @@ def robustness_report_oracle(
     """``robustness_report(...).to_dict()`` computed by rescoring: every
     metric value is recomputed with ``segment_score`` where it is used (once
     per unit and condition at segment level, once per system pair and
-    condition at system level), and the seeds are hashed from their key
-    strings here."""
+    condition at system level), the seeds are hashed from their key strings
+    here, and perm-both runs the scalar loop of :func:`perm_both_oracle`."""
     import hashlib
     from itertools import combinations
 
@@ -770,7 +825,7 @@ def robustness_report_oracle(
         for metric_a, metric_b in combinations(sorted(m.metric_id for m in metrics), 2):
             for condition in ("ref_std", "ref_mt"):
                 try:
-                    p_value = metaeval.perm_both_test(
+                    p_value = perm_both_oracle(
                         scores[condition][metric_a],
                         scores[condition][metric_b],
                         human_vector,

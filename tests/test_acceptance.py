@@ -24,6 +24,7 @@ from conftest import (
     random_mqm_eval_set,
     ranking_pair_count_oracle,
     robustness_corpus_rows,
+    rowwise,
     segment_bleu_oracle,
     separable_ranking_examples,
     write_corpus_files,
@@ -115,7 +116,7 @@ def test_criterion_03_perm_both_null_calibration():
         metric_a = list(quality + rng.normal(size=200))
         metric_b = list(quality + rng.normal(size=200))
         p = perm_both_test(
-            metric_a, metric_b, list(human), pearson,
+            metric_a, metric_b, list(human), rowwise(pearson),
             n_resamples=1000, seed=trial,
         )
         if p < 0.05:

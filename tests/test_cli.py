@@ -378,32 +378,37 @@ def _broken_scores(tmp, art, row=None, data=None):
     return argv, f"{scores}:{line}:"
 
 
+SEEDED_COMMANDS = ("rankings", "train", "robustness")
+
+
 def _config(tmp, art, command, payload):
     config = tmp / "config.json"
     config.write_text(json.dumps(payload), encoding="utf-8")
-    argv = [command, "--config", config, "--corpus", art["bundle"],
-            "--out", tmp / "out", "--seed", 1]
-    if command == "train":
-        argv += ["--rankings", art["rankings"]]
-    return argv, None
+    return _flags(tmp, art, command, "--config", config)
 
 
 def _flags(tmp, art, command, *flags):
-    argv = [command, "--corpus", art["bundle"], "--out", tmp / "out", "--seed", 1,
-            *flags]
+    argv = [command, "--corpus", art["bundle"], "--out", tmp / "out", *flags]
+    if command in SEEDED_COMMANDS:
+        argv += ["--seed", 1]
     if command == "train":
         argv += ["--rankings", art["rankings"]]
     return argv, None
 
 
-def _non_utf8_segments(tmp, art):
+def _ingest(tmp, *flags):
     paths = write_corpus_files(tmp / "raw", *tiny_corpus_rows())
-    data = paths.segments.read_bytes().replace(b"it rains", b"it r\xe4ins")
-    paths.segments.write_bytes(data)
     argv = ["ingest", "--segments", paths.segments,
             "--system-outputs", paths.system_outputs,
             "--references", paths.references, "--ratings", paths.ratings,
-            "--out", tmp / "bundle"]
+            "--out", tmp / "bundle", *flags]
+    return argv, paths
+
+
+def _non_utf8_segments(tmp, art):
+    argv, paths = _ingest(tmp)
+    data = paths.segments.read_bytes().replace(b"it rains", b"it r\xe4ins")
+    paths.segments.write_bytes(data)
     return argv, f"{paths.segments}:3:"
 
 
@@ -528,6 +533,15 @@ MALFORMED = [
     ("config-key-of-another-command",
      lambda t, a: _config(t, a, "correlate", {"resamples": 0}),
      EXIT_USAGE, "resamples must be at least 1, got 0"),
+    ("score-seed",
+     lambda t, a: _flags(t, a, "score", "--seed", 7),
+     EXIT_USAGE, "unrecognized arguments: --seed 7"),
+    ("correlate-seed",
+     lambda t, a: _flags(t, a, "correlate", "--scores", a["scores"], "--seed", 3),
+     EXIT_USAGE, "unrecognized arguments: --seed 3"),
+    ("ingest-seed",
+     lambda t, a: (_ingest(t, "--seed", 99)[0], None),
+     EXIT_USAGE, "unrecognized arguments: --seed 99"),
     ("score-scorer-string-lowercase",
      lambda t, a: _broken_scorer(t, a, lambda p: p.update(lowercase="no")),
      EXIT_DATA, "lowercase must be true or false, got 'no'"),

@@ -6,12 +6,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     kendall_tau_oracle,
     load_robustness_corpus,
     make_eval_set,
+    perm_both_oracle,
     robustness_report_oracle,
+    rowwise,
 )
 from metricfit import metaeval
 from metricfit.corpus import error_free_translations
@@ -22,6 +26,7 @@ from metricfit.metaeval import (
     comparable_subset,
     human_segment_scores,
     kendall_tau,
+    kendall_tau_swaps,
     pairwise_accuracy,
     pearson,
     perm_both_test,
@@ -132,7 +137,7 @@ def test_perm_both_identical_metrics_p_is_one():
     rng = random.Random(1)
     human = [rng.random() for _ in range(50)]
     metric = [rng.random() for _ in range(50)]
-    p = perm_both_test(metric, metric, human, pearson, n_resamples=200, seed=4)
+    p = perm_both_test(metric, metric, human, rowwise(pearson), n_resamples=200, seed=4)
     assert p == 1.0
 
 
@@ -142,7 +147,7 @@ def test_perm_both_detects_clear_difference():
     metric_a = list(-human)  # equals human goodness exactly, as penalties
     metric_b = list(rng.normal(size=500))
     p = perm_both_test(
-        list(metric_a), metric_b, list(human), kendall_tau,
+        list(metric_a), metric_b, list(human), kendall_tau_swaps,
         n_resamples=1000, seed=7,
     )
     assert p < 0.05
@@ -154,8 +159,8 @@ def test_perm_both_invariant_to_metric_relabeling():
     human = list(rng.normal(size=80))
     metric_a = list(rng.normal(size=80))
     metric_b = list(rng.normal(size=80))
-    p_ab = perm_both_test(metric_a, metric_b, human, pearson, 300, seed=11)
-    p_ba = perm_both_test(metric_b, metric_a, human, pearson, 300, seed=11)
+    p_ab = perm_both_test(metric_a, metric_b, human, rowwise(pearson), 300, seed=11)
+    p_ba = perm_both_test(metric_b, metric_a, human, rowwise(pearson), 300, seed=11)
     assert p_ab == p_ba
 
 
@@ -169,7 +174,7 @@ def test_perm_both_rough_null_calibration():
         metric_a = list(quality + rng.normal(size=100))
         metric_b = list(quality + rng.normal(size=100))
         p = perm_both_test(
-            metric_a, metric_b, list(human), pearson, n_resamples=200,
+            metric_a, metric_b, list(human), rowwise(pearson), n_resamples=200,
             seed=1000 + trial,
         )
         if p < 0.05:
@@ -179,15 +184,17 @@ def test_perm_both_rough_null_calibration():
 
 def test_perm_both_validates_input():
     with pytest.raises(ValueError):
-        perm_both_test([1.0], [1.0, 2.0], [0.0, 1.0], pearson)
+        perm_both_test([1.0], [1.0, 2.0], [0.0, 1.0], rowwise(pearson))
     with pytest.raises(ValueError):
-        perm_both_test([1.0, 2.0], [1.0, 2.0], [0.0, 1.0], pearson, n_resamples=0)
+        perm_both_test(
+            [1.0, 2.0], [1.0, 2.0], [0.0, 1.0], rowwise(pearson), n_resamples=0
+        )
 
 
 def test_perm_both_undefined_observed_correlation():
     # constant metric_a makes the observed correlation undefined
     with pytest.raises(MetaEvalError):
-        perm_both_test([1.0, 1.0], [1.0, 2.0], [0.0, 1.0], pearson, 10, seed=0)
+        perm_both_test([1.0, 1.0], [1.0, 2.0], [0.0, 1.0], rowwise(pearson), 10, seed=0)
 
 
 def test_perm_both_redraw_cap():
@@ -201,9 +208,112 @@ def test_perm_both_redraw_cap():
 
     with pytest.raises(MetaEvalError, match="attempts"):
         perm_both_test(
-            [1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [0.5, 1.5, 2.5], flaky,
+            [1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [0.5, 1.5, 2.5], rowwise(flaky),
             n_resamples=5, seed=0,
         )
+
+
+@pytest.mark.parametrize("undefined_attempts, capped", [(9, False), (10, True)])
+def test_perm_both_redraw_cap_is_ten_attempts_per_resample(undefined_attempts, capped):
+    calls = {"count": 0}
+
+    def undefined_at_first(x, y):
+        calls["count"] += 1
+        attempt = (calls["count"] - 1) // 2  # 0 for the observed scores
+        return None if 1 <= attempt <= undefined_attempts else pearson(x, y)
+
+    scores = ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [0.5, 1.5, 2.5])
+    statistic = rowwise(undefined_at_first)
+    if capped:
+        with pytest.raises(MetaEvalError, match="exceeded 10 resampling attempts"):
+            perm_both_test(*scores, statistic, n_resamples=1, seed=0)
+    else:
+        p = perm_both_test(*scores, statistic, n_resamples=1, seed=0)
+        calls["count"] = 0
+        assert p == perm_both_oracle(*scores, undefined_at_first, 1, 0)
+
+
+def _assert_rows_match_kendall_tau(a, b, human, swaps):
+    """kendall_tau_swaps equals kendall_tau on every resample, bit for bit."""
+    rows_a, rows_b = kendall_tau_swaps(a, b, human, swaps)
+    masks = [row for chunk in swaps for row in chunk]
+    assert rows_a.shape == rows_b.shape == (len(masks),)
+    for swap, got_a, got_b in zip(masks, rows_a, rows_b):
+        for got, x in ((got_a, np.where(swap, b, a)), (got_b, np.where(swap, a, b))):
+            want = kendall_tau(x, human)
+            if want is None:
+                assert np.isnan(got)
+            else:
+                assert got == want
+
+
+@st.composite
+def _swap_cases(draw):
+    """Scores from small pools, so that ties are common; a one-value pool
+    makes a side constant."""
+    n = draw(st.integers(2, 12))
+
+    def vector(pool_size):
+        pool = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0]),
+                             min_size=pool_size, max_size=pool_size))
+        return [draw(st.sampled_from(pool)) for _ in range(n)]
+
+    a = vector(draw(st.integers(1, 3)))
+    b = vector(draw(st.integers(1, 3)))
+    human = vector(draw(st.integers(1, 4)))
+    rows = st.lists(st.booleans(), min_size=n, max_size=n)
+    chunks = draw(st.lists(st.lists(rows, min_size=1, max_size=4), min_size=1, max_size=3))
+    return a, b, human, [np.array(chunk, dtype=bool) for chunk in chunks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_swap_cases())
+@example(  # n = 2, and rows whose chosen values tie
+    ([1.0, 2.0], [2.0, 1.0], [0.0, 1.0],
+     [np.array([[False, False], [True, False], [False, True], [True, True]])])
+)
+@example(  # a constant human side: every row undefined
+    ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [0.5, 0.5, 0.5],
+     [np.array([[False, False, False], [True, False, True]])])
+)
+def test_kendall_tau_swaps_matches_kendall_tau_bit_for_bit(case):
+    _assert_rows_match_kendall_tau(*case)
+
+
+def test_kendall_tau_swaps_is_exact_at_roadmap_scale():
+    """2,500 units with ties on every side: float32 partial sums stay exact."""
+    rng = np.random.default_rng(8)
+    n = 2500
+    a, b = np.round(rng.normal(size=(2, n)), 1)
+    human = rng.integers(0, 30, size=n).astype(float)
+    _assert_rows_match_kendall_tau(a, b, human, [rng.random((6, n)) < 0.5])
+    p = perm_both_test(a, b, human, kendall_tau_swaps, n_resamples=100, seed=3)
+    assert p == perm_both_oracle(a, b, human, kendall_tau, n_resamples=100, seed=3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_perm_both_kernel_matches_scalar_loop_with_redraws(seed):
+    # n = 2: every resample that swaps one unit ties both units, so about half
+    # of the attempts are redrawn
+    cases = [([1.0, 2.0], [2.0, 1.0], [0.0, 1.0]),
+             ([1.0, 1.0, 2.0], [2.0, 1.0, 1.0], [0.0, 1.0, 1.0])]
+    for a, b, human in cases:
+        p = perm_both_test(a, b, human, kendall_tau_swaps, n_resamples=40, seed=seed)
+        assert p == perm_both_oracle(a, b, human, kendall_tau, 40, seed)
+
+
+@pytest.mark.parametrize("cells", [1, 1000])
+def test_perm_both_kernel_matches_scalar_loop_across_chunks(monkeypatch, cells):
+    """Swap masks split into many chunks (one row each at ``cells=1``) and the
+    pair matrix into many column blocks keep every draw and every count."""
+    monkeypatch.setattr(metaeval, "_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(5)
+    human = rng.integers(0, 6, size=120).astype(float)
+    a = np.round(rng.normal(size=120), 1)
+    b = np.round(a + rng.normal(size=120), 1)
+    p = perm_both_test(a, b, human, kendall_tau_swaps, n_resamples=60, seed=2)
+    assert p == perm_both_oracle(a, b, human, kendall_tau, 60, 2)
+    _assert_rows_match_kendall_tau(a, b, human, [rng.random((5, 120)) < 0.5])
 
 
 def _sampling_fixture(error_free_systems, rated_with_error=(), n_segments=1):
