@@ -100,6 +100,8 @@ def read_json(path: Path | str) -> Any:
         raise _not_utf8(path) from None
     except json.JSONDecodeError as err:
         raise ArtefactError(path, err.lineno, f"not JSON: {err.msg}") from None
+    except ValueError as err:  # an integer with more digits than int() takes
+        raise ArtefactError(path, None, f"not JSON: {err}") from None
 
 
 def write_json(path: Path | str, payload: Any) -> None:

@@ -17,11 +17,12 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import operator
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -42,6 +43,10 @@ _BLOCK_BYTES = 64 * 1024  # per ToyScorer scoring block; see its docstring
 EOS_TOKEN = "</s>"
 BOS_TOKEN = "<s>"
 UNK_TOKEN = "<unk>"
+
+_BLEU_ORDER = 4
+_CHRF_ORDER = 6
+_CHRF_BETA = 2.0
 
 LEVEL_CORPUS = "corpus"
 LEVEL_SEGMENT = "segment"
@@ -294,8 +299,26 @@ class ToyScorer:
         lowercase = data.get("lowercase", False)
         if not isinstance(lowercase, bool):
             raise ValueError(f"lowercase must be true or false, got {lowercase!r}")
+        # counts up to 2**53 convert to float exactly, and their sum stays finite
+        counts = dict(data["unigram_counts"])
+        for token, count in counts.items():
+            if type(count) is not int or not 0 <= count <= 2**53:
+                raise ValueError(
+                    f"unigram count of {token!r} must be an integer from 0 to "
+                    f"2**53, got {count!r}"
+                )
+        if data["feature_names"] != list(cls.FEATURE_NAMES):
+            raise ValueError(
+                f"feature_names must be {list(cls.FEATURE_NAMES)}, "
+                f"got {data['feature_names']!r}"
+            )
+        if data["vocabulary"] != sorted(set(counts) | {EOS_TOKEN, UNK_TOKEN}):
+            raise ValueError(
+                "vocabulary is not the unigram_counts tokens plus "
+                f"{EOS_TOKEN!r} and {UNK_TOKEN!r}"
+            )
         return cls(
-            unigram_counts=data["unigram_counts"],
+            unigram_counts=counts,
             bigrams=[tuple(pair) for pair in bigrams],
             theta=data["theta"],
             lowercase=lowercase,
@@ -316,16 +339,81 @@ class ToyScorer:
             raise ArtefactError(path, None, f"not a scorer: {err}") from None
 
 
-def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
-    )
+class _Ids(dict):
+    """Interned n-gram keys: each key gets the next integer on first lookup."""
+
+    def __missing__(self, key):
+        self[key] = value = len(self)
+        return value
+
+
+# One order's n-grams of a text, as interned keys: each distinct n-gram once,
+# and the count of each n-gram that occurs more than once. A tuple, not a
+# set: a kept set of 40 keys takes about 2 KiB, the tuple about 0.4 KiB, and
+# a pair builds the one set its intersection needs.
+_Grams = tuple[tuple[int, ...], dict[int, int]]
+
+
+class _Profile(NamedTuple):
+    """The n-grams of one text, orders 1..max_order (:func:`_ngram_profile`)."""
+
+    length: int  # characters (chrF) or tokens (BLEU)
+    grams: tuple[_Grams, ...]
+    totals: tuple[int, ...]  # per order: the number of n-grams in the text
+
+
+def _ngram_profile(
+    units: str | tuple[str, ...], max_order: int, ids: _Ids, grow: bool
+) -> _Profile:
+    """Profile of a character string or token tuple.
+
+    n-grams are interned in ``ids``. With ``grow`` false, n-grams that
+    ``ids`` lacks are left out: no profile built with ``grow`` holds them,
+    so no match against one is lost, and ``ids`` does not grow for a text
+    used once. The totals count every n-gram.
+    """
+    key = ids.__getitem__ if grow else ids.get
+    unigrams = [units[i : i + 1] for i in range(len(units))]
+    ngrams = unigrams
+    grams, totals = [], []
+    for order in range(1, max_order + 1):
+        if order > 1:  # each (order - 1)-gram extended by the unit after it
+            ngrams = list(map(operator.add, ngrams, unigrams[order - 1 :]))
+        counts = Counter(map(key, ngrams))
+        counts.pop(None, None)
+        repeats = {}
+        if len(counts) < len(ngrams):
+            repeats = {gram: count for gram, count in counts.items() if count > 1}
+        grams.append((tuple(counts), repeats))
+        totals.append(len(ngrams))
+    return _Profile(len(units), tuple(grams), tuple(totals))
+
+
+def _clipped_matches(hyp: _Grams, ref: _Grams) -> int:
+    """sum over n-grams g of min(hyp count of g, ref count of g): one per
+    shared n-gram, plus the occurrences beyond the first that both repeat."""
+    (hyp_keys, hyp_repeats), (ref_keys, ref_repeats) = hyp, ref
+    matches = len(set(hyp_keys).intersection(ref_keys))
+    for gram in hyp_repeats.keys() & ref_repeats.keys():
+        matches += min(hyp_repeats[gram], ref_repeats[gram]) - 1
+    return matches
+
+
+def _bleu_profile(
+    text: str, lowercase: bool, max_order: int, ids: _Ids, grow: bool
+) -> _Profile:
+    return _ngram_profile(tokenize(text, lowercase), max_order, ids, grow)
+
+
+def _chrf_profile(text: str, max_order: int, ids: _Ids, grow: bool) -> _Profile:
+    chars = "".join(unicodedata.normalize("NFC", text).split())
+    return _ngram_profile(chars, max_order, ids, grow)
 
 
 def segment_bleu(
     hypothesis: str,
     reference: str,
-    max_order: int = 4,
+    max_order: int = _BLEU_ORDER,
     lowercase: bool = False,
 ) -> float:
     """Sentence-level BLEU with add-one smoothing on orders >= 2.
@@ -333,21 +421,25 @@ def segment_bleu(
     The unigram precision is left unsmoothed so that a hypothesis sharing no
     word with its reference still scores 0.
     """
-    hyp_tokens = tokenize(hypothesis, lowercase)
-    ref_tokens = tokenize(reference, lowercase)
+    ids = _Ids()
+    ref = _bleu_profile(reference, lowercase, max_order, ids, True)
+    hyp = _bleu_profile(hypothesis, lowercase, max_order, ids, False)
+    return _segment_bleu_score(hyp, ref, max_order)
+
+
+def _segment_bleu_score(hyp: _Profile, ref: _Profile, max_order: int) -> float:
     log_precisions = []
-    for order in range(1, max_order + 1):
-        hyp_counts = _ngram_counts(hyp_tokens, order)
-        ref_counts = _ngram_counts(ref_tokens, order)
-        matches = sum((hyp_counts & ref_counts).values())
-        total = sum(hyp_counts.values())
+    for order, hyp_grams, ref_grams, total in zip(
+        range(1, max_order + 1), hyp.grams, ref.grams, hyp.totals
+    ):
+        matches = _clipped_matches(hyp_grams, ref_grams)
         if order >= 2:
             matches += 1
             total += 1
         if matches == 0 or total == 0:
             return 0.0
         log_precisions.append(math.log(matches / total))
-    return 100.0 * _brevity_penalty(len(hyp_tokens), len(ref_tokens)) * math.exp(
+    return 100.0 * _brevity_penalty(hyp.length, ref.length) * math.exp(
         sum(log_precisions) / max_order
     )
 
@@ -364,7 +456,7 @@ def bleu(
     hypotheses: Sequence[str],
     references: Sequence[str],
     level: str = LEVEL_CORPUS,
-    max_order: int = 4,
+    max_order: int = _BLEU_ORDER,
     lowercase: bool = False,
 ) -> float:
     """BLEU in [0, 100].
@@ -395,30 +487,25 @@ def bleu(
     hyp_len = 0
     ref_len = 0
     for hypothesis, reference in zip(hypotheses, references):
-        hyp_tokens = tokenize(hypothesis, lowercase)
-        ref_tokens = tokenize(reference, lowercase)
-        hyp_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
-        for order in range(1, max_order + 1):
-            hyp_counts = _ngram_counts(hyp_tokens, order)
-            ref_counts = _ngram_counts(ref_tokens, order)
-            matches[order - 1] += sum((hyp_counts & ref_counts).values())
-            totals[order - 1] += sum(hyp_counts.values())
+        ids = _Ids()
+        ref = _bleu_profile(reference, lowercase, max_order, ids, True)
+        hyp = _bleu_profile(hypothesis, lowercase, max_order, ids, False)
+        hyp_len += hyp.length
+        ref_len += ref.length
+        for order in range(max_order):
+            matches[order] += _clipped_matches(hyp.grams[order], ref.grams[order])
+            totals[order] += hyp.totals[order]
     if any(m == 0 or t == 0 for m, t in zip(matches, totals)):
         return 0.0
     log_mean = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_order
     return 100.0 * _brevity_penalty(hyp_len, ref_len) * math.exp(log_mean)
 
 
-def _char_ngram_counts(chars: str, order: int) -> Counter:
-    return Counter(chars[i : i + order] for i in range(len(chars) - order + 1))
-
-
 def chrf(
     hypothesis: str,
     reference: str,
-    max_order: int = 6,
-    beta: float = 2.0,
+    max_order: int = _CHRF_ORDER,
+    beta: float = _CHRF_BETA,
 ) -> float:
     """Character n-gram F-score in [0, 100].
 
@@ -427,20 +514,23 @@ def chrf(
     reference has at least one n-gram. Two empty strings count as a perfect
     match.
     """
-    hyp_chars = "".join(unicodedata.normalize("NFC", hypothesis).split())
-    ref_chars = "".join(unicodedata.normalize("NFC", reference).split())
-    if not hyp_chars and not ref_chars:
+    ids = _Ids()
+    ref = _chrf_profile(reference, max_order, ids, True)
+    hyp = _chrf_profile(hypothesis, max_order, ids, False)
+    return _chrf_score(hyp, ref, beta)
+
+
+def _chrf_score(hyp: _Profile, ref: _Profile, beta: float) -> float:
+    if not hyp.length and not ref.length:
         return 100.0
 
     f_scores = []
-    for order in range(1, max_order + 1):
-        ref_counts = _char_ngram_counts(ref_chars, order)
-        if not ref_counts:
+    for hyp_grams, ref_grams, hyp_total, ref_total in zip(
+        hyp.grams, ref.grams, hyp.totals, ref.totals
+    ):
+        if not ref_total:
             continue
-        hyp_counts = _char_ngram_counts(hyp_chars, order)
-        matched = sum((hyp_counts & ref_counts).values())
-        hyp_total = sum(hyp_counts.values())
-        ref_total = sum(ref_counts.values())
+        matched = _clipped_matches(hyp_grams, ref_grams)
         precision = matched / hyp_total if hyp_total else 0.0
         recall = matched / ref_total
         denominator = beta * beta * precision + recall
@@ -485,21 +575,66 @@ class Metric(Protocol):
     def segment_score(self, hypothesis: str, reference: str) -> float: ...
 
 
-@dataclass
-class BleuMetric:
+@dataclass(frozen=True)
+class _ProfileCache:
+    """The n-gram profiles one metric object will use again, keyed by text.
+
+    A reference text's profile is kept for the object's lifetime, and so is
+    a hypothesis text's from the second time the object sees it. A text
+    seen once as a hypothesis is profiled for that pair and dropped, so
+    scoring many one-off hypotheses against few references holds only the
+    references. Each pair then costs a clipped intersection per order.
+    The metric dataclasses are frozen, as a setting changed after profiles
+    were kept would leave them stale.
+    """
+
+    _ids: _Ids = field(default_factory=_Ids, init=False, repr=False, compare=False)
+    _profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _seen: set = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def _profile(self, text: str, grow: bool) -> _Profile:
+        raise NotImplementedError
+
+    def _pair(self, hypothesis: str, reference: str) -> tuple[_Profile, _Profile]:
+        profiles = self._profiles
+        # The reference first: a one-off hypothesis is built without adding
+        # interned keys, so the reference's keys must be there already.
+        ref = profiles.get(reference)
+        if ref is None:
+            ref = profiles[reference] = self._profile(reference, True)
+            self._seen.discard(reference)
+        hyp = profiles.get(hypothesis)
+        if hyp is None:
+            if hypothesis in self._seen:
+                self._seen.remove(hypothesis)
+                hyp = profiles[hypothesis] = self._profile(hypothesis, True)
+            else:
+                self._seen.add(hypothesis)
+                hyp = self._profile(hypothesis, False)
+        return hyp, ref
+
+
+@dataclass(frozen=True)
+class BleuMetric(_ProfileCache):
     metric_id: str = "bleu"
     lowercase: bool = False
 
+    def _profile(self, text: str, grow: bool) -> _Profile:
+        return _bleu_profile(text, self.lowercase, _BLEU_ORDER, self._ids, grow)
+
     def segment_score(self, hypothesis: str, reference: str) -> float:
-        return segment_bleu(hypothesis, reference, lowercase=self.lowercase)
+        return _segment_bleu_score(*self._pair(hypothesis, reference), _BLEU_ORDER)
 
 
-@dataclass
-class ChrfMetric:
+@dataclass(frozen=True)
+class ChrfMetric(_ProfileCache):
     metric_id: str = "chrf"
 
+    def _profile(self, text: str, grow: bool) -> _Profile:
+        return _chrf_profile(text, _CHRF_ORDER, self._ids, grow)
+
     def segment_score(self, hypothesis: str, reference: str) -> float:
-        return chrf(hypothesis, reference)
+        return _chrf_score(*self._pair(hypothesis, reference), _CHRF_BETA)
 
 
 class PrismMetric:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -690,6 +692,96 @@ def chrf_oracle(hypothesis: str, reference: str, beta: float = 2.0) -> float:
     if not f_scores:
         return 0.0
     return 100.0 * sum(f_scores) / len(f_scores)
+
+
+# The Counter-based BLEU and chrF that the profiled metrics replaced, kept
+# verbatim as bit-for-bit oracles: same integer counts, same float operations.
+
+
+def _counter_ngrams(units, order) -> Counter:
+    return Counter(units[i : i + order] for i in range(len(units) - order + 1))
+
+
+def _counter_brevity_penalty(hyp_len: int, ref_len: int) -> float:
+    if hyp_len == 0:
+        return 0.0
+    if hyp_len >= ref_len:
+        return 1.0
+    return math.exp(1.0 - ref_len / hyp_len)
+
+
+def segment_bleu_counter_oracle(
+    hypothesis: str, reference: str, max_order: int = 4, lowercase: bool = False
+) -> float:
+    hyp_tokens = tokenize(hypothesis, lowercase)
+    ref_tokens = tokenize(reference, lowercase)
+    log_precisions = []
+    for order in range(1, max_order + 1):
+        hyp_counts = _counter_ngrams(hyp_tokens, order)
+        ref_counts = _counter_ngrams(ref_tokens, order)
+        matches = sum((hyp_counts & ref_counts).values())
+        total = sum(hyp_counts.values())
+        if order >= 2:
+            matches += 1
+            total += 1
+        if matches == 0 or total == 0:
+            return 0.0
+        log_precisions.append(math.log(matches / total))
+    return 100.0 * _counter_brevity_penalty(len(hyp_tokens), len(ref_tokens)) * math.exp(
+        sum(log_precisions) / max_order
+    )
+
+
+def corpus_bleu_counter_oracle(
+    hypotheses, references, max_order: int = 4, lowercase: bool = False
+) -> float:
+    matches = [0] * max_order
+    totals = [0] * max_order
+    hyp_len = 0
+    ref_len = 0
+    for hypothesis, reference in zip(hypotheses, references):
+        hyp_tokens = tokenize(hypothesis, lowercase)
+        ref_tokens = tokenize(reference, lowercase)
+        hyp_len += len(hyp_tokens)
+        ref_len += len(ref_tokens)
+        for order in range(1, max_order + 1):
+            hyp_counts = _counter_ngrams(hyp_tokens, order)
+            ref_counts = _counter_ngrams(ref_tokens, order)
+            matches[order - 1] += sum((hyp_counts & ref_counts).values())
+            totals[order - 1] += sum(hyp_counts.values())
+    if any(m == 0 or t == 0 for m, t in zip(matches, totals)):
+        return 0.0
+    log_mean = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_order
+    return 100.0 * _counter_brevity_penalty(hyp_len, ref_len) * math.exp(log_mean)
+
+
+def chrf_counter_oracle(
+    hypothesis: str, reference: str, max_order: int = 6, beta: float = 2.0
+) -> float:
+    hyp_chars = "".join(unicodedata.normalize("NFC", hypothesis).split())
+    ref_chars = "".join(unicodedata.normalize("NFC", reference).split())
+    if not hyp_chars and not ref_chars:
+        return 100.0
+
+    f_scores = []
+    for order in range(1, max_order + 1):
+        ref_counts = _counter_ngrams(ref_chars, order)
+        if not ref_counts:
+            continue
+        hyp_counts = _counter_ngrams(hyp_chars, order)
+        matched = sum((hyp_counts & ref_counts).values())
+        hyp_total = sum(hyp_counts.values())
+        ref_total = sum(ref_counts.values())
+        precision = matched / hyp_total if hyp_total else 0.0
+        recall = matched / ref_total
+        denominator = beta * beta * precision + recall
+        if denominator == 0.0:
+            f_scores.append(0.0)
+        else:
+            f_scores.append((1.0 + beta * beta) * precision * recall / denominator)
+    if not f_scores:
+        return 0.0
+    return 100.0 * math.fsum(f_scores) / len(f_scores)
 
 
 def robustness_report_oracle(

@@ -412,6 +412,17 @@ def _non_utf8_segments(tmp, art):
     return argv, f"{paths.segments}:3:"
 
 
+def _scorer_count(tmp, art, literal):
+    """The scorer with the unigram count of 'ein' written as ``literal``."""
+    argv, where = _broken_scorer(
+        tmp, art, lambda p: p["unigram_counts"].update(ein="COUNT")
+    )
+    scorer = tmp / "scorer.json"
+    text = scorer.read_text(encoding="utf-8")
+    scorer.write_text(text.replace('"COUNT"', literal), encoding="utf-8")
+    return argv, where
+
+
 def _not_json_scorer(tmp, art):
     scorer = tmp / "scorer.json"
     scorer.write_text('{\n  "theta": [1, 2, 3],\n  oops\n}\n', encoding="utf-8")
@@ -545,6 +556,26 @@ MALFORMED = [
     ("score-scorer-string-lowercase",
      lambda t, a: _broken_scorer(t, a, lambda p: p.update(lowercase="no")),
      EXIT_DATA, "lowercase must be true or false, got 'no'"),
+    ("score-scorer-negative-count", lambda t, a: _scorer_count(t, a, "-5"),
+     EXIT_DATA, "unigram count of 'ein' must be an integer from 0 to 2**53, got -5"),
+    ("score-scorer-infinite-count", lambda t, a: _scorer_count(t, a, "1e400"),
+     EXIT_DATA, "unigram count of 'ein' must be an integer from 0 to 2**53, got inf"),
+    ("score-scorer-huge-count",
+     lambda t, a: _scorer_count(t, a, "100000000000000000000"),
+     EXIT_DATA, "must be an integer from 0 to 2**53, got 100000000000000000000"),
+    ("score-scorer-5000-digit-count", lambda t, a: _scorer_count(t, a, "9" * 5000),
+     EXIT_DATA, "not JSON: Exceeds the limit (4300 digits)"),
+    ("score-scorer-fractional-count", lambda t, a: _scorer_count(t, a, "2.5"),
+     EXIT_DATA, "unigram count of 'ein' must be an integer from 0 to 2**53, got 2.5"),
+    ("score-scorer-boolean-count", lambda t, a: _scorer_count(t, a, "true"),
+     EXIT_DATA, "unigram count of 'ein' must be an integer from 0 to 2**53, got True"),
+    ("score-scorer-vocabulary-disagrees",
+     lambda t, a: _broken_scorer(t, a, lambda p: p["vocabulary"].remove("ein")),
+     EXIT_DATA, "vocabulary is not the unigram_counts tokens plus '</s>' and '<unk>'"),
+    ("score-scorer-feature-names-disagree",
+     lambda t, a: _broken_scorer(t, a, lambda p: p["feature_names"].reverse()),
+     EXIT_DATA, "feature_names must be ['copy_from_context', 'log2_unigram_prob', "
+     "'bigram_seen'], got ['bigram_seen', 'log2_unigram_prob', 'copy_from_context']"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Tests for sequence scoring, the toy scorer, and the BLEU/chrF baselines."""
 
+import dataclasses
 import math
 import random
 import string
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 from conftest import (
     FlatScorer,
     TableScorer,
+    chrf_counter_oracle,
     chrf_oracle,
+    corpus_bleu_counter_oracle,
     corpus_bleu_oracle,
+    segment_bleu_counter_oracle,
     segment_bleu_oracle,
     toy_dense_score_oracle,
     toy_logprob_oracle,
@@ -450,6 +454,82 @@ def test_chrf_invariant_under_character_relabeling():
     assert chrf(hyp, ref) == pytest.approx(
         chrf(hyp.translate(table), ref.translate(table))
     )
+
+
+# Profiled BLEU and chrF: the Counter oracles bit for bit, with texts that
+# repeat, are empty or whitespace only, differ only in NFC form, or in case.
+_ATOMS = ["der", "Der", "DER", "hund", "Hund", "ab", "ba", "a",
+          "caf\u00e9", "cafe\u0301", "Caf\u00e9"]
+_TEXTS = st.one_of(
+    st.sampled_from(["", " ", "\t \n", "caf\u00e9", "cafe\u0301", "a  b", "a b"]),
+    st.lists(st.sampled_from(_ATOMS), max_size=8).map(" ".join),
+    st.lists(st.sampled_from(_ATOMS), max_size=5).map("\t".join),
+)
+
+
+@st.composite
+def _text_pairs(draw):
+    pool = draw(st.lists(_TEXTS, min_size=1, max_size=6))
+    index = st.integers(0, len(pool) - 1)
+    n_pairs = draw(st.integers(1, 25))
+    return [(pool[draw(index)], pool[draw(index)]) for _ in range(n_pairs)]
+
+
+_PROFILED = [
+    (ChrfMetric(), chrf_counter_oracle),
+    (BleuMetric(), segment_bleu_counter_oracle),
+    (BleuMetric(lowercase=True),
+     lambda hyp, ref: segment_bleu_counter_oracle(hyp, ref, lowercase=True)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_text_pairs(), order=st.randoms(use_true_random=False))
+def test_profiled_metrics_match_counter_oracles_bit_for_bit(pairs, order):
+    for template, oracle in _PROFILED:
+        metric = dataclasses.replace(template)  # one object across all pairs
+        scores = [metric.segment_score(hyp, ref).hex() for hyp, ref in pairs]
+        assert scores == [oracle(hyp, ref).hex() for hyp, ref in pairs]
+        shuffled = dataclasses.replace(template)
+        positions = list(range(len(pairs)))
+        order.shuffle(positions)
+        again = {i: shuffled.segment_score(*pairs[i]).hex() for i in positions}
+        assert [again[i] for i in range(len(pairs))] == scores
+        fresh = [
+            dataclasses.replace(template).segment_score(hyp, ref).hex()
+            for hyp, ref in pairs
+        ]
+        assert fresh == scores
+    hyps, refs = zip(*pairs)
+    for lowercase in (False, True):
+        assert bleu(hyps, refs, lowercase=lowercase).hex() == corpus_bleu_counter_oracle(
+            hyps, refs, lowercase=lowercase
+        ).hex()
+    for hyp, ref in pairs:
+        assert chrf(hyp, ref).hex() == chrf_counter_oracle(hyp, ref).hex()
+        assert segment_bleu(hyp, ref).hex() == segment_bleu_counter_oracle(hyp, ref).hex()
+
+
+@pytest.mark.parametrize("template", [ChrfMetric(), BleuMetric()], ids=repr)
+def test_profiled_metric_keeps_references_and_repeated_hypotheses(template):
+    metric = dataclasses.replace(template)
+    for i in range(50):
+        metric.segment_score(f"hyp{i} der hund", "der hund läuft")
+    assert list(metric._profiles) == ["der hund läuft"]
+
+    metric.segment_score("die katze", "der hund läuft")
+    assert "die katze" not in metric._profiles
+    metric.segment_score("die katze", "der hund")
+    assert set(metric._profiles) == {"der hund läuft", "der hund", "die katze"}
+
+
+def test_profiled_metric_objects_share_no_state():
+    first, second = ChrfMetric(), ChrfMetric()
+    first.segment_score("der hund", "der hund")
+    first.segment_score("die katze", "der hund")
+    assert first._profiles and first._ids and first._seen
+    assert not (second._profiles or second._ids or second._seen)
+    assert BleuMetric()._ids is not BleuMetric()._ids
 
 
 def test_system_score():
