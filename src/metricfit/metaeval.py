@@ -24,7 +24,6 @@ from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .corpus import (
     DEFAULT_WEIGHTS,
@@ -64,7 +63,11 @@ def kendall_tau(
 
     Human values are penalties and are negated internally so both sides are
     oriented higher-is-better. Returns None (not 0) when either side is
-    constant, where tau is undefined.
+    constant, where tau is undefined, and else NaN when any value is NaN.
+
+    The pair counts are exact integers over dense ranks, with discordant
+    pairs from a merge count in O(n log^2 n), and :func:`_tau_b` turns them
+    into tau-b.
     """
     metric = np.asarray(metric_scores, dtype=np.float64)
     human = np.asarray(human_penalties, dtype=np.float64)
@@ -72,12 +75,78 @@ def kendall_tau(
         raise ValueError(
             f"score vectors differ in length: {metric.shape} vs {human.shape}"
         )
-    if metric.size < 2:
+    if metric.ndim != 1:
+        raise ValueError(f"score vectors must be 1-D, got shape {metric.shape}")
+    n = metric.size
+    if n < 2:
         raise ValueError("need at least 2 paired observations")
     if np.all(metric == metric[0]) or np.all(human == human[0]):
         return None
-    tau = scipy_stats.kendalltau(metric, -human, variant="b").statistic
-    return float(tau)
+    if np.isnan(metric).any() or np.isnan(human).any():
+        return math.nan
+
+    rank_x = np.unique(metric, return_inverse=True)[1]
+    rank_y = np.unique(-human, return_inverse=True)[1]
+    order = np.lexsort((rank_y, rank_x))
+    x, y = rank_x[order], rank_y[order]
+    joint_start = np.ones(n, dtype=bool)
+    joint_start[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    joint = np.cumsum(joint_start) - 1
+    x_ties, y_ties, joint_ties = map(int, _tied_pairs(np.stack([rank_x, rank_y, joint])))
+    total = n * (n - 1) // 2
+    concordant_minus_discordant = (
+        total - x_ties - y_ties + joint_ties - 2 * _inversions(y)
+    )
+    return float(_tau_b(concordant_minus_discordant, x_ties, y_ties, total))
+
+
+def _inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for ranks below ``ranks.size``.
+
+    A bottom-up merge count: at each level, runs of ``width`` sorted values
+    are paired, one ``searchsorted`` counts the values of each left run
+    above each value of its right run, and one sort merges the pair. The
+    key ``pair * (n + 1) + rank`` keeps every pair's values in its own
+    block, so both act on the whole array at once.
+    """
+    n = ranks.size
+    values = ranks.astype(np.int64)
+    position = np.arange(n)
+    inversions = 0
+    width = 1
+    while width < n:
+        run = position // width
+        offset = (run // 2) * (n + 1)
+        key = offset + values
+        left = run % 2 == 0
+        # a right run's left run and all before it are full, so its pair's
+        # left keys end at index (run + 1) // 2 * width
+        end = (run[~left] + 1) // 2 * width
+        above = end - np.searchsorted(key[left], key[~left], side="right")
+        inversions += int(above.sum())
+        key.sort(kind="stable")
+        values = key - offset
+        width *= 2
+    return inversions
+
+
+def _tau_b(
+    concordant_minus_discordant, x_ties, y_ties, total: int
+) -> np.ndarray:
+    """tau-b from exact pair counts (scalars or arrays), NaN where either
+    side has no untied pair.
+
+    This is the one place that fixes tau-b's bits: the counts, exact below
+    2**53 in float64, go through (c - d) / sqrt(total - x_ties) /
+    sqrt(total - y_ties) in that order, clipped to [-1, 1], as in the
+    reference implementation the tests compare against.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.asarray(concordant_minus_discordant, dtype=np.float64)
+        tau = tau / np.sqrt(np.asarray(total - x_ties, dtype=np.float64))
+        tau = tau / np.sqrt(np.asarray(total - y_ties, dtype=np.float64))
+    tau = np.clip(tau, -1.0, 1.0)
+    return np.where((x_ties == total) | (y_ties == total), np.nan, tau)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
@@ -136,7 +205,7 @@ def _sign(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _tied_pairs(x: np.ndarray) -> np.ndarray:
-    """Pairs of equal values in each row of the unsigned integer array ``x``,
+    """Pairs of equal values in each row of the 2-D integer array ``x``,
     which is sorted in place."""
     x.sort(axis=1)
     position = np.arange(x.shape[1], dtype=x.dtype)
@@ -159,8 +228,8 @@ def kendall_tau_swaps(
     row. For each row u, this returns tau-b of ``where(u, b, a)`` and of
     ``where(u, a, b)`` against the human penalties, NaN where
     :func:`kendall_tau` returns None. Every value has the bits of
-    :func:`kendall_tau`: the integer counts are scipy's, and so are the
-    float operations on them.
+    :func:`kendall_tau`: the integer counts equal :func:`kendall_tau`'s,
+    and both turn them into tau-b in :func:`_tau_b`.
 
     With y the negated penalties, G_pq[i, j] = sgn(p_i - q_j) * sgn(y_i - y_j)
     and K = G_aa + G_bb - G_ab - G_ba, twice the concordant-minus-discordant
@@ -172,10 +241,11 @@ def kendall_tau_swaps(
     4n < 2**24.
 
     The cost is O(n^2) for K plus O(rows * n^2) for the matmuls, against
-    O(rows * n log n) for scipy, so per-row :func:`kendall_tau` is faster
+    O(rows * n log^2 n) for per-row :func:`kendall_tau`, which is faster
     for contexts of several thousand units with few resamples: at 8,000
-    units and 100 resamples, 2.4 s against 0.5 s with one BLAS thread on a
-    2-vCPU host. No benchmark workload or test context exceeds 2,500 units.
+    units and 100 resamples, 2.1-2.2 s against 1.1-1.2 s with one BLAS
+    thread on a 2-vCPU host. No benchmark workload or test context exceeds
+    2,500 units.
     """
     a = np.asarray(metric_a, dtype=np.float64)
     b = np.asarray(metric_b, dtype=np.float64)
@@ -233,11 +303,7 @@ def kendall_tau_swaps(
              _tied_pairs(np.where(u, rank_a, rank_b))],
             axis=1,
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = (twice_cmd / 2) / np.sqrt((total - x_ties).astype(np.float64))
-            tau = np.clip(tau / np.sqrt(np.float64(total - y_ties)), -1.0, 1.0)
-        tau[(x_ties == total) | (y_ties == total)] = np.nan
-        taus.append(tau)
+        taus.append(_tau_b(twice_cmd / 2, x_ties, y_ties, total))
     tau = np.concatenate(taus)
     return tau[:, 0], tau[:, 1]
 

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+from scipy import stats as scipy_stats
 
 from metricfit.corpus import (
     CorpusPaths,
@@ -405,6 +406,17 @@ def toy_dense_score_oracle(scorer, target, context, with_gradients):
             ) / math.log(2.0)
         previous = token
     return logprobs, gradients
+
+
+def kendall_tau_scipy_oracle(metric_scores, human_penalties) -> float | None:
+    """``metaeval.kendall_tau`` as it was computed with scipy: None when a
+    side is constant, else ``scipy.stats.kendalltau(variant="b")``, which
+    gives NaN when any value is NaN."""
+    metric = np.asarray(metric_scores, dtype=np.float64)
+    human = np.asarray(human_penalties, dtype=np.float64)
+    if np.all(metric == metric[0]) or np.all(human == human[0]):
+        return None
+    return float(scipy_stats.kendalltau(metric, -human, variant="b").statistic)
 
 
 def kendall_tau_oracle(metric_scores, human_penalties) -> float | None:

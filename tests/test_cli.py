@@ -723,3 +723,41 @@ def test_benchmark_corpus_generator_matches_test_fixture():
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_no_command_loads_scipy(tmp_path):
+    """tau-b is computed in-repo: importing the CLI and running each command
+    in one fresh interpreter never loads scipy. The pipeline corpus rather
+    than ``tiny_corpus_rows`` is used because the tiny one leaves no
+    training rankings and no comparable segments."""
+    paths = write_corpus_files(tmp_path / "raw", *robustness_corpus_rows(4, 10, 3))
+    commands = [
+        ["ingest", "--segments", paths.segments, "--system-outputs",
+         paths.system_outputs, "--references", paths.references,
+         "--ratings", paths.ratings, "--out", tmp_path / "corpus"],
+        ["rankings", "--corpus", tmp_path / "corpus", "--out", tmp_path / "rankings",
+         "--seed", 11, "--holdout", 30],
+        ["train", "--corpus", tmp_path / "corpus", "--rankings", tmp_path / "rankings",
+         "--out", tmp_path / "model", "--seed", 1],
+        ["score", "--corpus", tmp_path / "corpus", "--out", tmp_path / "scores",
+         "--metrics", "bleu,chrf,prism", "--scorer", tmp_path / "model" / "scorer.json"],
+        ["correlate", "--corpus", tmp_path / "corpus", "--scores",
+         tmp_path / "scores" / "scores.tsv", "--out", tmp_path / "corr"],
+        ["robustness", "--corpus", tmp_path / "corpus", "--out", tmp_path / "rob",
+         "--seed", 2, "--metrics", "bleu,chrf", "--resamples", 20],
+    ]
+    script = (
+        "import json, sys; sys.path.insert(0, sys.argv[1])\n"
+        "from metricfit.cli import main\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    assert main(argv) == 0, argv[0]\n"
+        "    assert 'scipy' not in sys.modules, argv[0]\n"
+    )
+    argv = json.dumps([[str(part) for part in command] for command in commands])
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(src), argv],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

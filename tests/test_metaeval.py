@@ -1,6 +1,7 @@
 """Tests for meta-evaluation statistics and the MT-reference protocol."""
 
 import hashlib
+import math
 import random
 from collections import Counter
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     kendall_tau_oracle,
+    kendall_tau_scipy_oracle,
     load_robustness_corpus,
     make_eval_set,
     perm_both_oracle,
@@ -66,6 +68,20 @@ def test_kendall_matches_brute_force_oracle():
 def test_kendall_constant_input_is_undefined():
     assert kendall_tau([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]) is None
     assert kendall_tau([0.0, 1.0, 2.0], [3.0, 3.0, 3.0]) is None
+    # signed zeros tie; a constant side is checked before NaN
+    assert kendall_tau([0.0, -0.0], [1.0, 2.0]) is None
+    assert kendall_tau([1.0, 1.0, 1.0], [math.nan, 1.0, 2.0]) is None
+    # then any NaN gives NaN, also where NaN != NaN keeps a side from constant
+    assert math.isnan(kendall_tau([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0]))
+    assert math.isnan(kendall_tau([math.nan, math.nan], [1.0, 2.0]))
+    assert math.isnan(kendall_tau([1.0, 2.0, 3.0], [1.0, math.nan, 2.0]))
+    for metric, human in (([0.0, -0.0], [1.0, 2.0]),
+                          ([1.0, 1.0, 1.0], [math.nan, 1.0, 2.0]),
+                          ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0]),
+                          ([math.nan, math.nan], [1.0, 2.0])):
+        assert _tau_hex(kendall_tau(metric, human)) == _tau_hex(
+            kendall_tau_scipy_oracle(metric, human)
+        )
 
 
 def test_kendall_validates_input():
@@ -73,6 +89,62 @@ def test_kendall_validates_input():
         kendall_tau([1.0], [2.0])
     with pytest.raises(ValueError):
         kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
+    # same-shaped 2-D input is refused, not compared row by row
+    with pytest.raises(ValueError, match="1-D"):
+        kendall_tau([[1.0, 2.0], [1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]])
+
+
+def _tau_hex(tau):
+    """A tau's exact bits (NaN as 'nan'), or None."""
+    return None if tau is None else float(tau).hex()
+
+
+_TAU_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, -2.5, 5e-324]),
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(min_value=-1e301, max_value=-1e299),
+    st.floats(),
+)
+
+
+@st.composite
+def _tau_cases(draw):
+    """n from 2 to 400 units per side, picked from a pool of at most 12
+    values (heavy ties) or from that pool plus n normal draws (few ties).
+    Pools hold signed zeros, infinities, magnitudes near 1e300 and any other
+    float, NaN included."""
+    n = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vector():
+        pool = draw(st.lists(_TAU_VALUES, min_size=1, max_size=12))
+        if draw(st.booleans()):
+            pool += list(rng.normal(size=n))
+        return np.array(pool)[rng.integers(0, len(pool), size=n)]
+
+    return vector(), vector()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tau_cases())
+@example((np.array([0.0, -0.0, 1.0, -0.0]), np.array([2.0, 1.0, 1.0, 3.0])))
+@example((np.array([math.inf, -math.inf, 1e300, -1e300]),
+          np.array([1e300, 1.7e300, -math.inf, 1e300])))
+def test_kendall_tau_matches_scipy_bit_for_bit(case):
+    metric, human = case
+    assert _tau_hex(kendall_tau(metric, human)) == _tau_hex(
+        kendall_tau_scipy_oracle(metric, human)
+    )
+
+
+@pytest.mark.parametrize("n", [2500, 20000])
+def test_kendall_tau_matches_scipy_at_scale(n):
+    rng = np.random.default_rng(n)
+    human = rng.integers(0, 30, size=n).astype(float)
+    for metric in (np.round(rng.normal(size=n), 2), rng.normal(size=n)):
+        tau = kendall_tau(metric, human)
+        assert tau is not None
+        assert tau.hex() == kendall_tau_scipy_oracle(metric, human).hex()
 
 
 def test_kendall_antisymmetric_under_negation():
@@ -235,7 +307,8 @@ def test_perm_both_redraw_cap_is_ten_attempts_per_resample(undefined_attempts, c
 
 
 def _assert_rows_match_kendall_tau(a, b, human, swaps):
-    """kendall_tau_swaps equals kendall_tau on every resample, bit for bit."""
+    """kendall_tau_swaps equals kendall_tau on every resample, bit for bit,
+    and kendall_tau equals the scipy oracle."""
     rows_a, rows_b = kendall_tau_swaps(a, b, human, swaps)
     masks = [row for chunk in swaps for row in chunk]
     assert rows_a.shape == rows_b.shape == (len(masks),)
@@ -246,6 +319,7 @@ def _assert_rows_match_kendall_tau(a, b, human, swaps):
                 assert np.isnan(got)
             else:
                 assert got == want
+            assert _tau_hex(want) == _tau_hex(kendall_tau_scipy_oracle(x, human))
 
 
 @st.composite
