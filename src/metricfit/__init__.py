@@ -60,7 +60,6 @@ from .training import (
     TrainingConfig,
     TrainingError,
     TrainingReport,
-    combined_loss,
     gradient,
     train,
 )

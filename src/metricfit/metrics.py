@@ -68,11 +68,23 @@ class SequenceScorer(Protocol):
     ``token_logprobs(target, context)`` returns one log-probability per
     target token plus one for the appended end-of-sequence token, so the
     returned list always has ``len(target) + 1`` entries, each <= 0.
+
+    ``score_batch(pairs, with_gradients)`` scores many (target, context)
+    pairs in one call: one ``(logprobs, gradients)`` per pair, in order,
+    where ``logprobs`` is that pair's ``token_logprobs`` and ``gradients``
+    holds one row of d logprob / d theta per entry, or is None unless asked
+    for. Training scores each SGD step with one call.
     """
 
     def token_logprobs(
         self, target: Sequence[str], context: Sequence[str]
     ) -> list[float]: ...
+
+    def score_batch(
+        self,
+        pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
+        with_gradients: bool,
+    ) -> list[tuple[list[float], np.ndarray | None]]: ...
 
 
 def sequence_score(
@@ -119,13 +131,17 @@ class ToyScorer:
     sorted vocabulary indices of its successors, so the index takes
     O(#bigrams) memory and scoring adds no state to the scorer.
 
-    Scoring runs a sequence's positions in blocks of at most ``_BLOCK_BYTES``
-    (64 KiB) of features, at least one position each: one stacked matmul,
-    max, exp and sum per block rather than per position. Each stacked call
-    does, slice by slice, a per-position call's arithmetic, so results keep
-    their bits. One block per sequence would pass glibc's 128 KiB mmap
-    threshold at a few thousand words, and every call would then fault in
-    fresh pages.
+    ``score_batch`` lays the positions of all its pairs end to end and runs
+    them in blocks of at most ``_BLOCK_BYTES`` (64 KiB) of features, at
+    least one position each: one stacked matmul, max, exp and sum per block
+    rather than per position. A block may span several sequences, so the
+    copy column is set per row; a block's copy cells are rewritten only when
+    it holds another sequence than the block before it, so a lone sequence
+    sets them once. Each stacked call does, slice by slice, a per-position
+    call's arithmetic, so results keep their bits however pairs are
+    batched. One block per batch would pass glibc's 128 KiB mmap threshold
+    at a few thousand words, and every call would then fault in fresh
+    pages.
     """
 
     FEATURE_NAMES = ("copy_from_context", "log2_unigram_prob", "bigram_seen")
@@ -192,48 +208,79 @@ class ToyScorer:
     def _lookup(self, token: str) -> str:
         return token if token in self._index else UNK_TOKEN
 
-    def _score(
+    def score_batch(
         self,
-        target: Sequence[str],
-        context: Sequence[str],
+        pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
         with_gradients: bool,
-    ) -> tuple[list[float], np.ndarray | None]:
-        targets = [self._lookup(token) for token in target] + [EOS_TOKEN]
+    ) -> list[tuple[list[float], np.ndarray | None]]:
+        """Per-token log-probabilities of each (target, context) pair, and
+        their gradients w.r.t. theta if asked for.
+
+        One ``(logprobs, gradients)`` per pair, in order; a gradient array
+        has one row per scored token (end token included), or is None.
+        """
+        index = self._index
+        targets: list[str] = []  # every pair's positions, end to end
+        previous: list[str] = []  # the token before each position
+        contexts: list[np.ndarray] = []
+        ends = [0]
+        for target, context in pairs:
+            tokens = [self._lookup(token) for token in target]
+            previous += [BOS_TOKEN, *tokens]
+            targets += tokens
+            targets.append(EOS_TOKEN)
+            contexts.append(
+                np.array([index[self._lookup(token)] for token in context], np.intp)
+            )
+            ends.append(len(targets))
         n_positions = len(targets)
         n_vocab, n_features = len(self.vocab), len(self.FEATURE_NAMES)
         chunk = max(1, min(n_positions, _BLOCK_BYTES // (n_vocab * n_features * 8)))
 
-        # A block of `chunk` positions' feature rows. The copy and unigram
-        # columns hold for every position; each block of positions sets its
-        # bigram cells and clears them again.
+        # A block of `chunk` positions' feature rows. The unigram column holds
+        # for every position; each block of positions sets its bigram cells
+        # and clears them again. A block that holds another sequence than the
+        # block before it clears the copy column and sets each of its
+        # sequences' cells on that sequence's rows.
         features = np.zeros((chunk, n_vocab, n_features))
-        features[:, [self._index[self._lookup(token)] for token in context], 0] = 1.0
         features[:, :, 1] = self._unigram_feature
         bigram = features[:, :, 2].reshape(-1)  # a strided view, one cell per word
-        # Each block's bigram cells in `bigram`: its positions' successors,
-        # moved to each position's row when a block holds several positions.
+        # Each position's successors: its bigram cells in `bigram`, moved to
+        # the position's row when a block holds several positions. A block
+        # gathers its own cells, so a batch holds no more than a block's.
         successors = [
-            self._successors.get(previous, _NO_SUCCESSORS)
-            for previous in [BOS_TOKEN, *targets[:-1]]
+            self._successors.get(token, _NO_SUCCESSORS) for token in previous
         ]
-        block_cells = successors
-        if chunk > 1:
-            ends = list(itertools.accumulate(map(len, successors), initial=0))
-            rows = np.arange(n_positions) % chunk * n_vocab
-            offsets = np.concatenate(successors) + np.repeat(rows, np.diff(ends))
-            block_cells = [
-                offsets[ends[start] : ends[min(start + chunk, n_positions)]]
-                for start in range(0, n_positions, chunk)
-            ]
+        row_offsets = np.arange(chunk) * n_vocab
         target_rows = [
-            position % chunk * n_vocab + self._index[token]
+            position % chunk * n_vocab + index[token]
             for position, token in enumerate(targets)
         ]
 
         logprobs: list[float] = []
         gradients = np.empty((n_positions, n_features)) if with_gradients else None
-        for start, cells in zip(range(0, n_positions, chunk), block_cells):
+        filled_by = -1  # the sequence the last block held alone, if one did
+        sequence = 0
+        for start in range(0, n_positions, chunk):
             stop = min(start + chunk, n_positions)
+            if chunk == 1:
+                cells = successors[start]
+            else:
+                block_successors = successors[start:stop]
+                cells = np.concatenate(block_successors) + np.repeat(
+                    row_offsets[: stop - start], list(map(len, block_successors))
+                )
+            while ends[sequence + 1] <= start:
+                sequence += 1
+            if sequence != filled_by or ends[sequence + 1] < stop:
+                if start:  # the first block finds the column clear
+                    features[:, :, 0] = 0.0
+                last = sequence
+                while ends[last] < stop:
+                    span = slice(max(ends[last], start) - start, ends[last + 1] - start)
+                    features[span, contexts[last], 0] = 1.0
+                    last += 1
+                filled_by = sequence if last == sequence + 1 else -1
             block = features[: stop - start]
             block_targets = target_rows[start:stop]
             bigram[cells] = 1.0
@@ -253,13 +300,15 @@ class ToyScorer:
                 observed = features.reshape(-1, n_features)[block_targets]
                 gradients[start:stop] = (observed - expected[:, 0]) / LN2
             bigram[cells] = 0.0
-        return logprobs, gradients
+        return [
+            (logprobs[start:stop], None if gradients is None else gradients[start:stop])
+            for start, stop in itertools.pairwise(ends)
+        ]
 
     def token_logprobs(
         self, target: Sequence[str], context: Sequence[str]
     ) -> list[float]:
-        logprobs, _ = self._score(target, context, with_gradients=False)
-        return logprobs
+        return self.score_batch([(target, context)], with_gradients=False)[0][0]
 
     def token_logprob_gradients(
         self, target: Sequence[str], context: Sequence[str]
@@ -268,8 +317,7 @@ class ToyScorer:
 
         The gradient array has one row per scored token (end token included).
         """
-        logprobs, gradients = self._score(target, context, with_gradients=True)
-        return logprobs, gradients
+        return self.score_batch([(target, context)], with_gradients=True)[0]
 
     def to_dict(self) -> dict:
         return {

@@ -24,12 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import EvaluationSet
-from .metrics import (
-    ToyScorer,
-    score_magnitude,
-    sequence_score,
-    tokenize,
-)
+from .metrics import ToyScorer, score_magnitude, tokenize
 from .rankings import RankingDataset, RelativeRanking
 
 PROBE_LIMIT = 100
@@ -90,54 +85,82 @@ class LossTerms:
     gradient: np.ndarray = field(compare=False)
 
 
-def _score_with_gradient(
-    scorer: ToyScorer, target: Sequence[str], context: Sequence[str]
-) -> tuple[float, np.ndarray]:
-    """``sequence_score`` and its gradient, from one scoring pass."""
-    logprobs, gradients = scorer.token_logprob_gradients(target, context)
-    return math.fsum(logprobs) / len(logprobs), gradients.mean(axis=0)
+def _score_pairs(
+    scorer, pairs: list[tuple[tuple[str, ...], tuple[str, ...]]], with_gradients: bool
+) -> list[tuple[float, np.ndarray | None]]:
+    """``sequence_score`` of each (target, context) pair and its gradient
+    (None unless asked for), in order, from one ``score_batch`` call that
+    scores each distinct pair once."""
+    distinct = list(dict.fromkeys(pairs))
+    scored = {
+        pair: (
+            math.fsum(logprobs) / len(logprobs),
+            gradients.mean(axis=0) if with_gradients else None,
+        )
+        for pair, (logprobs, gradients) in zip(
+            distinct, scorer.score_batch(distinct, with_gradients)
+        )
+    }
+    return [scored[pair] for pair in pairs]
 
 
-def loss_terms(scorer, example: RelativeRanking, config: TrainingConfig) -> LossTerms:
-    """All loss terms of the combined objective for one ranking example and
-    the gradient of their total, scoring each enabled sequence once.
+def batch_loss_terms(
+    scorer, examples: Sequence[RelativeRanking], config: TrainingConfig
+) -> list[LossTerms]:
+    """All loss terms of the combined objective for each ranking example and
+    the gradient of their total, from one ``score_batch`` call that scores
+    each distinct enabled (target, context) pair of the examples once.
 
     A hinge whose margin is met contributes its subgradient 0, so the
     zero-loss region is genuinely flat. A NaN hinge adds no gradient but
     makes ``total`` NaN, which ``train`` refuses.
     """
-    source = tokenize(example.src, config.lowercase)
-    reference = tokenize(example.ref, config.lowercase)
-    better = tokenize(example.sys_plus, config.lowercase)
-    worse = tokenize(example.sys_minus, config.lowercase)
+    pairs = []  # each example's enabled pairs in turn: ce, forward, backward
+    for example in examples:
+        source = tokenize(example.src, config.lowercase)
+        reference = tokenize(example.ref, config.lowercase)
+        better = tokenize(example.sys_plus, config.lowercase)
+        worse = tokenize(example.sys_minus, config.lowercase)
+        if config.enable_ce:
+            pairs.append((reference, source))
+        if config.enable_forward:
+            pairs += [(better, reference), (worse, reference)]
+        if config.enable_backward:
+            pairs += [(reference, better), (reference, worse)]
+    scores = iter(_score_pairs(scorer, pairs, with_gradients=True))
 
-    ce = forward = backward = 0.0
-    grad = np.zeros(len(ToyScorer.FEATURE_NAMES))
-    if config.enable_ce:
-        score, ce_grad = _score_with_gradient(scorer, reference, source)
-        ce = -score
-        grad += config.alpha * -ce_grad
-    if config.enable_forward:
-        better_score, better_grad = _score_with_gradient(scorer, better, reference)
-        worse_score, worse_grad = _score_with_gradient(scorer, worse, reference)
-        forward = _hinge(config.epsilon, better_score, worse_score)
-        if forward > 0.0:
-            grad += 0.5 * (worse_grad - better_grad)
-    if config.enable_backward:
-        better_score, better_grad = _score_with_gradient(scorer, reference, better)
-        worse_score, worse_grad = _score_with_gradient(scorer, reference, worse)
-        backward = _hinge(config.epsilon, better_score, worse_score)
-        if backward > 0.0:
-            grad += 0.5 * (worse_grad - better_grad)
-    total = config.alpha * ce + 0.5 * forward + 0.5 * backward
-    return LossTerms(
-        ce=ce, forward=forward, backward=backward, total=total, gradient=grad
-    )
+    terms = []
+    for _ in examples:
+        ce = forward = backward = 0.0
+        grad = np.zeros(len(ToyScorer.FEATURE_NAMES))
+        if config.enable_ce:
+            score, ce_grad = next(scores)
+            ce = -score
+            grad += config.alpha * -ce_grad
+        if config.enable_forward:
+            better_score, better_grad = next(scores)
+            worse_score, worse_grad = next(scores)
+            forward = _hinge(config.epsilon, better_score, worse_score)
+            if forward > 0.0:
+                grad += 0.5 * (worse_grad - better_grad)
+        if config.enable_backward:
+            better_score, better_grad = next(scores)
+            worse_score, worse_grad = next(scores)
+            backward = _hinge(config.epsilon, better_score, worse_score)
+            if backward > 0.0:
+                grad += 0.5 * (worse_grad - better_grad)
+        total = config.alpha * ce + 0.5 * forward + 0.5 * backward
+        terms.append(
+            LossTerms(
+                ce=ce, forward=forward, backward=backward, total=total, gradient=grad
+            )
+        )
+    return terms
 
 
-def combined_loss(scorer, example: RelativeRanking, config: TrainingConfig) -> float:
-    """Weighted sum of the enabled loss terms; always >= 0."""
-    return loss_terms(scorer, example, config).total
+def loss_terms(scorer, example: RelativeRanking, config: TrainingConfig) -> LossTerms:
+    """``batch_loss_terms`` of one example."""
+    return batch_loss_terms(scorer, [example], config)[0]
 
 
 def gradient(
@@ -160,23 +183,21 @@ def ranking_accuracy(
     compares reconstructing the reference from each translation. Ties count
     as incorrect. None when there are no examples.
     """
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"unknown direction: {direction!r}")
     if not examples:
         return None
-    correct = 0
+    pairs = []
     for example in examples:
         reference = tokenize(example.ref, lowercase)
         better = tokenize(example.sys_plus, lowercase)
         worse = tokenize(example.sys_minus, lowercase)
         if direction == "forward":
-            better_score = sequence_score(scorer, better, reference)
-            worse_score = sequence_score(scorer, worse, reference)
-        elif direction == "backward":
-            better_score = sequence_score(scorer, reference, better)
-            worse_score = sequence_score(scorer, reference, worse)
+            pairs += [(better, reference), (worse, reference)]
         else:
-            raise ValueError(f"unknown direction: {direction!r}")
-        if better_score > worse_score:
-            correct += 1
+            pairs += [(reference, better), (reference, worse)]
+    scores = [score for score, _ in _score_pairs(scorer, pairs, with_gradients=False)]
+    correct = sum(plus > minus for plus, minus in zip(scores[::2], scores[1::2]))
     return correct / len(examples)
 
 
@@ -287,8 +308,7 @@ def train(
 
                 batch_grad = np.zeros_like(trained.theta)
                 ce_sum = forward_sum = backward_sum = total_sum = 0.0
-                for example in batch:
-                    terms = loss_terms(trained, example, config)
+                for terms in batch_loss_terms(trained, batch, config):
                     batch_grad += terms.gradient
                     ce_sum += terms.ce
                     forward_sum += terms.forward
@@ -330,13 +350,11 @@ def train(
 
     probe = _probe_pairs(corpus, datasets)
     if probe:
-        probe_scores = [
-            sequence_score(
-                trained,
-                tokenize(reference, config.lowercase),
-                tokenize(source, config.lowercase),
-            )
+        probe_pairs = [
+            (tokenize(reference, config.lowercase), tokenize(source, config.lowercase))
             for source, reference in probe
         ]
-        report.final_score_magnitude = score_magnitude(probe_scores)
+        report.final_score_magnitude = score_magnitude(
+            [score for score, _ in _score_pairs(trained, probe_pairs, False)]
+        )
     return trained, report

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import unicodedata
@@ -21,7 +22,16 @@ from metricfit.corpus import (
     SeverityWeights,
     SystemTranslation,
 )
-from metricfit.metrics import sequence_score, tokenize
+from metricfit.metrics import (
+    _BLOCK_BYTES,
+    _NO_SUCCESSORS,
+    BOS_TOKEN,
+    EOS_TOKEN,
+    LN2,
+    score_magnitude,
+    sequence_score,
+    tokenize,
+)
 from metricfit.rankings import RelativeRanking
 
 DEFAULT_WEIGHTS = SeverityWeights()
@@ -299,6 +309,9 @@ class FlatScorer:
     def token_logprob_gradients(self, target, context):
         return _zero_gradients(self.token_logprobs(target, context))
 
+    def score_batch(self, pairs, with_gradients):
+        return _stub_batch(self, pairs, with_gradients)
+
 
 class TableScorer:
     """Stub scorer with a fixed sequence score per (target, context) pair."""
@@ -316,11 +329,21 @@ class TableScorer:
     def token_logprob_gradients(self, target, context):
         return _zero_gradients(self.token_logprobs(target, context))
 
+    def score_batch(self, pairs, with_gradients):
+        return _stub_batch(self, pairs, with_gradients)
+
 
 def _zero_gradients(logprobs):
     """Stub scores do not depend on the weights: one zero gradient row per
     scored token, as ``ToyScorer.token_logprob_gradients`` returns."""
     return logprobs, np.zeros((len(logprobs), 3))
+
+
+def _stub_batch(scorer, pairs, with_gradients):
+    """``ToyScorer.score_batch`` for a stub: one pair at a time."""
+    if with_gradients:
+        return [scorer.token_logprob_gradients(*pair) for pair in pairs]
+    return [(scorer.token_logprobs(*pair), None) for pair in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +387,90 @@ def toy_logprob_oracle(scorer, target, context) -> list[float]:
     return logprobs
 
 
+def toy_score_oracle(scorer, target, context, with_gradients):
+    """ToyScorer's scoring of one sequence, as it was before pairs were
+    scored in batches: the sequence's positions in blocks of at most
+    ``_BLOCK_BYTES`` of features, and the copy column set once for all of a
+    block's rows. Returns ``(logprobs, gradients)``, gradients None unless
+    asked for."""
+    targets = [scorer._lookup(token) for token in target] + [EOS_TOKEN]
+    n_positions = len(targets)
+    n_vocab, n_features = len(scorer.vocab), len(scorer.FEATURE_NAMES)
+    chunk = max(1, min(n_positions, _BLOCK_BYTES // (n_vocab * n_features * 8)))
+
+    features = np.zeros((chunk, n_vocab, n_features))
+    features[:, [scorer._index[scorer._lookup(token)] for token in context], 0] = 1.0
+    features[:, :, 1] = scorer._unigram_feature
+    bigram = features[:, :, 2].reshape(-1)
+    successors = [
+        scorer._successors.get(previous, _NO_SUCCESSORS)
+        for previous in [BOS_TOKEN, *targets[:-1]]
+    ]
+    block_cells = successors
+    if chunk > 1:
+        ends = list(itertools.accumulate(map(len, successors), initial=0))
+        rows = np.arange(n_positions) % chunk * n_vocab
+        offsets = np.concatenate(successors) + np.repeat(rows, np.diff(ends))
+        block_cells = [
+            offsets[ends[start] : ends[min(start + chunk, n_positions)]]
+            for start in range(0, n_positions, chunk)
+        ]
+    target_rows = [
+        position % chunk * n_vocab + scorer._index[token]
+        for position, token in enumerate(targets)
+    ]
+
+    logprobs = []
+    gradients = np.empty((n_positions, n_features)) if with_gradients else None
+    for start, cells in zip(range(0, n_positions, chunk), block_cells):
+        stop = min(start + chunk, n_positions)
+        block = features[: stop - start]
+        block_targets = target_rows[start:stop]
+        bigram[cells] = 1.0
+        logits = block @ scorer.theta
+        target_logits = list(map(logits.item, block_targets))
+        shifts = logits.max(axis=1, keepdims=True)
+        logits -= shifts
+        exps = np.exp(logits, out=logits)
+        sums = exps.sum(axis=1, keepdims=True)
+        for logit, (shift,), (total,) in zip(
+            target_logits, shifts.tolist(), sums.tolist()
+        ):
+            logprobs.append((logit - (shift + math.log(total))) / LN2)
+        if with_gradients:
+            exps /= sums
+            expected = exps[:, None, :] @ block
+            observed = features.reshape(-1, n_features)[block_targets]
+            gradients[start:stop] = (observed - expected[:, 0]) / LN2
+        bigram[cells] = 0.0
+    return logprobs, gradients
+
+
+class PerSequenceScorer:
+    """A ToyScorer scored one sequence per call by ``toy_score_oracle``; it
+    reads the wrapped scorer's weights at every call."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+
+    @property
+    def theta(self):
+        return self.scorer.theta
+
+    def token_logprobs(self, target, context):
+        return toy_score_oracle(self.scorer, target, context, False)[0]
+
+    def token_logprob_gradients(self, target, context):
+        return toy_score_oracle(self.scorer, target, context, True)
+
+
 def toy_dense_score_oracle(scorer, target, context, with_gradients):
     """ToyScorer's scoring loop with dense, Python-built feature rows.
 
     The copy column tests every vocabulary word against the context set, and
     each bigram row tests every vocabulary word against ``scorer.bigrams``;
     the softmax and gradient use the same numpy operations as
-    ``ToyScorer._score``, so its results must agree bit for bit.
+    ``ToyScorer.score_batch``, so its results must agree bit for bit.
     """
 
     def lookup(token):
@@ -557,11 +657,9 @@ def backward_ranking_loss(scorer, reference, better, worse, margin) -> float:
     )
 
 
-def loss_terms_oracle(scorer, example, config):
-    """The objective as two scoring passes over the example: the loss values
-    through ``token_logprobs`` (the three value-only losses above), then the
-    gradient through ``token_logprob_gradients``. Returns
-    ``(ce, forward, backward, total)`` and the gradient."""
+def loss_values_oracle(scorer, example, config):
+    """``(ce, forward, backward, total)`` of the objective from the three
+    value-only losses above, through ``token_logprobs``."""
     source = tokenize(example.src, config.lowercase)
     reference = tokenize(example.ref, config.lowercase)
     better = tokenize(example.sys_plus, config.lowercase)
@@ -579,6 +677,23 @@ def loss_terms_oracle(scorer, example, config):
         else 0.0
     )
     total = config.alpha * ce + 0.5 * forward + 0.5 * backward
+    return ce, forward, backward, total
+
+
+def combined_loss(scorer, example, config) -> float:
+    """Weighted sum of the enabled value-only losses; always >= 0."""
+    return loss_values_oracle(scorer, example, config)[3]
+
+
+def loss_terms_oracle(scorer, example, config):
+    """The objective as two scoring passes over the example: the loss values
+    through ``token_logprobs`` (``loss_values_oracle``), then the gradient
+    through ``token_logprob_gradients``, one sequence per call. Returns
+    ``(ce, forward, backward, total)`` and the gradient."""
+    source = tokenize(example.src, config.lowercase)
+    reference = tokenize(example.ref, config.lowercase)
+    better = tokenize(example.sys_plus, config.lowercase)
+    worse = tokenize(example.sys_minus, config.lowercase)
 
     def score_with_gradient(target, context):
         logprobs, gradients = scorer.token_logprob_gradients(target, context)
@@ -598,7 +713,132 @@ def loss_terms_oracle(scorer, example, config):
         worse_score, worse_grad = score_with_gradient(reference, worse)
         if config.epsilon - better_score + worse_score > 0.0:
             grad += 0.5 * (worse_grad - better_grad)
-    return (ce, forward, backward, total), grad
+    return loss_values_oracle(scorer, example, config), grad
+
+
+def ranking_accuracy_oracle(scorer, examples, direction, lowercase):
+    """``training.ranking_accuracy`` one example and one sequence at a time."""
+    if not examples:
+        return None
+    correct = 0
+    for example in examples:
+        reference = tokenize(example.ref, lowercase)
+        better = tokenize(example.sys_plus, lowercase)
+        worse = tokenize(example.sys_minus, lowercase)
+        if direction == "forward":
+            better_score = sequence_score(scorer, better, reference)
+            worse_score = sequence_score(scorer, worse, reference)
+        else:
+            better_score = sequence_score(scorer, reference, better)
+            worse_score = sequence_score(scorer, reference, worse)
+        if better_score > worse_score:
+            correct += 1
+    return correct / len(examples)
+
+
+def train_oracle(scorer, datasets, corpus=None, config=None):
+    """``training.train`` as a loop over each step's examples: every
+    sequence is scored on its own through ``toy_score_oracle``, and each
+    example's loss and gradient come from ``loss_terms_oracle``."""
+    from metricfit.training import (
+        EpochValidation,
+        NumericError,
+        StepRecord,
+        TrainingConfig,
+        TrainingReport,
+        _probe_pairs,
+    )
+
+    if config is None:
+        config = TrainingConfig()
+    pairs = sorted(lp for lp, dataset in datasets.items() if dataset.train)
+    trained = scorer.with_theta(scorer.theta)
+    oracle = PerSequenceScorer(trained)
+    rng = random.Random(config.seed)
+    report = TrainingReport(seed=config.seed)
+    max_len = max(len(datasets[lp].train) for lp in pairs)
+    rounds = math.ceil(max_len / config.batch_size)
+    validation_pool = [
+        example for lp in sorted(datasets) for example in datasets[lp].validation
+    ]
+
+    step = 0
+    for epoch in range(config.epochs):
+        shuffled = {}
+        for lang_pair in pairs:
+            items = list(datasets[lang_pair].train)
+            rng.shuffle(items)
+            shuffled[lang_pair] = items
+        positions = {lang_pair: 0 for lang_pair in pairs}
+
+        for _ in range(rounds):
+            for lang_pair in pairs:
+                items = shuffled[lang_pair]
+                start = positions[lang_pair]
+                batch = items[start : start + config.batch_size]
+                positions[lang_pair] = start + len(batch)
+                if len(batch) < config.batch_size and len(items) < max_len:
+                    batch = batch + rng.choices(
+                        items, k=config.batch_size - len(batch)
+                    )
+                if not batch:
+                    continue
+
+                batch_grad = np.zeros_like(trained.theta)
+                ce_sum = forward_sum = backward_sum = total_sum = 0.0
+                for example in batch:
+                    (ce, forward, backward, total), grad = loss_terms_oracle(
+                        oracle, example, config
+                    )
+                    batch_grad += grad
+                    ce_sum += ce
+                    forward_sum += forward
+                    backward_sum += backward
+                    total_sum += total
+                size = len(batch)
+                mean_total = total_sum / size
+                if not math.isfinite(mean_total):
+                    raise NumericError(f"non-finite loss at step {step}")
+                trained.theta -= config.learning_rate * (batch_grad / size)
+                report.steps.append(
+                    StepRecord(
+                        step=step,
+                        epoch=epoch,
+                        lang_pair=lang_pair,
+                        batch_size=size,
+                        loss_total=mean_total,
+                        loss_ce=ce_sum / size,
+                        loss_forward=forward_sum / size,
+                        loss_backward=backward_sum / size,
+                    )
+                )
+                step += 1
+
+        report.validation.append(
+            EpochValidation(
+                epoch=epoch,
+                forward_accuracy=ranking_accuracy_oracle(
+                    oracle, validation_pool, "forward", config.lowercase
+                ),
+                backward_accuracy=ranking_accuracy_oracle(
+                    oracle, validation_pool, "backward", config.lowercase
+                ),
+            )
+        )
+
+    probe = _probe_pairs(corpus, datasets)
+    if probe:
+        report.final_score_magnitude = score_magnitude(
+            [
+                sequence_score(
+                    oracle,
+                    tokenize(reference, config.lowercase),
+                    tokenize(source, config.lowercase),
+                )
+                for source, reference in probe
+            ]
+        )
+    return trained, report
 
 
 def central_difference_gradient(fn, theta, step: float = 1e-5) -> np.ndarray:

@@ -17,6 +17,7 @@ from conftest import (
     backward_ranking_loss,
     central_difference_gradient,
     chrf_oracle,
+    combined_loss,
     corpus_bleu_oracle,
     forward_ranking_loss,
     kendall_tau_oracle,
@@ -52,7 +53,6 @@ from metricfit.metrics import ToyScorer, bleu, chrf, segment_bleu
 from metricfit.rankings import derive_rankings, split_holdout
 from metricfit.training import (
     TrainingConfig,
-    combined_loss,
     gradient,
     loss_terms,
     ranking_accuracy,
@@ -211,6 +211,7 @@ def test_criterion_05_margin_and_combined_loss_arithmetic():
         and abs(terms.forward - 0.3) < 1e-12
         and abs(terms.backward - 0.1) < 1e-12
         and abs(combined - 0.4) < 1e-12
+        and abs(terms.total - 0.4) < 1e-12
     )
     check(5, "margin losses 0 / 0.1 / 0.15 / 0.6 and combined loss 0.4", ok)
 

@@ -1,6 +1,7 @@
 """Tests for sequence scoring, the toy scorer, and the BLEU/chrF baselines."""
 
 import dataclasses
+import functools
 import math
 import random
 import string
@@ -19,8 +20,10 @@ from conftest import (
     corpus_bleu_oracle,
     segment_bleu_counter_oracle,
     segment_bleu_oracle,
+    separable_ranking_examples,
     toy_dense_score_oracle,
     toy_logprob_oracle,
+    toy_score_oracle,
 )
 from metricfit.metrics import (
     _BLOCK_BYTES,
@@ -40,6 +43,8 @@ from metricfit.metrics import (
     tokenize,
     write_metric_scores,
 )
+from metricfit.rankings import split_holdout
+from metricfit.training import NumericError, TrainingConfig, train
 
 
 def _small_scorer(theta=(0.7, 0.4, -0.3)):
@@ -254,6 +259,132 @@ def test_toy_scorer_matches_dense_oracle_across_feature_blocks(
     target = data.draw(st.lists(words, min_size=3, max_size=9), label="target")
     context = data.draw(st.lists(words, max_size=6), label="context")
     _assert_matches_dense_oracle(base.with_theta(theta), target, context)
+
+
+@functools.lru_cache(maxsize=4)  # a shrinking draw keeps its vocabulary size
+def _batch_scorer(n_vocab):
+    """A scorer of ``n_vocab`` words, end and unknown tokens included, with a
+    few successors per word; one bigram has an out-of-vocabulary successor
+    and one an ``<unk>`` predecessor, as only a scorer file can hold."""
+    words = [f"v{i:04d}" for i in range(n_vocab - 2)]
+    counts = {word: 1 + i % 5 for i, word in enumerate(words)}
+    bigrams = {("<unk>", words[-1]), (words[0], "fremd")}
+    for i, word in enumerate(words):
+        bigrams.add((word, words[(3 * i + 1) % len(words)]))
+        if i % 3 == 0:
+            bigrams.add(("<s>", word))
+        if i % 4 == 0:
+            bigrams.add((word, "</s>"))
+    return ToyScorer(counts, bigrams)
+
+
+def _hexes(values):
+    return [float(value).hex() for value in np.ravel(values)]
+
+
+def _key(pair):
+    target, context = pair
+    return tuple(target), tuple(context)
+
+
+def _assert_batch_matches_oracles(scorer, pairs):
+    """``score_batch`` on ``pairs``, with and without gradients, against the
+    per-sequence and the dense oracle, by ``float.hex``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        without = scorer.score_batch(pairs, with_gradients=False)
+        with_grad = scorer.score_batch(pairs, with_gradients=True)
+        expected = {
+            key: (
+                toy_score_oracle(scorer, *key, True),
+                toy_dense_score_oracle(scorer, *key, True),
+            )
+            for key in map(_key, pairs)
+        }
+    assert len(without) == len(with_grad) == len(pairs)
+    for pair, (logprobs, none), (grad_logprobs, gradients) in zip(
+        pairs, without, with_grad
+    ):
+        (oracle, oracle_gradients), (dense, dense_gradients) = expected[_key(pair)]
+        assert none is None
+        assert _hexes(logprobs) == _hexes(grad_logprobs) == _hexes(oracle)
+        assert _hexes(logprobs) == _hexes(dense)
+        assert _hexes(gradients) == _hexes(oracle_gradients) == _hexes(dense_gradients)
+        assert _hexes(gradients.mean(axis=0)) == _hexes(oracle_gradients.mean(axis=0))
+
+
+_BATCH_EXTRA_WORDS = ("<unk>", "</s>", "<s>", "fremd", "xyz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_vocab=st.one_of(st.integers(3, 60), st.integers(61, 3_000)),
+    theta=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+    data=st.data(),
+)
+def test_score_batch_matches_per_sequence_oracles(n_vocab, theta, data):
+    scorer = _batch_scorer(n_vocab).with_theta(theta)
+    words = st.one_of(
+        st.integers(0, n_vocab - 3).map("v{:04d}".format),
+        st.sampled_from(_BATCH_EXTRA_WORDS),
+    )
+    pool = data.draw(
+        st.lists(
+            st.tuples(st.lists(words, max_size=10), st.lists(words, max_size=8)),
+            min_size=1,
+            max_size=6,
+        ),
+        label="pool",
+    )
+    repeats = data.draw(
+        st.lists(st.integers(0, len(pool) - 1), max_size=6), label="repeats"
+    )
+    pairs = data.draw(st.permutations(pool + [pool[i] for i in repeats]), label="pairs")
+    _assert_batch_matches_oracles(scorer, pairs)
+
+
+# Positions per feature block (metrics._BLOCK_BYTES // (8 * 3 * vocabulary)):
+# 910 at 3 words, 29 at 92, 2 at 1,192 and 1 at 2,802.
+@pytest.mark.parametrize("n_vocab", [3, 92, 1_192, 2_802])
+def test_score_batch_matches_oracles_when_sequences_cross_blocks(n_vocab):
+    rng = random.Random(n_vocab)
+    scorer = _batch_scorer(n_vocab).with_theta((1.5, 0.5, 2.0))
+    words = [f"v{i:04d}" for i in range(min(n_vocab - 2, 40))]
+    words += _BATCH_EXTRA_WORDS
+    chunk = max(1, _BLOCK_BYTES // (8 * 3 * n_vocab))
+    length = max(1, chunk // 3) if chunk > 1 else 3
+    pairs = [
+        (
+            [rng.choice(words) for _ in range(rng.randint(0, 2 * length))],
+            [rng.choice(words) for _ in range(rng.randint(0, 6))],
+        )
+        for _ in range(8 if chunk > 1 else 4)
+    ]
+    pairs += [([], []), pairs[0], ([], ["xyz"]), pairs[2]]
+    ends = np.cumsum([len(target) + 1 for target, _ in pairs])
+    starts = ends - [len(target) + 1 for target, _ in pairs]
+    assert ends[-1] > chunk
+    assert any(start // chunk != (end - 1) // chunk for start, end in zip(starts, ends))
+    _assert_batch_matches_oracles(scorer, pairs)
+
+
+def test_score_batch_of_nothing_is_empty():
+    assert _small_scorer().score_batch([], with_gradients=True) == []
+
+
+def test_nan_theta_gives_nan_scores_and_stops_prism_and_training():
+    examples, texts = separable_ranking_examples(20, seed=3)
+    datasets = {"xx-yy": split_holdout(examples, holdout_size=0, seed=3)}
+    scorer = ToyScorer.from_texts(texts, theta=(math.nan, 1.0, 0.5))
+    pairs = [(("gut1", "gut2"), ("quelle1",)), ((), ()), (("xyz",), ("gut1", "xyz"))]
+    for with_gradients in (False, True):
+        for logprobs, gradients in scorer.score_batch(pairs, with_gradients):
+            assert len(logprobs) > 0 and all(math.isnan(v) for v in logprobs)
+            if with_gradients:
+                assert np.isnan(gradients).all()
+    with pytest.raises(FloatingPointError):
+        PrismMetric(scorer).segment_score("gut1 gut2", "gut3")
+    with pytest.raises(NumericError):
+        train(scorer, datasets, config=TrainingConfig(seed=1))
 
 
 def test_scoring_a_sequence_leaves_no_feature_set_for_the_next():

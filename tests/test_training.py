@@ -13,18 +13,21 @@ from conftest import (
     TableScorer,
     backward_ranking_loss,
     central_difference_gradient,
+    combined_loss,
     cross_entropy_loss,
     forward_ranking_loss,
+    load_tiny_corpus,
     loss_terms_oracle,
     separable_ranking_examples,
+    train_oracle,
 )
+from metricfit import training
 from metricfit.metrics import ToyScorer, sequence_score, tokenize
 from metricfit.rankings import RelativeRanking, split_holdout
 from metricfit.training import (
     NumericError,
     TrainingConfig,
     TrainingError,
-    combined_loss,
     gradient,
     loss_terms,
     ranking_accuracy,
@@ -168,6 +171,7 @@ def test_combined_loss_weighted_sum():
     assert terms.ce == pytest.approx(2.0)
     assert terms.forward == pytest.approx(0.3)
     assert terms.backward == pytest.approx(0.1)
+    assert terms.total == pytest.approx(0.4)
     assert combined_loss(scorer, example, config) == pytest.approx(0.4)
 
 
@@ -184,12 +188,14 @@ def test_combined_loss_all_terms_zero():
     )
     example = _example(src="src", ref="ref", plus="plus", minus="minus")
     assert combined_loss(scorer, example, TrainingConfig()) == 0.0
+    assert loss_terms(scorer, example, TrainingConfig()).total == 0.0
 
 
 def test_combined_loss_ce_disabled():
     scorer, example = _combined_fixture()
     config = TrainingConfig(alpha=0.1, epsilon=0.1, enable_ce=False)
     assert combined_loss(scorer, example, config) == pytest.approx(0.2)
+    assert loss_terms(scorer, example, config).total == pytest.approx(0.2)
 
 
 def test_combined_loss_monotone_in_terms():
@@ -206,6 +212,10 @@ def test_combined_loss_monotone_in_terms():
         }
     )
     assert combined_loss(worse_forward, example, config) > base
+    assert (
+        loss_terms(worse_forward, example, config).total
+        > loss_terms(base_scorer, example, config).total
+    )
 
 
 def _training_scorer():
@@ -219,6 +229,7 @@ def test_gradient_zero_on_flat_region():
     config = TrainingConfig(enable_ce=False)
     for example in examples:
         assert combined_loss(scorer, example, config) == 0.0
+        assert loss_terms(scorer, example, config).total == 0.0
         assert np.array_equal(gradient(scorer, example, config), np.zeros(3))
 
 
@@ -232,6 +243,7 @@ def test_hinge_flatness_under_perturbation():
         scorer = ToyScorer.from_texts(texts, theta=theta)
         for example in examples:
             assert combined_loss(scorer, example, config) == 0.0
+            assert loss_terms(scorer, example, config).total == 0.0
 
 
 ABLATION_CONFIGS = [
@@ -353,20 +365,58 @@ def test_fused_loss_terms_match_two_pass_oracle():
     assert hinges == {True, False}  # both the active and the flat branch ran
 
 
-def test_training_scores_each_sequence_once_per_example(monkeypatch):
-    calls = []
-    for name in ("token_logprobs", "token_logprob_gradients"):
-        method = getattr(ToyScorer, name)
+def _enabled_pairs(example, config):
+    reference = tokenize(example.ref, config.lowercase)
+    better = tokenize(example.sys_plus, config.lowercase)
+    worse = tokenize(example.sys_minus, config.lowercase)
+    pairs = []
+    if config.enable_ce:
+        pairs.append((reference, tokenize(example.src, config.lowercase)))
+    if config.enable_forward:
+        pairs += [(better, reference), (worse, reference)]
+    if config.enable_backward:
+        pairs += [(reference, better), (reference, worse)]
+    return pairs
 
-        def counted(self, target, context, method=method):
-            calls.append(method.__name__)
-            return method(self, target, context)
 
-        monkeypatch.setattr(ToyScorer, name, counted)
-    datasets, scorer = _separable_dataset(40, holdout=0)
-    _, report = train(scorer, datasets, config=TrainingConfig(seed=1))
+@pytest.mark.parametrize("batch_size", [7, 40])
+def test_training_scores_each_distinct_pair_of_a_step_once(monkeypatch, batch_size):
+    steps, calls = [], []
+    batch_loss_terms = training.batch_loss_terms
+    score_batch = ToyScorer.score_batch
+
+    def spied_step(scorer, examples, config):
+        steps.append(list(examples))
+        return batch_loss_terms(scorer, examples, config)
+
+    def counted(self, pairs, with_gradients):
+        calls.append((list(pairs), with_gradients))
+        return score_batch(self, pairs, with_gradients)
+
+    monkeypatch.setattr(training, "batch_loss_terms", spied_step)
+    monkeypatch.setattr(ToyScorer, "score_batch", counted)
+    examples, texts = separable_ranking_examples(30, seed=5)
+    examples += examples[:10]  # the same ranking twice, as from two annotators
+    datasets = {"xx-yy": split_holdout(examples, holdout_size=0, seed=5)}
+    config = TrainingConfig(seed=1, epochs=2, batch_size=batch_size)
+    _, report = train(ToyScorer.from_texts(texts), datasets, config=config)
+
     assert report.final_score_magnitude is None  # no validation, no probe
-    assert len(calls) == 5 * sum(step.batch_size for step in report.steps)
+    assert len(calls) == len(steps) == len(report.steps)
+    every_pair = {pair for e in examples for pair in _enabled_pairs(e, config)}
+    assert len(every_pair) < 5 * len(examples)
+    for batch, (pairs, with_gradients) in zip(steps, calls):
+        assert with_gradients
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {p for e in batch for p in _enabled_pairs(e, config)}
+    for epoch in (0, 1):
+        scored = {
+            pair
+            for (pairs, _), step in zip(calls, report.steps)
+            if step.epoch == epoch
+            for pair in pairs
+        }
+        assert scored == every_pair
 
 
 def _separable_dataset(n_examples=240, holdout=40, seed=5):
@@ -423,6 +473,75 @@ def test_round_robin_schedule_with_upsampling():
     assert small_sizes == [32, 32, 32, 32]  # upsampled by resampling
 
 
+def _mixed_case_dataset(n_examples=40, holdout=10, seed=5):
+    """Separable examples, some of their words capitalised, with repeats."""
+    examples, texts = separable_ranking_examples(n_examples, seed=seed)
+    examples = [
+        dataclasses.replace(
+            e, ref=e.ref.capitalize(), sys_minus=e.sys_minus.upper()
+        )
+        if i % 3 == 0
+        else e
+        for i, e in enumerate(examples)
+    ]
+    examples += examples[:5]
+    dataset = split_holdout(examples, holdout_size=holdout, seed=seed)
+    return {"xx-yy": dataset}, ToyScorer.from_texts(texts)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7])
+@pytest.mark.parametrize("lowercase", [False, True])
+@pytest.mark.parametrize(
+    "ablation", ABLATION_CONFIGS, ids=lambda a: "-".join(k[7:] for k in a if a[k])
+)
+def test_batched_training_matches_per_example_oracle(ablation, lowercase, batch_size):
+    datasets, scorer = _mixed_case_dataset()
+    config = TrainingConfig(
+        seed=3,
+        epochs=2,
+        batch_size=batch_size,
+        epsilon=1.0,  # keeps hinges active past the first steps
+        learning_rate=0.5,
+        lowercase=lowercase,
+        **ablation,
+    )
+    trained, report = train(scorer, datasets, config=config)
+    expected, expected_report = train_oracle(scorer, datasets, config=config)
+    assert trained.theta.tobytes() == expected.theta.tobytes()
+    assert report.to_dict() == expected_report.to_dict()
+    assert not np.array_equal(trained.theta, scorer.theta)
+
+
+def test_batched_training_matches_oracle_with_upsampling_and_corpus(tmp_path):
+    examples, texts = separable_ranking_examples(137, seed=6)
+    large = [dataclasses.replace(e, lang_pair="aa-bb") for e in examples[:100]]
+    small = [dataclasses.replace(e, lang_pair="cc-dd") for e in examples[100:137]]
+    datasets = {
+        "aa-bb": split_holdout(large, holdout_size=0, seed=1),
+        "cc-dd": split_holdout(small, holdout_size=0, seed=1),
+    }
+    scorer = ToyScorer.from_texts(texts)
+    corpus = load_tiny_corpus(tmp_path)
+    config = TrainingConfig(seed=3, batch_size=32, epochs=2, learning_rate=0.5)
+    for probe_corpus in (None, corpus):
+        trained, report = train(scorer, datasets, corpus=probe_corpus, config=config)
+        expected, expected_report = train_oracle(
+            scorer, datasets, corpus=probe_corpus, config=config
+        )
+        assert trained.theta.tobytes() == expected.theta.tobytes()
+        assert report.to_dict() == expected_report.to_dict()
+    assert report.final_score_magnitude is not None
+
+
+def test_ranking_accuracy_checks_direction_before_examples():
+    datasets, scorer = _separable_dataset(20, holdout=5)
+    for examples in ([], datasets["xx-yy"].validation):
+        with pytest.raises(ValueError, match="sideways"):
+            ranking_accuracy(scorer, examples, "sideways")
+    assert ranking_accuracy(scorer, [], "forward") is None
+    assert ranking_accuracy(scorer, [], "backward") is None
+
+
 def test_training_requires_data():
     _, scorer = _separable_dataset(10, holdout=0)
     with pytest.raises(TrainingError):
@@ -448,8 +567,6 @@ def test_disabling_ce_drops_probe_score_magnitude():
 
 
 def test_probe_uses_corpus_when_given(tmp_path):
-    from conftest import load_tiny_corpus
-
     corpus = load_tiny_corpus(tmp_path)
     datasets, scorer = _separable_dataset(40, holdout=10)
     _, report = train(scorer, datasets, corpus=corpus, config=TrainingConfig(seed=1))
