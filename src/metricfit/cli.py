@@ -383,7 +383,7 @@ def cmd_score(args) -> int:
         MetricScore(metric.metric_id, system_id, seg_id, value)
         for metric in metrics
         for (system_id, seg_id), value in standard_reference_scores(
-            eval_set, metric.segment_score
+            eval_set, metric
         ).items()
     ]
     write_metric_scores(scores, eval_set, out / "scores.tsv")
@@ -574,8 +574,11 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, FloatingPointError) as err:
+    except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except FloatingPointError as err:  # a non-finite score: only a scorer yields one
+        print(f"numeric failure: {args.scorer}: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except TrainingError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -14,7 +14,6 @@ and reports the relative change in correlation.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import random
@@ -41,7 +40,7 @@ SwapStatistic = Callable[
     [np.ndarray, np.ndarray, np.ndarray, Iterable[np.ndarray]],
     "tuple[np.ndarray, np.ndarray]",
 ]
-SegmentScoreFn = Callable[[str, str], float]
+TextPair = tuple[str, str]  # (hypothesis, reference) texts
 ErrorFreeIndex = Mapping[str, Sequence[SystemTranslation]]
 
 DEFAULT_RESAMPLES = 1000
@@ -147,22 +146,6 @@ def _tau_b(
         tau = tau / np.sqrt(np.asarray(total - y_ties, dtype=np.float64))
     tau = np.clip(tau, -1.0, 1.0)
     return np.where((x_ties == total) | (y_ties == total), np.nan, tau)
-
-
-def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
-    """Pearson correlation; None when either side is constant."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"score vectors differ in length: {a.shape} vs {b.shape}")
-    if a.size < 2:
-        raise ValueError("need at least 2 paired observations")
-    a = a - a.mean()
-    b = b - b.mean()
-    denominator = math.sqrt(float(a @ a) * float(b @ b))
-    if denominator == 0.0:
-        return None
-    return float(a @ b) / denominator
 
 
 def pairwise_accuracy(
@@ -401,24 +384,57 @@ def human_segment_scores(
 
 
 def standard_reference_scores(
-    eval_set: EvaluationSet, segment_score: SegmentScoreFn
+    eval_set: EvaluationSet, metric: Metric
 ) -> dict[tuple[str, str], float]:
     """Score every non-human translation against its segment's standard
-    reference, keyed by (system, segment) in corpus order.
+    reference, keyed by (system, segment) in corpus order, with one
+    ``score_pairs`` call over the distinct (hypothesis, reference) pairs.
 
     Translations of segments without a standard reference are left out. A
     non-finite score raises :class:`FloatingPointError` naming the
     (system, segment).
     """
-    scores: dict[tuple[str, str], float] = {}
-    for (system_id, seg_id), translation in eval_set.translations.items():
-        reference = eval_set.standard_reference(seg_id)
-        if translation.is_human or reference is None:
-            continue
-        try:
-            scores[(system_id, seg_id)] = segment_score(translation.text, reference.text)
-        except FloatingPointError as err:
-            raise FloatingPointError(f"{err} for ({system_id!r}, {seg_id!r})") from None
+    pairs = _standard_pairs(eval_set)
+    scores = _score_pairs(metric, _first_users(pairs.items()))
+    return {unit: scores[pair] for unit, pair in pairs.items()}
+
+
+def _standard_pairs(eval_set: EvaluationSet) -> dict[tuple[str, str], TextPair]:
+    """The (hypothesis, standard reference) texts of every non-human
+    translation whose segment has a standard reference, keyed by (system,
+    segment) in corpus order."""
+    pairs = {}
+    for unit, translation in eval_set.translations.items():
+        reference = eval_set.standard_reference(unit[1])
+        if not translation.is_human and reference is not None:
+            pairs[unit] = (translation.text, reference.text)
+    return pairs
+
+
+def _first_users(
+    uses: Iterable[tuple[tuple[str, str], TextPair]],
+) -> dict[TextPair, tuple[str, str]]:
+    """Each distinct pair of the (unit, pair) uses, in order of first use,
+    mapped to the first unit that uses it."""
+    users: dict[TextPair, tuple[str, str]] = {}
+    for unit, pair in uses:
+        users.setdefault(pair, unit)
+    return users
+
+
+def _score_pairs(
+    metric: Metric, users: Mapping[TextPair, tuple[str, str]]
+) -> dict[TextPair, float]:
+    """``metric``'s score of each pair of ``users``, from one ``score_pairs``
+    call. A non-finite score (a NaN theta, say, which would corrupt tau)
+    raises :class:`FloatingPointError` naming the first unit that uses the
+    first such pair."""
+    scores = dict(zip(users, metric.score_pairs(list(users))))
+    for pair, unit in users.items():
+        if not math.isfinite(scores[pair]):
+            raise FloatingPointError(
+                f"metric {metric.metric_id!r}: non-finite score for {unit!r}"
+            )
     return scores
 
 
@@ -497,7 +513,6 @@ class MtReferenceAssignment:
 
     context_id: str
     excluded_systems: frozenset[str]
-    seed: int
     choices: Mapping[str, ReferenceTranslation]
     skipped: tuple[str, ...]
 
@@ -534,7 +549,6 @@ def _sample_references(
     return MtReferenceAssignment(
         context_id=context_id,
         excluded_systems=excluded_systems,
-        seed=seed,
         choices=choices,
         skipped=tuple(skipped),
     )
@@ -806,36 +820,40 @@ def robustness_report(
             skipped_system_pairs=0,
         )
 
-        # One memo per metric and context, keyed by (hypothesis, reference)
-        # text: every statistic below reads its scores from it.
-        memos = {
-            metric.metric_id: functools.cache(metric.segment_score) for metric in metrics
+        # Every pair the context's statistics read, scored once per metric in
+        # one call: under the standard references, under each system's
+        # segment-level assignment, and under each system pair's.
+        std_pairs = _standard_pairs(group)
+        mt_pairs = {
+            (system, seg_id): (
+                group.translation(system, seg_id).text,
+                assignments[system].choices[seg_id].text,
+            )
+            for system, seg_id in units
         }
-        std_tables = {
-            metric_id: standard_reference_scores(group, memo)
-            for metric_id, memo in memos.items()
-        }
-        for metric in metrics:
-            std_scores = [std_tables[metric.metric_id][unit] for unit in units]
-            mt_scores = [
-                memos[metric.metric_id](
-                    group.translation(system, seg_id).text,
-                    assignments[system].choices[seg_id].text,
-                )
-                for system, seg_id in units
-            ]
-            segment_scores_std[metric.metric_id] = std_scores
-            segment_scores_mt[metric.metric_id] = mt_scores
+        comparisons, context_report.skipped_system_pairs = _system_pair_comparisons(
+            group, systems, human_scores, error_free, seed
+        )
+        users = _first_users(
+            chain(
+                std_pairs.items(),
+                mt_pairs.items(),
+                *(comparison.mt_pairs.items() for comparison in comparisons),
+            )
+        )
+        scores = {metric.metric_id: _score_pairs(metric, users) for metric in metrics}
+
+        for metric_id, table in scores.items():
+            std_scores = [table[std_pairs[unit]] for unit in units]
+            mt_scores = [table[mt_pairs[unit]] for unit in units]
+            segment_scores_std[metric_id] = std_scores
+            segment_scores_mt[metric_id] = mt_scores
             tau_std = kendall_tau(std_scores, human_vector) if len(units) >= 2 else None
             tau_mt = kendall_tau(mt_scores, human_vector) if len(units) >= 2 else None
-            context_report.segment_level[metric.metric_id] = ConditionPair.of(
-                tau_std, tau_mt
-            )
+            context_report.segment_level[metric_id] = ConditionPair.of(tau_std, tau_mt)
 
-        context_report.system_level, context_report.skipped_system_pairs = (
-            _system_level_accuracy(
-                group, systems, human_scores, memos, std_tables, error_free, seed
-            )
+        context_report.system_level = _system_level_accuracy(
+            comparisons, human_scores, std_pairs, scores
         )
 
         context_id = f"{lang_pair}|{domain}"
@@ -883,28 +901,34 @@ def robustness_report(
     return report
 
 
-def _system_level_accuracy(
+@dataclass(frozen=True)
+class _Comparison:
+    """One system pair of the system-level statistic: the segments where it
+    is compared, and the (hypothesis, sampled reference) texts of each of
+    its units there."""
+
+    system_a: str
+    system_b: str
+    segments: list[str]
+    mt_pairs: dict[tuple[str, str], TextPair]
+
+
+def _system_pair_comparisons(
     group: EvaluationSet,
     systems: list[str],
     human_scores: Mapping[tuple[str, str], float],
-    memos: Mapping[str, SegmentScoreFn],
-    std_tables: Mapping[str, Mapping[tuple[str, str], float]],
     error_free: ErrorFreeIndex,
     seed: int,
-) -> tuple[dict[str, ConditionPair], int]:
-    """Pairwise accuracy under both conditions with per-pair reference sets.
+) -> tuple[list[_Comparison], int]:
+    """The compared system pairs, and the number of pairs skipped.
 
     For each unordered system pair, references are sampled excluding both
     systems; the pair is compared on the segments where the sampled reference,
-    the standard reference and both systems' judgments all exist. Human ties
-    exclude a pair from the denominator; metric ties count as incorrect. The
-    denominator is shared between conditions.
+    the standard reference and both systems' judgments all exist. A pair with
+    no such segment is skipped.
     """
-    correct_std: dict[str, int] = dict.fromkeys(memos, 0)
-    correct_mt: dict[str, int] = dict.fromkeys(memos, 0)
-    decided_pairs = 0
+    comparisons = []
     skipped_pairs = 0
-
     for system_a, system_b in combinations(systems, 2):
         assignment = sample_refs_system_pair(
             group, system_a, system_b, seed, error_free
@@ -919,32 +943,54 @@ def _system_level_accuracy(
         if not pair_segments:
             skipped_pairs += 1
             continue
+        mt_pairs = {
+            (system, seg_id): (
+                group.translation(system, seg_id).text,
+                assignment.choices[seg_id].text,
+            )
+            for system in (system_a, system_b)
+            for seg_id in pair_segments
+        }
+        comparisons.append(_Comparison(system_a, system_b, pair_segments, mt_pairs))
+    return comparisons, skipped_pairs
 
+
+def _system_level_accuracy(
+    comparisons: Sequence[_Comparison],
+    human_scores: Mapping[tuple[str, str], float],
+    std_pairs: Mapping[tuple[str, str], TextPair],
+    scores: Mapping[str, Mapping[TextPair, float]],
+) -> dict[str, ConditionPair]:
+    """Pairwise accuracy under both conditions with per-pair reference sets.
+
+    Human ties exclude a pair from the denominator; metric ties count as
+    incorrect. The denominator is shared between conditions.
+    """
+    correct_std: dict[str, int] = dict.fromkeys(scores, 0)
+    correct_mt: dict[str, int] = dict.fromkeys(scores, 0)
+    decided_pairs = 0
+
+    for comparison in comparisons:
+        system_a, system_b = comparison.system_a, comparison.system_b
+        pair_segments = comparison.segments
         human_a = -math.fsum(human_scores[(system_a, s)] for s in pair_segments)
         human_b = -math.fsum(human_scores[(system_b, s)] for s in pair_segments)
         if human_a == human_b:
             continue
         decided_pairs += 1
 
-        for metric_id, memo in memos.items():
-            mt_table = {
-                (system, s): memo(
-                    group.translation(system, s).text, assignment.choices[s].text
-                )
-                for system in (system_a, system_b)
-                for s in pair_segments
-            }
-            for correct, table in (
-                (correct_std, std_tables[metric_id]),
-                (correct_mt, mt_table),
+        for metric_id, table in scores.items():
+            for correct, pairs in (
+                (correct_std, std_pairs),
+                (correct_mt, comparison.mt_pairs),
             ):
-                score_a = math.fsum(table[(system_a, s)] for s in pair_segments)
-                score_b = math.fsum(table[(system_b, s)] for s in pair_segments)
+                score_a = math.fsum(table[pairs[(system_a, s)]] for s in pair_segments)
+                score_b = math.fsum(table[pairs[(system_b, s)]] for s in pair_segments)
                 if score_a != score_b and (score_a > score_b) == (human_a > human_b):
                     correct[metric_id] += 1
 
     results: dict[str, ConditionPair] = {}
-    for metric_id in memos:
+    for metric_id in scores:
         if decided_pairs == 0:
             results[metric_id] = ConditionPair.of(None, None)
             continue
@@ -952,4 +998,4 @@ def _system_level_accuracy(
             correct_std[metric_id] / decided_pairs,
             correct_mt[metric_id] / decided_pairs,
         )
-    return results, skipped_pairs
+    return results

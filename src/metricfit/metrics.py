@@ -14,12 +14,13 @@ scale.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
 import math
 import operator
 import unicodedata
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
@@ -37,8 +38,13 @@ from .artefacts import (
 from .corpus import EvaluationSet
 
 LN2 = math.log(2.0)
-_NO_SUCCESSORS = np.empty(0, dtype=np.intp)
-_BLOCK_BYTES = 64 * 1024  # per ToyScorer scoring block; see its docstring
+# ToyScorer's sparse softmax: the (position, context word) cells of one block;
+# the largest ratio of its terms' absolute sum to the normaliser it keeps
+# (beyond it the terms cancel, and the position gets a dense row); and the
+# smallest normaliser it keeps, far above the subnormal range.
+_BLOCK_CELLS = 1 << 13
+_CANCELLATION = 8.0
+_TINY = 2.0**-960
 
 EOS_TOKEN = "</s>"
 BOS_TOKEN = "<s>"
@@ -112,6 +118,60 @@ def prism_score(
     return 0.5 * forward + 0.5 * backward
 
 
+class _Softmax:
+    """The parts of ToyScorer's sparse softmax that depend on theta alone:
+    with s = theta_1 u, top = max s, weights w = e^(s - top) and moments
+    w u, their sums over the vocabulary, and per copy and bigram weight its
+    positive part (lift) and (e^theta - 1) / e^lift (excess), which lies in
+    (-1, 1) for every finite theta."""
+
+    def __init__(self, theta: np.ndarray, unigram: np.ndarray):
+        self.theta0, theta1, self.theta2 = theta.tolist()
+        self.lift0, self.lift2 = max(self.theta0, 0.0), max(self.theta2, 0.0)
+        self.excess0, self.excess2 = (
+            -math.expm1(-value) if value >= 0 else math.expm1(value)
+            for value in (self.theta0, self.theta2)
+        )
+        self.unigram = unigram
+        self.scaled = theta1 * unigram
+        self.top = self.scaled.max()
+        self.weights = np.exp(self.scaled - self.top)
+        self.moments = self.weights * unigram
+        self.w_all, self.y_all = self.weights.sum(), self.moments.sum()
+
+
+def _blocks(ends: Sequence[int], contexts: Sequence[Sequence[int]]) -> Iterator[slice]:
+    """Consecutive slices of the positions, pair i's from ends[i] to
+    ends[i + 1], each of at most ``_BLOCK_CELLS`` cells (a position counts
+    its pair's context words, at least one) and at least one position."""
+    start = position = cells = 0
+    for stop, context in zip(ends[1:], contexts):
+        width = max(len(context), 1)
+        while position < stop:
+            take = min(stop - position, (_BLOCK_CELLS - cells) // width)
+            if take <= 0 and position > start:
+                yield slice(start, position)
+                start, cells = position, 0
+                continue
+            take = max(take, 1)
+            position += take
+            cells += take * width
+    if position > start:
+        yield slice(start, position)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(start, start + count) over the pairs."""
+    stops = np.cumsum(counts)
+    total = stops[-1] if len(stops) else 0
+    return np.arange(total) + np.repeat(starts - stops + counts, counts)
+
+
+def _is_key(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Which needles occur in ``keys``, sorted and ending past every needle."""
+    return keys[np.searchsorted(keys, needles)] == needles
+
+
 class ToyScorer:
     """Tiny featurized conditional language model with analytic gradients.
 
@@ -127,21 +187,32 @@ class ToyScorer:
     out-of-vocabulary tokens are mapped to the unknown token both as
     prediction targets and as context.
 
-    The bigram feature is indexed by previous token: each one maps to the
-    sorted vocabulary indices of its successors, so the index takes
-    O(#bigrams) memory and scoring adds no state to the scorer.
+    The softmax is sparse. Only the context words C of a sequence and the
+    successors S of the previous token change from one position to the
+    next. With s_v = theta_1 u_v for the unigram feature u, m = max_v s_v,
+    w_v = exp(s_v - m) and W(X) the sum of w over X, the normaliser is
 
-    ``score_batch`` lays the positions of all its pairs end to end and runs
-    them in blocks of at most ``_BLOCK_BYTES`` (64 KiB) of features, at
-    least one position each: one stacked matmul, max, exp and sum per block
-    rather than per position. A block may span several sequences, so the
-    copy column is set per row; a block's copy cells are rewritten only when
-    it holds another sequence than the block before it, so a lone sequence
-    sets them once. Each stacked call does, slice by slice, a per-position
-    call's arithmetic, so results keep their bits however pairs are
-    batched. One block per batch would pass glibc's 128 KiB mmap threshold
-    at a few thousand words, and every call would then fault in fresh
-    pages.
+        Z e^-m = W(vocabulary) + (e^theta_0 - 1) W(C) + (e^theta_2 - 1) W(S)
+                 + (e^theta_0 - 1) (e^theta_2 - 1) W(C & S).
+
+    W(vocabulary) is summed once per call. Within a block of positions,
+    W(C) is summed once per sequence, W(S) once per previous token and
+    W(C & S) once per position, over the context words that the bigram
+    index lists after the previous token; the expected features of the
+    gradient split the same way. Each position
+    scales these terms by its own shift, an upper bound on its largest
+    logit, so no finite theta overflows. A position whose terms cancel
+    most of the mass (theta_0 = -50 with the likeliest word of the
+    vocabulary in the context, say) is scored with a dense softmax row
+    instead. A NaN or infinite weight scores NaN everywhere.
+
+    Log-probabilities and gradients agree with a dense softmax over the
+    vocabulary to within about 1e-12 (relative, for values beyond 1). Every
+    sum runs over one sequence's, token's or position's own words in a
+    fixed order, so a pair's results keep their bits however pairs are
+    batched. Positions are scored in blocks of at most ``_BLOCK_CELLS``
+    (position, context word) cells, which bounds the memory a call takes
+    besides its results.
     """
 
     FEATURE_NAMES = ("copy_from_context", "log2_unigram_prob", "bigram_seen")
@@ -171,14 +242,23 @@ class ToyScorer:
             dtype=np.float64,
         )
         self._unigram_feature = np.log2((counts + 1.0) / (total + len(self.vocab)))
-        successors: dict[str, list[int]] = defaultdict(list)
-        for previous, token in self.bigrams:
-            if token in self._index:
-                successors[previous].append(self._index[token])
-        self._successors = {
-            previous: np.array(sorted(indices), dtype=np.intp)
-            for previous, indices in successors.items()
+        # The bigram index: one key row * V + successor per bigram that can
+        # occur in scoring, sorted, so a row's successors are one slice. A
+        # previous token's row is its vocabulary index; the start token's is
+        # V unless it is a word of the vocabulary. A last key past every row
+        # makes every search land on an entry.
+        n_vocab = len(self.vocab)
+        self._start_row = self._index.get(BOS_TOKEN, n_vocab)
+        rows = {**self._index, BOS_TOKEN: self._start_row}
+        keys = {
+            rows[previous] * n_vocab + self._index[token]
+            for previous, token in self.bigrams
+            if previous in rows and token in self._index
         }
+        self._bigram_keys = np.array([*sorted(keys), (n_vocab + 2) * n_vocab], np.int64)
+        self._successor_starts = np.searchsorted(
+            self._bigram_keys, np.arange(n_vocab + 2) * n_vocab
+        )
 
     @classmethod
     def from_texts(
@@ -205,9 +285,6 @@ class ToyScorer:
         clone.theta = np.asarray(theta, dtype=np.float64).copy()
         return clone
 
-    def _lookup(self, token: str) -> str:
-        return token if token in self._index else UNK_TOKEN
-
     def score_batch(
         self,
         pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
@@ -220,90 +297,141 @@ class ToyScorer:
         has one row per scored token (end token included), or is None.
         """
         index = self._index
-        targets: list[str] = []  # every pair's positions, end to end
-        previous: list[str] = []  # the token before each position
-        contexts: list[np.ndarray] = []
+        unknown, end = index[UNK_TOKEN], index[EOS_TOKEN]
+        targets: list[int] = []  # every pair's positions, end to end
+        previous: list[int] = []  # the row of the token before each position
+        contexts: list[list[int]] = []  # each pair's distinct context words, sorted
         ends = [0]
         for target, context in pairs:
-            tokens = [self._lookup(token) for token in target]
-            previous += [BOS_TOKEN, *tokens]
+            tokens = [index.get(token, unknown) for token in target]
+            previous += [self._start_row, *tokens]
             targets += tokens
-            targets.append(EOS_TOKEN)
-            contexts.append(
-                np.array([index[self._lookup(token)] for token in context], np.intp)
-            )
+            targets.append(end)
             ends.append(len(targets))
-        n_positions = len(targets)
-        n_vocab, n_features = len(self.vocab), len(self.FEATURE_NAMES)
-        chunk = max(1, min(n_positions, _BLOCK_BYTES // (n_vocab * n_features * 8)))
+            contexts.append(sorted({index.get(token, unknown) for token in context}))
 
-        # A block of `chunk` positions' feature rows. The unigram column holds
-        # for every position; each block of positions sets its bigram cells
-        # and clears them again. A block that holds another sequence than the
-        # block before it clears the copy column and sets each of its
-        # sequences' cells on that sequence's rows.
-        features = np.zeros((chunk, n_vocab, n_features))
-        features[:, :, 1] = self._unigram_feature
-        bigram = features[:, :, 2].reshape(-1)  # a strided view, one cell per word
-        # Each position's successors: its bigram cells in `bigram`, moved to
-        # the position's row when a block holds several positions. A block
-        # gathers its own cells, so a batch holds no more than a block's.
-        successors = [
-            self._successors.get(token, _NO_SUCCESSORS) for token in previous
-        ]
-        row_offsets = np.arange(chunk) * n_vocab
-        target_rows = [
-            position % chunk * n_vocab + index[token]
-            for position, token in enumerate(targets)
-        ]
-
-        logprobs: list[float] = []
-        gradients = np.empty((n_positions, n_features)) if with_gradients else None
-        filled_by = -1  # the sequence the last block held alone, if one did
-        sequence = 0
-        for start in range(0, n_positions, chunk):
-            stop = min(start + chunk, n_positions)
-            if chunk == 1:
-                cells = successors[start]
-            else:
-                block_successors = successors[start:stop]
-                cells = np.concatenate(block_successors) + np.repeat(
-                    row_offsets[: stop - start], list(map(len, block_successors))
+        logprobs = np.full(len(targets), math.nan)
+        gradients = np.full((len(targets), 3), math.nan) if with_gradients else None
+        if np.isfinite(self.theta).all():
+            softmax = _Softmax(self.theta, self._unigram_feature)
+            for block in _blocks(ends, contexts):
+                self._score_block(
+                    softmax, block, targets, previous, contexts, ends,
+                    logprobs, gradients,
                 )
-            while ends[sequence + 1] <= start:
-                sequence += 1
-            if sequence != filled_by or ends[sequence + 1] < stop:
-                if start:  # the first block finds the column clear
-                    features[:, :, 0] = 0.0
-                last = sequence
-                while ends[last] < stop:
-                    span = slice(max(ends[last], start) - start, ends[last + 1] - start)
-                    features[span, contexts[last], 0] = 1.0
-                    last += 1
-                filled_by = sequence if last == sequence + 1 else -1
-            block = features[: stop - start]
-            block_targets = target_rows[start:stop]
-            bigram[cells] = 1.0
-            logits = block @ self.theta
-            target_logits = list(map(logits.item, block_targets))  # before the shift
-            shifts = logits.max(axis=1, keepdims=True)
-            logits -= shifts
-            exps = np.exp(logits, out=logits)
-            sums = exps.sum(axis=1, keepdims=True)
-            for logit, (shift,), (total,) in zip(
-                target_logits, shifts.tolist(), sums.tolist()
-            ):
-                logprobs.append((logit - (shift + math.log(total))) / LN2)
-            if with_gradients:
-                exps /= sums
-                expected = exps[:, None, :] @ block
-                observed = features.reshape(-1, n_features)[block_targets]
-                gradients[start:stop] = (observed - expected[:, 0]) / LN2
-            bigram[cells] = 0.0
         return [
-            (logprobs[start:stop], None if gradients is None else gradients[start:stop])
+            (
+                logprobs[start:stop].tolist(),
+                None if gradients is None else gradients[start:stop],
+            )
             for start, stop in itertools.pairwise(ends)
         ]
+
+    def _score_block(
+        self, softmax, block, targets, previous, contexts, ends, logprobs, gradients
+    ) -> None:
+        """Fill ``logprobs`` (and ``gradients``, unless None) at the positions
+        of ``block``, a slice; the rest are ``score_batch``'s lists."""
+        n_vocab = len(self.vocab)
+        theta0, theta2 = softmax.theta0, softmax.theta2
+        lift0, lift2 = softmax.lift0, softmax.lift2
+        excess0, excess2 = softmax.excess0, softmax.excess2
+        weights, moments = softmax.weights, softmax.moments
+        start, stop = block.start, block.stop
+        size = stop - start
+        target = np.array(targets[block], np.intp)
+        prev = np.array(previous[block], np.intp)
+
+        # The pairs the block overlaps, and W(C) of each. A context cell's key
+        # pair * V + word is sorted, and a last key past them all makes every
+        # search land on an entry.
+        first = bisect.bisect_right(ends, start) - 1
+        last = bisect.bisect_left(ends, stop)
+        bounds = np.clip(ends[first : last + 1], start, stop)
+        seq = np.repeat(np.arange(last - first), np.diff(bounds))
+        words = np.array([w for c in contexts[first:last] for w in c], np.intp)
+        context_lengths = np.array([len(c) for c in contexts[first:last]])
+        context_ends = np.concatenate(([0], np.cumsum(context_lengths)))
+        context_seq = np.repeat(np.arange(last - first), context_lengths)
+        w_context = np.bincount(context_seq, weights[words], last - first)[seq]
+        y_context = np.bincount(context_seq, moments[words], last - first)[seq]
+        context_keys = np.append(
+            context_seq * n_vocab + words, (last - first) * n_vocab
+        )
+
+        # W(S) of each distinct previous token
+        rows, row_of = np.unique(prev, return_inverse=True)
+        row_start = self._successor_starts[rows]
+        successor_counts = self._successor_starts[rows + 1] - row_start
+        successors = self._bigram_keys[_ranges(row_start, successor_counts)] % n_vocab
+        owner = np.repeat(np.arange(len(rows)), successor_counts)
+        w_successors = np.bincount(owner, weights[successors], len(rows))[row_of]
+        y_successors = np.bincount(owner, moments[successors], len(rows))[row_of]
+
+        # W(C & S) of each position: its context words that follow prev
+        lengths = context_lengths[seq]
+        cell_words = words[_ranges(context_ends[seq], lengths)]
+        cell_position = np.repeat(np.arange(size), lengths)
+        follows = _is_key(self._bigram_keys, prev[cell_position] * n_vocab + cell_words)
+        at, both = cell_position[follows], cell_words[follows]
+        w_both = np.bincount(at, weights[both], size)
+        y_both = np.bincount(at, moments[both], size)
+
+        copied = _is_key(context_keys, seq * n_vocab + target)
+        followed = _is_key(self._bigram_keys, prev * n_vocab + target)
+        logits = copied * theta0 + softmax.scaled[target] + followed * theta2
+        # The shift above `top`, lift_c + lift_s: the largest sum of positive
+        # weights that lifts a present group of words (the context, the
+        # successors or both), kept in its two parts so that every exponent
+        # below cancels exactly where it should.
+        has_c, has_s = lengths > 0, successor_counts[row_of] > 0
+        has_both = np.bincount(at, minlength=size) > 0
+        lift_c = np.where(has_both | has_c & ~(has_s & (lift2 > lift0)), lift0, 0.0)
+        lift_s = np.where(has_both | has_s & ~(has_c & (lift0 >= lift2)), lift2, 0.0)
+
+        def scale(exponent0, exponent2):  # e^(exponent0 - lift_c + exponent2 - lift_s)
+            return np.exp(np.minimum((exponent0 - lift_c) + (exponent2 - lift_s), 0.0))
+
+        k_all = scale(0.0, 0.0)
+        k_context = scale(lift0, 0.0) * excess0
+        k_successors = scale(0.0, lift2) * excess2
+        k_both = scale(lift0, lift2) * (excess0 * excess2)
+        z = k_all * softmax.w_all + k_context * w_context + k_successors * w_successors
+        z += k_both * w_both
+        total = k_all * softmax.w_all + abs(k_context) * w_context
+        total += abs(k_successors) * w_successors + abs(k_both) * w_both
+        # the mass of C and of S, for the expected copy and bigram features
+        c_own = scale(theta0, 0.0) * w_context
+        c_both = scale(theta0, lift2) * excess2 * w_both
+        s_own = scale(0.0, theta2) * w_successors
+        s_both = scale(lift0, theta2) * excess0 * w_both
+        mass_c, mass_s = c_own + c_both, s_own + s_both
+        moment = k_all * softmax.y_all + k_context * y_context
+        moment += k_successors * y_successors + k_both * y_both
+        shift = softmax.top + lift_c + lift_s
+        kept = (
+            (z >= _TINY)
+            & (total <= _CANCELLATION * z)
+            & (c_own + abs(c_both) <= _CANCELLATION * z)
+            & (s_own + abs(s_both) <= _CANCELLATION * z)
+        )
+        for i in np.flatnonzero(~kept):  # a dense softmax row
+            row_logits = softmax.scaled.copy()
+            own = words[context_ends[seq[i]] : context_ends[seq[i] + 1]]
+            row_logits[own] += theta0
+            follow = successors[owner == row_of[i]]
+            row_logits[follow] += theta2
+            shift[i] = row_logits.max()
+            exps = np.exp(row_logits - shift[i])
+            z[i], mass_c[i], mass_s[i] = exps.sum(), exps[own].sum(), exps[follow].sum()
+            moment[i] = exps @ softmax.unigram
+
+        log_z = np.array(list(map(math.log, z.tolist())))
+        logprobs[block] = (logits - (shift + log_z)) / LN2
+        if gradients is not None:
+            gradients[block, 0] = (copied - mass_c / z) / LN2
+            gradients[block, 1] = (softmax.unigram[target] - moment / z) / LN2
+            gradients[block, 2] = (followed - mass_s / z) / LN2
 
     def token_logprobs(
         self, target: Sequence[str], context: Sequence[str]
@@ -616,11 +744,17 @@ class MetricScore:
 
 
 class Metric(Protocol):
-    """A reference-based segment-level metric; higher is better."""
+    """A reference-based segment-level metric; higher is better.
+
+    ``score_pairs`` scores many (hypothesis, reference) text pairs in one
+    call, in order; each value equals that pair's ``segment_score``.
+    """
 
     metric_id: str
 
     def segment_score(self, hypothesis: str, reference: str) -> float: ...
+
+    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]: ...
 
 
 @dataclass(frozen=True)
@@ -642,6 +776,10 @@ class _ProfileCache:
 
     def _profile(self, text: str, grow: bool) -> _Profile:
         raise NotImplementedError
+
+    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        """``segment_score`` of each pair, in order."""
+        return [self.segment_score(*pair) for pair in pairs]
 
     def _pair(self, hypothesis: str, reference: str) -> tuple[_Profile, _Profile]:
         profiles = self._profiles
@@ -693,15 +831,28 @@ class PrismMetric:
         self.metric_id = metric_id
         self._lowercase = getattr(scorer, "lowercase", False)
 
+    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        """:func:`prism_score` of each pair, from one ``score_batch`` call
+        over both directions of every pair; each text is tokenized once. A
+        scorer with a NaN theta gives NaN."""
+        texts = {text for pair in pairs for text in pair}
+        tokens = {text: tokenize(text, self._lowercase) for text in texts}
+        directions = [
+            (tokens[first], tokens[second])
+            for hypothesis, reference in pairs
+            for first, second in ((hypothesis, reference), (reference, hypothesis))
+        ]
+        means = [
+            math.fsum(logprobs) / len(logprobs)
+            for logprobs, _ in self.scorer.score_batch(directions, with_gradients=False)
+        ]
+        return [
+            0.5 * forward + 0.5 * backward
+            for forward, backward in zip(means[::2], means[1::2])
+        ]
+
     def segment_score(self, hypothesis: str, reference: str) -> float:
-        value = prism_score(
-            self.scorer,
-            tokenize(hypothesis, self._lowercase),
-            tokenize(reference, self._lowercase),
-        )
-        if not math.isfinite(value):  # e.g. a NaN theta; it would corrupt tau
-            raise FloatingPointError(f"metric {self.metric_id!r}: non-finite score")
-        return value
+        return self.score_pairs([(hypothesis, reference)])[0]
 
 
 def write_metric_scores(

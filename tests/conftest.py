@@ -23,11 +23,10 @@ from metricfit.corpus import (
     SystemTranslation,
 )
 from metricfit.metrics import (
-    _BLOCK_BYTES,
-    _NO_SUCCESSORS,
     BOS_TOKEN,
     EOS_TOKEN,
     LN2,
+    UNK_TOKEN,
     score_magnitude,
     sequence_score,
     tokenize,
@@ -387,23 +386,33 @@ def toy_logprob_oracle(scorer, target, context) -> list[float]:
     return logprobs
 
 
+_BLOCK_BYTES = 64 * 1024  # features per block of toy_score_oracle
+
+
 def toy_score_oracle(scorer, target, context, with_gradients):
-    """ToyScorer's scoring of one sequence, as it was before pairs were
-    scored in batches: the sequence's positions in blocks of at most
-    ``_BLOCK_BYTES`` of features, and the copy column set once for all of a
-    block's rows. Returns ``(logprobs, gradients)``, gradients None unless
-    asked for."""
-    targets = [scorer._lookup(token) for token in target] + [EOS_TOKEN]
+    """ToyScorer's scoring of one sequence with dense softmax rows, as it was
+    before the softmax was made sparse: the sequence's positions in blocks of
+    at most ``_BLOCK_BYTES`` of features (copy, unigram and bigram column per
+    vocabulary word), one stacked matmul, max, exp and sum per block.
+    Returns ``(logprobs, gradients)``, gradients None unless asked for."""
+    index = scorer._index
+    successor_lists = {}
+    for previous, token in scorer.bigrams:
+        if token in index:
+            successor_lists.setdefault(previous, []).append(index[token])
+    targets = [token if token in index else UNK_TOKEN for token in target]
+    targets.append(EOS_TOKEN)
     n_positions = len(targets)
     n_vocab, n_features = len(scorer.vocab), len(scorer.FEATURE_NAMES)
     chunk = max(1, min(n_positions, _BLOCK_BYTES // (n_vocab * n_features * 8)))
 
     features = np.zeros((chunk, n_vocab, n_features))
-    features[:, [scorer._index[scorer._lookup(token)] for token in context], 0] = 1.0
+    copied = [index.get(token, index[UNK_TOKEN]) for token in context]
+    features[:, copied, 0] = 1.0
     features[:, :, 1] = scorer._unigram_feature
     bigram = features[:, :, 2].reshape(-1)
     successors = [
-        scorer._successors.get(previous, _NO_SUCCESSORS)
+        np.array(sorted(successor_lists.get(previous, [])), dtype=np.intp)
         for previous in [BOS_TOKEN, *targets[:-1]]
     ]
     block_cells = successors
@@ -416,7 +425,7 @@ def toy_score_oracle(scorer, target, context, with_gradients):
             for start in range(0, n_positions, chunk)
         ]
     target_rows = [
-        position % chunk * n_vocab + scorer._index[token]
+        position % chunk * n_vocab + index[token]
         for position, token in enumerate(targets)
     ]
 
@@ -447,7 +456,7 @@ def toy_score_oracle(scorer, target, context, with_gradients):
 
 
 class PerSequenceScorer:
-    """A ToyScorer scored one sequence per call by ``toy_score_oracle``; it
+    """A ToyScorer that scores one sequence per ``score_batch`` call; it
     reads the wrapped scorer's weights at every call."""
 
     def __init__(self, scorer):
@@ -458,19 +467,20 @@ class PerSequenceScorer:
         return self.scorer.theta
 
     def token_logprobs(self, target, context):
-        return toy_score_oracle(self.scorer, target, context, False)[0]
+        return self.scorer.score_batch([(target, context)], False)[0][0]
 
     def token_logprob_gradients(self, target, context):
-        return toy_score_oracle(self.scorer, target, context, True)
+        return self.scorer.score_batch([(target, context)], True)[0]
 
 
 def toy_dense_score_oracle(scorer, target, context, with_gradients):
     """ToyScorer's scoring loop with dense, Python-built feature rows.
 
     The copy column tests every vocabulary word against the context set, and
-    each bigram row tests every vocabulary word against ``scorer.bigrams``;
-    the softmax and gradient use the same numpy operations as
-    ``ToyScorer.score_batch``, so its results must agree bit for bit.
+    each bigram row tests every vocabulary word against ``scorer.bigrams``.
+    The normaliser and the expected features are summed with ``math.fsum``:
+    a plain sum over a few thousand words, as in :func:`toy_score_oracle`'s
+    matmul, can be off by more than 1e-12.
     """
 
     def lookup(token):
@@ -496,14 +506,12 @@ def toy_dense_score_oracle(scorer, target, context, with_gradients):
         logits = features @ scorer.theta
         shift = logits.max()
         exps = np.exp(logits - shift)
-        log_norm = shift + math.log(exps.sum())
+        total = math.fsum(exps)
         token_index = scorer._index[token]
-        logprobs.append((logits[token_index] - log_norm) / math.log(2.0))
+        logprobs.append((logits[token_index] - (shift + math.log(total))) / LN2)
         if with_gradients:
-            probs = exps / exps.sum()
-            gradients[position] = (
-                features[token_index] - probs @ features
-            ) / math.log(2.0)
+            expected = [math.fsum(exps * column) / total for column in features.T]
+            gradients[position] = (features[token_index] - expected) / LN2
         previous = token
     return logprobs, gradients
 
@@ -539,6 +547,22 @@ def kendall_tau_oracle(metric_scores, human_penalties) -> float | None:
     if denominator == 0:
         return None
     return (concordant - discordant) / denominator
+
+
+def pearson(x, y) -> float | None:
+    """Pearson correlation; None when either side is constant."""
+    a = np.asarray(x, dtype=np.float64)
+    b = np.asarray(y, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"score vectors differ in length: {a.shape} vs {b.shape}")
+    if a.size < 2:
+        raise ValueError("need at least 2 paired observations")
+    a = a - a.mean()
+    b = b - b.mean()
+    denominator = math.sqrt(float(a @ a) * float(b @ b))
+    if denominator == 0.0:
+        return None
+    return float(a @ b) / denominator
 
 
 def rowwise(fn):
@@ -738,7 +762,7 @@ def ranking_accuracy_oracle(scorer, examples, direction, lowercase):
 
 def train_oracle(scorer, datasets, corpus=None, config=None):
     """``training.train`` as a loop over each step's examples: every
-    sequence is scored on its own through ``toy_score_oracle``, and each
+    sequence is scored on its own through ``PerSequenceScorer``, and each
     example's loss and gradient come from ``loss_terms_oracle``."""
     from metricfit.training import (
         EpochValidation,

@@ -22,6 +22,7 @@ from conftest import (
     forward_ranking_loss,
     kendall_tau_oracle,
     load_robustness_corpus,
+    pearson,
     random_mqm_eval_set,
     ranking_pair_count_oracle,
     robustness_corpus_rows,
@@ -43,7 +44,6 @@ from metricfit.metaeval import (
     comparable_subset,
     kendall_tau,
     pairwise_accuracy,
-    pearson,
     perm_both_test,
     relative_change,
     sample_refs_segment_level,

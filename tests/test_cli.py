@@ -202,7 +202,8 @@ def test_score_with_corrupt_scorer_exits_with_numeric_failure(tmp_path, capsys):
         code = run("score", "--corpus", bundle, "--out", tmp_path / "s",
                    "--metrics", "prism", "--scorer", poisoned)
     assert code == EXIT_NUMERIC
-    assert "non-finite score for ('sysA', 'seg1')" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{poisoned}: metric 'prism': non-finite score for ('sysA', 'seg1')" in err
 
 
 def test_score_requires_scorer_for_prism(tmp_path, capsys):
@@ -435,7 +436,7 @@ def _nan_robustness(tmp, art):
     argv = ["robustness", "--corpus", art["bundle"], "--out", tmp / "rob",
             "--seed", 2, "--metrics", "prism", "--scorer", art["nan_scorer"],
             "--resamples", 5]
-    return argv, None
+    return argv, f"{art['nan_scorer']}:"
 
 
 # (id, make, exit code, message): make(tmp_path, artefacts) writes one broken
@@ -600,6 +601,45 @@ def test_malformed_artefact_exit_code_and_location(
     assert "Traceback" not in err
     if expected == EXIT_USAGE:  # settings are checked before --out is made
         assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+@pytest.mark.parametrize("command", ["score", "robustness"])
+@pytest.mark.parametrize(
+    "theta",
+    [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)],
+    ids=repr,
+)
+def test_non_finite_theta_exits_numeric_naming_scorer_and_unit(
+    artefacts, tmp_path, capsys, command, theta
+):
+    payload = json.loads(artefacts["scorer"].read_text(encoding="utf-8"))
+    payload["theta"] = list(theta)
+    scorer = tmp_path / "scorer.json"
+    scorer.write_text(json.dumps(payload), encoding="utf-8")
+    argv = [command, "--corpus", artefacts["bundle"], "--out", tmp_path / "out",
+            "--metrics", "bleu,prism", "--scorer", scorer]
+    if command == "robustness":
+        argv += ["--seed", 1, "--resamples", 5]
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC, err
+    assert f"{scorer}: metric 'prism': non-finite score for ('sys1', 'seg000')" in err
+    assert "Traceback" not in err
+
+
+def test_train_exits_numeric_when_scores_overflow(artefacts, tmp_path, capsys):
+    import numpy as np
+
+    # train starts from theta = 0; one step this large leaves a weight near
+    # 1e308, whose products with the features overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("train", "--corpus", artefacts["bundle"], "--rankings",
+                   artefacts["rankings"], "--seed", 1, "--learning-rate", 1e308,
+                   "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC, err
+    assert "non-finite loss at step 1" in err
+    assert "Traceback" not in err
 
 
 # setting -> the command that reads it; seed has no lower bound

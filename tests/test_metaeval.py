@@ -15,6 +15,7 @@ from conftest import (
     kendall_tau_scipy_oracle,
     load_robustness_corpus,
     make_eval_set,
+    pearson,
     perm_both_oracle,
     robustness_report_oracle,
     rowwise,
@@ -31,7 +32,6 @@ from metricfit.metaeval import (
     kendall_tau,
     kendall_tau_swaps,
     pairwise_accuracy,
-    pearson,
     perm_both_test,
     relative_change,
     robustness_report,
@@ -436,7 +436,7 @@ def test_segment_sampling_deterministic():
     assert first == second
     other_seed = sample_refs_segment_level(eval_set, "sysA", seed=4)
     sources = lambda a: [a.choices[s].source_system for s in sorted(a.choices)]
-    assert sources(first) != sources(other_seed) or first.seed != other_seed.seed
+    assert sources(first) != sources(other_seed)
 
 
 def test_pair_sampling_excludes_both_systems():
@@ -597,16 +597,21 @@ def test_robustness_report_different_seed_changes_sampling(tmp_path):
 
 
 class CountingMetric:
-    """A metric that counts its calls per (hypothesis, reference)."""
+    """A metric that counts its batch calls and the pairs they score."""
 
     def __init__(self, metric):
         self.metric = metric
         self.metric_id = metric.metric_id
+        self.batches = 0
         self.calls = Counter()
 
     def segment_score(self, hypothesis, reference):
-        self.calls[(hypothesis, reference)] += 1
-        return self.metric.segment_score(hypothesis, reference)
+        raise AssertionError("scored one pair at a time")
+
+    def score_pairs(self, pairs):
+        self.batches += 1
+        self.calls.update(pairs)
+        return self.metric.score_pairs(pairs)
 
 
 def test_robustness_report_scores_each_pair_once(tmp_path):
@@ -615,6 +620,7 @@ def test_robustness_report_scores_each_pair_once(tmp_path):
     metrics = [CountingMetric(BleuMetric()), CountingMetric(ChrfMetric())]
     robustness_report(eval_set, metrics, seed=4, n_resamples=5)
     for metric in metrics:
+        assert metric.batches == 1, metric.metric_id
         assert metric.calls
         assert max(metric.calls.values()) == 1, metric.metric_id
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _BLOCK_BYTES,
     FlatScorer,
     TableScorer,
     chrf_counter_oracle,
@@ -21,12 +22,15 @@ from conftest import (
     segment_bleu_counter_oracle,
     segment_bleu_oracle,
     separable_ranking_examples,
+    load_tiny_corpus,
     toy_dense_score_oracle,
     toy_logprob_oracle,
     toy_score_oracle,
 )
+from metricfit import metrics as metrics_module
+from metricfit.metaeval import standard_reference_scores
 from metricfit.metrics import (
-    _BLOCK_BYTES,
+    LN2,
     BleuMetric,
     ChrfMetric,
     MetricScore,
@@ -136,7 +140,10 @@ def test_with_theta_shares_tables_but_not_theta():
     scorer = _small_scorer(theta=(0.25, -1.5, 2.0))
     theta = np.array([1.0, 0.5, -0.5])
     clone = scorer.with_theta(theta)
-    shared = ("unigram_counts", "bigrams", "vocab", "_unigram_feature", "_successors")
+    shared = (
+        "unigram_counts", "bigrams", "vocab", "_unigram_feature", "_bigram_keys",
+        "_successor_starts",
+    )
     for name in shared:
         assert getattr(clone, name) is getattr(scorer, name), name
     theta[0] = 9.0
@@ -201,13 +208,33 @@ _WEIGHTS = st.one_of(
 )
 
 
+def _assert_close(actual, expected, slack=0.0):
+    """Equal within 1e-12 * max(1, |expected|) + slack, element by element;
+    NaN exactly where ``expected`` is NaN."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    assert np.array_equal(np.isnan(actual), np.isnan(expected))
+    error = np.abs(actual - expected)[~np.isnan(expected)]
+    bound = 1e-12 * np.maximum(1.0, np.abs(expected))[~np.isnan(expected)] + slack
+    assert (error <= bound).all(), (error.max(), actual, expected)
+
+
+def _matmul_error(scorer):
+    """A bound on the rounding of toy_score_oracle's expected features: a
+    plain sum of V products p_v f_v, each at most max |f| in size, is off by
+    at most (V - 1) 2^-53 max |f|; the gradient divides it by log 2."""
+    largest = max(1.0, float(np.abs(scorer._unigram_feature).max()))
+    return (len(scorer.vocab) - 1) * 2.0**-53 * largest / LN2
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     theta=st.lists(_WEIGHTS, min_size=3, max_size=3),
     target=st.lists(st.sampled_from(_ORACLE_WORDS), max_size=6),
     context=st.lists(st.sampled_from(_ORACLE_WORDS), max_size=6),
 )
-def test_toy_scorer_matches_dense_oracle_bit_for_bit(theta, target, context):
+def test_toy_scorer_matches_dense_oracle_within_tolerance(theta, target, context):
     scorer = ToyScorer(_ORACLE_SCORER.unigram_counts, _ORACLE_BIGRAMS, theta=theta)
     _assert_matches_dense_oracle(scorer, target, context)
 
@@ -217,12 +244,10 @@ def _assert_matches_dense_oracle(scorer, target, context):
         logprobs = scorer.token_logprobs(target, context)
         expected_logprobs, _ = toy_dense_score_oracle(scorer, target, context, False)
         with_grad, gradients = scorer.token_logprob_gradients(target, context)
-        expected_with_grad, expected_gradients = toy_dense_score_oracle(
-            scorer, target, context, True
-        )
-    assert np.array(logprobs).tobytes() == np.array(expected_logprobs).tobytes()
-    assert np.array(with_grad).tobytes() == np.array(expected_with_grad).tobytes()
-    assert gradients.tobytes() == expected_gradients.tobytes()
+        _, expected_gradients = toy_dense_score_oracle(scorer, target, context, True)
+    assert _hexes(logprobs) == _hexes(with_grad)
+    _assert_close(logprobs, expected_logprobs)
+    _assert_close(gradients, expected_gradients)
 
 
 def _wide_oracle_scorer(n_filler):
@@ -238,9 +263,9 @@ def _wide_oracle_scorer(n_filler):
     return ToyScorer(counts, bigrams), fillers[:12]
 
 
-# Positions per feature block (metrics._BLOCK_BYTES // (8 * 3 * vocabulary)):
-# 2 at about 1.2k words, so a sequence spans several blocks and its last one
-# may be partial; 1 from about 2.7k words on.
+# Positions per feature block of toy_score_oracle (_BLOCK_BYTES // (8 * 3 *
+# vocabulary)): 2 at about 1.2k words, so a sequence spans several blocks and
+# its last one may be partial; 1 from about 2.7k words on.
 _WIDE_SCORERS = {
     2: _wide_oracle_scorer(1_190),
     1: _wide_oracle_scorer(2_800),
@@ -288,13 +313,16 @@ def _key(pair):
 
 
 def _assert_batch_matches_oracles(scorer, pairs):
-    """``score_batch`` on ``pairs``, with and without gradients, against the
-    per-sequence and the dense oracle, by ``float.hex``."""
+    """``score_batch`` on ``pairs``, with and without gradients: bit for bit
+    the results of scoring each pair in a call of its own, and within
+    tolerance of the dense and the blocked oracle (whose gradients may also
+    be off by their own matmul's rounding)."""
     with np.errstate(invalid="ignore", over="ignore"):
         without = scorer.score_batch(pairs, with_gradients=False)
         with_grad = scorer.score_batch(pairs, with_gradients=True)
         expected = {
             key: (
+                scorer.score_batch([key], with_gradients=True)[0],
                 toy_score_oracle(scorer, *key, True),
                 toy_dense_score_oracle(scorer, *key, True),
             )
@@ -304,12 +332,14 @@ def _assert_batch_matches_oracles(scorer, pairs):
     for pair, (logprobs, none), (grad_logprobs, gradients) in zip(
         pairs, without, with_grad
     ):
-        (oracle, oracle_gradients), (dense, dense_gradients) = expected[_key(pair)]
+        alone, blocked, dense = expected[_key(pair)]
         assert none is None
-        assert _hexes(logprobs) == _hexes(grad_logprobs) == _hexes(oracle)
-        assert _hexes(logprobs) == _hexes(dense)
-        assert _hexes(gradients) == _hexes(oracle_gradients) == _hexes(dense_gradients)
-        assert _hexes(gradients.mean(axis=0)) == _hexes(oracle_gradients.mean(axis=0))
+        assert _hexes(logprobs) == _hexes(grad_logprobs) == _hexes(alone[0])
+        assert _hexes(gradients) == _hexes(alone[1])
+        _assert_close(logprobs, dense[0])
+        _assert_close(gradients, dense[1])
+        _assert_close(logprobs, blocked[0])
+        _assert_close(gradients, blocked[1], slack=_matmul_error(scorer))
 
 
 _BATCH_EXTRA_WORDS = ("<unk>", "</s>", "<s>", "fremd", "xyz")
@@ -342,36 +372,111 @@ def test_score_batch_matches_per_sequence_oracles(n_vocab, theta, data):
     _assert_batch_matches_oracles(scorer, pairs)
 
 
-# Positions per feature block (metrics._BLOCK_BYTES // (8 * 3 * vocabulary)):
-# 910 at 3 words, 29 at 92, 2 at 1,192 and 1 at 2,802.
 @pytest.mark.parametrize("n_vocab", [3, 92, 1_192, 2_802])
-def test_score_batch_matches_oracles_when_sequences_cross_blocks(n_vocab):
+def test_score_batch_matches_oracles_when_sequences_cross_blocks(n_vocab, monkeypatch):
     rng = random.Random(n_vocab)
-    scorer = _batch_scorer(n_vocab).with_theta((1.5, 0.5, 2.0))
+    scorer = _batch_scorer(n_vocab).with_theta((1.5, 0.5, -2.0))
     words = [f"v{i:04d}" for i in range(min(n_vocab - 2, 40))]
     words += _BATCH_EXTRA_WORDS
-    chunk = max(1, _BLOCK_BYTES // (8 * 3 * n_vocab))
-    length = max(1, chunk // 3) if chunk > 1 else 3
     pairs = [
         (
-            [rng.choice(words) for _ in range(rng.randint(0, 2 * length))],
+            [rng.choice(words) for _ in range(rng.randint(0, 12))],
             [rng.choice(words) for _ in range(rng.randint(0, 6))],
         )
-        for _ in range(8 if chunk > 1 else 4)
+        for _ in range(8)
     ]
     pairs += [([], []), pairs[0], ([], ["xyz"]), pairs[2]]
-    ends = np.cumsum([len(target) + 1 for target, _ in pairs])
-    starts = ends - [len(target) + 1 for target, _ in pairs]
-    assert ends[-1] > chunk
-    assert any(start // chunk != (end - 1) // chunk for start, end in zip(starts, ends))
     _assert_batch_matches_oracles(scorer, pairs)
+    expected = scorer.score_batch(pairs, with_gradients=True)
+    backwards = scorer.score_batch(pairs[::-1], with_gradients=True)[::-1]
+    for (logprobs, gradients), (again, again_gradients) in zip(expected, backwards):
+        assert _hexes(again) == _hexes(logprobs)
+        assert _hexes(again_gradients) == _hexes(gradients)
+    cells = sum((len(t) + 1) * len(set(c)) for t, c in pairs)
+    for block_cells in (1, 5, 64, cells - 1):  # blocks of one position and up
+        monkeypatch.setattr(metrics_module, "_BLOCK_CELLS", block_cells)
+        for (logprobs, gradients), (again, again_gradients) in zip(
+            expected, scorer.score_batch(pairs, with_gradients=True)
+        ):
+            assert _hexes(again) == _hexes(logprobs)
+            assert _hexes(again_gradients) == _hexes(gradients)
 
 
 def test_score_batch_of_nothing_is_empty():
     assert _small_scorer().score_batch([], with_gradients=True) == []
 
 
-def test_nan_theta_gives_nan_scores_and_stops_prism_and_training():
+@pytest.mark.parametrize("n_vocab", [3, 92, 2_802])
+def test_zero_weights_keep_the_bits_of_the_uniform_distribution(n_vocab):
+    rng = random.Random(n_vocab)
+    scorer = _batch_scorer(n_vocab)
+    words = [f"v{i:04d}" for i in range(n_vocab - 2)] + list(_BATCH_EXTRA_WORDS)
+    pairs = [
+        ([rng.choice(words) for _ in range(rng.randint(0, 9))],
+         [rng.choice(words) for _ in range(rng.randint(0, 6))])
+        for _ in range(20)
+    ]
+    uniform = (0.0 - (0.0 + math.log(n_vocab))) / LN2  # the dense softmax's bits
+    for logprobs, _ in scorer.score_batch(pairs, with_gradients=True):
+        assert _hexes(logprobs) == [uniform.hex()] * len(logprobs)
+
+
+# Extreme weights: a huge positive weight leaves only the words it lifts, so
+# the gradient is the limit that the dense oracle reaches at a weight of
+# 1000 (the dense rows lose the unigram feature in a logit of 1e300).
+_EXTREME_WEIGHTS = [
+    ((1e300, 1.0, 1.0), (1000.0, 1.0, 1.0)),
+    ((-1e300, 1.0, 1.0), None),
+    ((1.0, 1.0, 1e300), (1.0, 1.0, 1000.0)),
+    ((1.0, 1.0, -1e300), None),
+    ((1e300, -3.0, 1e300), (1000.0, -3.0, 1000.0)),
+    ((-50.0, 50.0, 0.0), None),
+    ((50.0, -50.0, -50.0), None),
+]
+
+
+@pytest.mark.parametrize("theta, limit", _EXTREME_WEIGHTS, ids=repr)
+def test_extreme_weights_score_finite_and_match_the_dense_oracle(theta, limit):
+    rng = random.Random(7)
+    for n_vocab in (5, 92, 1_192):
+        scorer = _batch_scorer(n_vocab).with_theta(theta)
+        # v0000 is among the likeliest words: put it in most contexts
+        words = [f"v{i:04d}" for i in range(min(n_vocab - 2, 30))] + ["xyz", "<s>"]
+        for _ in range(15):
+            target = [rng.choice(words) for _ in range(rng.randint(0, 6))]
+            context = ["v0000"] * rng.randint(0, 2)
+            context += [rng.choice(words) for _ in range(rng.randint(0, 5))]
+            (logprobs, gradients), = scorer.score_batch([(target, context)], True)
+            assert np.isfinite(logprobs).all() and np.isfinite(gradients).all()
+            expected, expected_gradients = toy_dense_score_oracle(
+                scorer, target, context, True
+            )
+            _assert_close(logprobs, expected)
+            if limit is not None:
+                _, expected_gradients = toy_dense_score_oracle(
+                    scorer.with_theta(limit), target, context, True
+                )
+            _assert_close(gradients, expected_gradients)
+
+
+def test_cancelling_terms_fall_back_to_a_dense_row(monkeypatch):
+    """theta_0 = -50 with the one dominant word in the context cancels all
+    but about 1e-6 of the sparse terms' mass; the dense row keeps the
+    result within tolerance, where the sparse terms alone are off by about
+    1e-10."""
+    counts = {f"w{i:02d}": 1 for i in range(90)}
+    counts["the"] = 1000
+    bigrams = {("<s>", "w01"), ("w01", "the")}
+    scorer = ToyScorer(counts, bigrams, theta=(-50.0, 2.0, 0.0))
+    pair = (["w01", "the", "w02"], ["the", "w03"])
+    expected, _ = toy_dense_score_oracle(scorer, *pair, False)
+    _assert_close(scorer.token_logprobs(*pair), expected)
+    monkeypatch.setattr(metrics_module, "_CANCELLATION", math.inf)
+    with pytest.raises(AssertionError):
+        _assert_close(scorer.token_logprobs(*pair), expected)
+
+
+def test_nan_theta_gives_nan_scores_and_stops_prism_and_training(tmp_path):
     examples, texts = separable_ranking_examples(20, seed=3)
     datasets = {"xx-yy": split_holdout(examples, holdout_size=0, seed=3)}
     scorer = ToyScorer.from_texts(texts, theta=(math.nan, 1.0, 0.5))
@@ -381,8 +486,11 @@ def test_nan_theta_gives_nan_scores_and_stops_prism_and_training():
             assert len(logprobs) > 0 and all(math.isnan(v) for v in logprobs)
             if with_gradients:
                 assert np.isnan(gradients).all()
-    with pytest.raises(FloatingPointError):
-        PrismMetric(scorer).segment_score("gut1 gut2", "gut3")
+    metric = PrismMetric(scorer)
+    assert math.isnan(metric.segment_score("gut1 gut2", "gut3"))
+    unit = r"non-finite score for \('sysA', 'seg1'\)"
+    with pytest.raises(FloatingPointError, match=unit):
+        standard_reference_scores(load_tiny_corpus(tmp_path), metric)
     with pytest.raises(NumericError):
         train(scorer, datasets, config=TrainingConfig(seed=1))
 
@@ -428,18 +536,22 @@ def test_successor_index_has_one_entry_per_bigram_and_scoring_adds_no_state():
         built.bigrams | {(words[0], "unseen"), ("unseen", words[1])},
         theta=built.theta,
     )
-    assert len(scorer.vocab) == 20_002
+    n_vocab = len(scorer.vocab)
+    assert n_vocab == 20_002
 
-    def index_length():
-        return sum(len(indices) for indices in scorer._successors.values())
-
-    in_vocab = {pair for pair in scorer.bigrams if pair[1] in scorer._index}
-    assert index_length() == len(in_vocab) == len(scorer.bigrams) - 1
+    # every bigram but the two with an unseen word, as (row, successor) keys
+    # with the start token's row after the vocabulary's, then one end key
+    keys = scorer._bigram_keys
+    assert len(keys) - 1 == len(scorer.bigrams) - 2
+    assert keys[-1] > keys[-2] and (np.diff(keys[:-1]) > 0).all()
+    rows = list(scorer.vocab) + ["<s>"]
     assert {
-        (previous, scorer.vocab[i])
-        for previous, indices in scorer._successors.items()
-        for i in indices
-    } == in_vocab
+        (rows[key // n_vocab], scorer.vocab[key % n_vocab])
+        for key in keys[:-1].tolist()
+    } == scorer.bigrams - {(words[0], "unseen"), ("unseen", words[1])}
+    for row in (0, 17, n_vocab):
+        start, stop = scorer._successor_starts[row : row + 2]
+        assert (keys[start:stop] // n_vocab == row).all()
 
     def state():
         return {
@@ -452,7 +564,6 @@ def test_successor_index_has_one_entry_per_bigram_and_scoring_adds_no_state():
         target = [rng.choice(words) for _ in range(10)]
         scorer.token_logprobs(target, [rng.choice(words) for _ in range(10)])
     assert state() == before
-    assert index_length() == len(in_vocab)
 
 
 def test_prism_average_of_directions():
@@ -463,6 +574,35 @@ def test_prism_average_of_directions():
         }
     )
     assert prism_score(scorer, ("a",), ("b",)) == pytest.approx(-2.0)
+
+
+def test_prism_scores_all_pairs_in_one_call_tokenizing_each_text_once(monkeypatch):
+    scorer = _small_scorer()
+    texts = ["der hund", "die katze schläft", "der hund schläft gern", "xyz der"]
+    pairs = [(a, b) for a in texts for b in texts] + [(texts[0], texts[1])]
+    calls, tokenized = [], []
+    score_batch, tokenize_text = scorer.score_batch, metrics_module.tokenize
+
+    def counted_batch(batch, with_gradients):
+        calls.append(len(batch))
+        return score_batch(batch, with_gradients)
+
+    def counted_tokenize(text, lowercase=False):
+        tokenized.append(text)
+        return tokenize_text(text, lowercase)
+
+    monkeypatch.setattr(scorer, "score_batch", counted_batch)
+    monkeypatch.setattr(metrics_module, "tokenize", counted_tokenize)
+    values = PrismMetric(scorer).score_pairs(pairs)
+    assert calls == [2 * len(pairs)]
+    assert sorted(tokenized) == sorted(texts)
+    monkeypatch.undo()
+    expected = [
+        prism_score(scorer, tokenize(hypothesis), tokenize(reference))
+        for hypothesis, reference in pairs
+    ]
+    assert _hexes(values) == _hexes(expected)
+    assert PrismMetric(scorer).segment_score(*pairs[5]) == expected[5]
 
 
 def test_prism_identical_sequences():

@@ -555,6 +555,17 @@ def test_non_finite_loss_aborts():
         train(bad, datasets, config=TrainingConfig(seed=1))
 
 
+@pytest.mark.parametrize(
+    "theta",
+    [(0.0, -math.inf, 0.0), (0.0, 0.0, math.inf), (math.nan, 1.0, 1.0)],
+    ids=repr,
+)
+def test_non_finite_weight_aborts_training_at_its_first_step(theta):
+    datasets, scorer = _separable_dataset(40, holdout=0)
+    with pytest.raises(NumericError, match="non-finite loss at step 0"):
+        train(scorer.with_theta(theta), datasets, config=TrainingConfig(seed=1))
+
+
 def test_disabling_ce_drops_probe_score_magnitude():
     datasets, scorer = _separable_dataset()
     with_ce = TrainingConfig(seed=7, learning_rate=0.5)
