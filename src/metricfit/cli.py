@@ -161,7 +161,7 @@ _CONFIG_ONLY = {
     "alpha_level": (
         _number(float, lambda v: 0 < v < 1, "between 0 and 1"), DEFAULT_ALPHA
     ),
-    "lowercase": (_boolean, None),  # None: TrainingConfig's default
+    "lowercase": (_boolean, False),
     "severity_weights": (_severity_weights, SeverityWeights()),
 }
 
@@ -280,8 +280,7 @@ def cmd_rankings(args) -> int:
     per_lang_pair = {}
     for lang_pair in sorted(by_lang_pair):
         dataset = split_holdout(
-            by_lang_pair[lang_pair], holdout_size=args.holdout, seed=seed,
-            threshold=args.threshold,
+            by_lang_pair[lang_pair], holdout_size=args.holdout, seed=seed
         )
         train_split.extend(dataset.train)
         validation_split.extend(dataset.validation)
@@ -327,7 +326,7 @@ def cmd_train(args) -> int:
     eval_set = _load_bundle(args)
     seed = _require(args, "seed")
     rankings_dir = Path(_require(args, "rankings"))
-    names = ("epsilon", "alpha", "learning_rate", "epochs", "batch_size", "lowercase")
+    names = ("epsilon", "alpha", "learning_rate", "epochs", "batch_size")
     given = {  # only what was given: TrainingConfig holds defaults and checks
         name: getattr(args, name) for name in names if getattr(args, name) is not None
     }
@@ -352,15 +351,12 @@ def cmd_train(args) -> int:
         lang_pair: RankingDataset(
             train=tuple(train_by_lp.get(lang_pair, ())),
             validation=tuple(validation_by_lp.get(lang_pair, ())),
-            seed=seed,
-            holdout_size=len(validation_by_lp.get(lang_pair, ())),
         )
         for lang_pair in sorted(set(train_by_lp) | set(validation_by_lp))
     }
 
-    scorer = ToyScorer.from_texts(
-        _scorer_training_texts(eval_set), lowercase=training_config.lowercase
-    )
+    texts = _scorer_training_texts(eval_set)
+    scorer = ToyScorer.from_texts(texts, lowercase=args.lowercase)
     trained, report = train(scorer, datasets, corpus=eval_set, config=training_config)
     trained.save(out / "scorer.json")
     write_json(out / "training_report.json", report.to_dict())

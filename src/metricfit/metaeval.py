@@ -165,21 +165,30 @@ def pairwise_accuracy(
         )
     if len(metric_by_system) < 2:
         raise ValueError("need at least 2 systems")
-    correct = 0
-    total = 0
-    for system_a, system_b in combinations(sorted(metric_by_system), 2):
-        human_delta = human_by_system[system_a] - human_by_system[system_b]
-        if human_delta == 0:
-            continue
-        total += 1
-        metric_delta = metric_by_system[system_a] - metric_by_system[system_b]
-        if metric_delta == 0:
-            continue
-        if (metric_delta > 0) == (human_delta > 0):
-            correct += 1
-    if total == 0:
+    return _accuracy(
+        _ordered_alike(
+            metric_by_system[system_a], metric_by_system[system_b],
+            human_by_system[system_a], human_by_system[system_b],
+        )
+        for system_a, system_b in combinations(sorted(metric_by_system), 2)
+    )
+
+
+def _ordered_alike(
+    metric_a: float, metric_b: float, human_a: float, human_b: float
+) -> bool | None:
+    """Whether a metric orders systems a and b as the humans do: None when
+    the humans tie, so the pair is left out, and False when the metric ties."""
+    if human_a == human_b:
         return None
-    return correct / total
+    return metric_a != metric_b and (metric_a > metric_b) == (human_a > human_b)
+
+
+def _accuracy(verdicts: Iterable[bool | None]) -> float | None:
+    """The fraction of :func:`_ordered_alike` verdicts that are True, over
+    those that are not None; None when every verdict is None."""
+    decided = [verdict for verdict in verdicts if verdict is not None]
+    return sum(decided) / len(decided) if decided else None
 
 
 def _sign(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -761,7 +770,6 @@ def _average_pairs(
 def robustness_report(
     eval_set: EvaluationSet,
     metrics: Sequence[Metric],
-    contexts: Sequence[tuple[str, str]] | None = None,
     seed: int = 0,
     weights: SeverityWeights = DEFAULT_WEIGHTS,
     n_resamples: int = DEFAULT_RESAMPLES,
@@ -776,11 +784,9 @@ def robustness_report(
     pair. Both conditions always use identical units. Perm-both significance
     of segment-level gaps is annotated per metric pair and condition.
     """
-    if contexts is None:
-        contexts = eval_set.group_keys()
     report = RobustnessReport(seed=seed, alpha=alpha)
 
-    for lang_pair, domain in contexts:
+    for lang_pair, domain in eval_set.group_keys():
         group = eval_set.subset(lang_pair, domain)
         human_scores = human_segment_scores(group, weights)
         systems = sorted({system for system, _ in human_scores})
@@ -963,39 +969,23 @@ def _system_level_accuracy(
 ) -> dict[str, ConditionPair]:
     """Pairwise accuracy under both conditions with per-pair reference sets.
 
-    Human ties exclude a pair from the denominator; metric ties count as
-    incorrect. The denominator is shared between conditions.
+    Each system pair is decided as in :func:`pairwise_accuracy`, on the sums
+    of its segment scores, so both conditions leave out the same pairs.
     """
-    correct_std: dict[str, int] = dict.fromkeys(scores, 0)
-    correct_mt: dict[str, int] = dict.fromkeys(scores, 0)
-    decided_pairs = 0
-
+    verdicts = {metric_id: ([], []) for metric_id in scores}  # std, mt
     for comparison in comparisons:
         system_a, system_b = comparison.system_a, comparison.system_b
         pair_segments = comparison.segments
         human_a = -math.fsum(human_scores[(system_a, s)] for s in pair_segments)
         human_b = -math.fsum(human_scores[(system_b, s)] for s in pair_segments)
-        if human_a == human_b:
-            continue
-        decided_pairs += 1
-
         for metric_id, table in scores.items():
-            for correct, pairs in (
-                (correct_std, std_pairs),
-                (correct_mt, comparison.mt_pairs),
+            for condition, pairs in zip(
+                verdicts[metric_id], (std_pairs, comparison.mt_pairs)
             ):
                 score_a = math.fsum(table[pairs[(system_a, s)]] for s in pair_segments)
                 score_b = math.fsum(table[pairs[(system_b, s)]] for s in pair_segments)
-                if score_a != score_b and (score_a > score_b) == (human_a > human_b):
-                    correct[metric_id] += 1
-
-    results: dict[str, ConditionPair] = {}
-    for metric_id in scores:
-        if decided_pairs == 0:
-            results[metric_id] = ConditionPair.of(None, None)
-            continue
-        results[metric_id] = ConditionPair.of(
-            correct_std[metric_id] / decided_pairs,
-            correct_mt[metric_id] / decided_pairs,
-        )
-    return results
+                condition.append(_ordered_alike(score_a, score_b, human_a, human_b))
+    return {
+        metric_id: ConditionPair.of(_accuracy(std), _accuracy(mt))
+        for metric_id, (std, mt) in verdicts.items()
+    }

@@ -54,9 +54,6 @@ _BLEU_ORDER = 4
 _CHRF_ORDER = 6
 _CHRF_BETA = 2.0
 
-LEVEL_CORPUS = "corpus"
-LEVEL_SEGMENT = "segment"
-
 _SCORES_COLUMNS = ["metric_id", "lang_pair", "domain", "system_id", "seg_id", "value"]
 
 
@@ -71,6 +68,10 @@ def tokenize(text: str, lowercase: bool = False) -> tuple[str, ...]:
 class SequenceScorer(Protocol):
     """Conditional model exposing per-token base-2 log-probabilities.
 
+    ``lowercase`` is how the model tokenizes text (:func:`tokenize`). It is
+    the one owner of that rule: training, scoring and the robustness report
+    all tokenize a scorer's input with it.
+
     ``token_logprobs(target, context)`` returns one log-probability per
     target token plus one for the appended end-of-sequence token, so the
     returned list always has ``len(target) + 1`` entries, each <= 0.
@@ -81,6 +82,8 @@ class SequenceScorer(Protocol):
     holds one row of d logprob / d theta per entry, or is None unless asked
     for. Training scores each SGD step with one call.
     """
+
+    lowercase: bool
 
     def token_logprobs(
         self, target: Sequence[str], context: Sequence[str]
@@ -575,38 +578,31 @@ def _clipped_matches(hyp: _Grams, ref: _Grams) -> int:
     return matches
 
 
-def _bleu_profile(
-    text: str, lowercase: bool, max_order: int, ids: _Ids, grow: bool
-) -> _Profile:
-    return _ngram_profile(tokenize(text, lowercase), max_order, ids, grow)
+def _bleu_profile(text: str, lowercase: bool, ids: _Ids, grow: bool) -> _Profile:
+    return _ngram_profile(tokenize(text, lowercase), _BLEU_ORDER, ids, grow)
 
 
-def _chrf_profile(text: str, max_order: int, ids: _Ids, grow: bool) -> _Profile:
+def _chrf_profile(text: str, ids: _Ids, grow: bool) -> _Profile:
     chars = "".join(unicodedata.normalize("NFC", text).split())
-    return _ngram_profile(chars, max_order, ids, grow)
+    return _ngram_profile(chars, _CHRF_ORDER, ids, grow)
 
 
-def segment_bleu(
-    hypothesis: str,
-    reference: str,
-    max_order: int = _BLEU_ORDER,
-    lowercase: bool = False,
-) -> float:
-    """Sentence-level BLEU with add-one smoothing on orders >= 2.
+def segment_bleu(hypothesis: str, reference: str, lowercase: bool = False) -> float:
+    """Sentence-level 4-gram BLEU with add-one smoothing on orders >= 2.
 
     The unigram precision is left unsmoothed so that a hypothesis sharing no
     word with its reference still scores 0.
     """
     ids = _Ids()
-    ref = _bleu_profile(reference, lowercase, max_order, ids, True)
-    hyp = _bleu_profile(hypothesis, lowercase, max_order, ids, False)
-    return _segment_bleu_score(hyp, ref, max_order)
+    ref = _bleu_profile(reference, lowercase, ids, True)
+    hyp = _bleu_profile(hypothesis, lowercase, ids, False)
+    return _segment_bleu_score(hyp, ref)
 
 
-def _segment_bleu_score(hyp: _Profile, ref: _Profile, max_order: int) -> float:
+def _segment_bleu_score(hyp: _Profile, ref: _Profile) -> float:
     log_precisions = []
     for order, hyp_grams, ref_grams, total in zip(
-        range(1, max_order + 1), hyp.grams, ref.grams, hyp.totals
+        range(1, _BLEU_ORDER + 1), hyp.grams, ref.grams, hyp.totals
     ):
         matches = _clipped_matches(hyp_grams, ref_grams)
         if order >= 2:
@@ -616,7 +612,7 @@ def _segment_bleu_score(hyp: _Profile, ref: _Profile, max_order: int) -> float:
             return 0.0
         log_precisions.append(math.log(matches / total))
     return 100.0 * _brevity_penalty(hyp.length, ref.length) * math.exp(
-        sum(log_precisions) / max_order
+        sum(log_precisions) / _BLEU_ORDER
     )
 
 
@@ -629,19 +625,11 @@ def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
 
 
 def bleu(
-    hypotheses: Sequence[str],
-    references: Sequence[str],
-    level: str = LEVEL_CORPUS,
-    max_order: int = _BLEU_ORDER,
-    lowercase: bool = False,
+    hypotheses: Sequence[str], references: Sequence[str], lowercase: bool = False
 ) -> float:
-    """BLEU in [0, 100].
-
-    At corpus level this is the standard unsmoothed 4-gram geometric mean
-    with brevity penalty over pooled counts. At segment level it is the mean
-    of per-segment smoothed BLEU values (see :func:`segment_bleu`), which
-    keeps segment correlations computable.
-    """
+    """Corpus BLEU in [0, 100]: the standard unsmoothed 4-gram geometric mean
+    of precisions over pooled counts, times the brevity penalty. Segment
+    scores use the smoothed :func:`segment_bleu`."""
     if not hypotheses:
         raise ValueError("empty hypothesis list")
     if len(hypotheses) != len(references):
@@ -649,54 +637,41 @@ def bleu(
             f"hypotheses and references differ in length: "
             f"{len(hypotheses)} vs {len(references)}"
         )
-    if level == LEVEL_SEGMENT:
-        scores = [
-            segment_bleu(hyp, ref, max_order, lowercase)
-            for hyp, ref in zip(hypotheses, references)
-        ]
-        return math.fsum(scores) / len(scores)
-    if level != LEVEL_CORPUS:
-        raise ValueError(f"unknown BLEU level: {level!r}")
-
-    matches = [0] * max_order
-    totals = [0] * max_order
+    matches = [0] * _BLEU_ORDER
+    totals = [0] * _BLEU_ORDER
     hyp_len = 0
     ref_len = 0
     for hypothesis, reference in zip(hypotheses, references):
         ids = _Ids()
-        ref = _bleu_profile(reference, lowercase, max_order, ids, True)
-        hyp = _bleu_profile(hypothesis, lowercase, max_order, ids, False)
+        ref = _bleu_profile(reference, lowercase, ids, True)
+        hyp = _bleu_profile(hypothesis, lowercase, ids, False)
         hyp_len += hyp.length
         ref_len += ref.length
-        for order in range(max_order):
+        for order in range(_BLEU_ORDER):
             matches[order] += _clipped_matches(hyp.grams[order], ref.grams[order])
             totals[order] += hyp.totals[order]
     if any(m == 0 or t == 0 for m, t in zip(matches, totals)):
         return 0.0
-    log_mean = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_order
+    log_mean = sum(math.log(m / t) for m, t in zip(matches, totals)) / _BLEU_ORDER
     return 100.0 * _brevity_penalty(hyp_len, ref_len) * math.exp(log_mean)
 
 
-def chrf(
-    hypothesis: str,
-    reference: str,
-    max_order: int = _CHRF_ORDER,
-    beta: float = _CHRF_BETA,
-) -> float:
-    """Character n-gram F-score in [0, 100].
+def chrf(hypothesis: str, reference: str) -> float:
+    """Character n-gram F-score (chrF) in [0, 100].
 
-    n-grams of orders 1..max_order are taken over NFC text with whitespace
-    removed; the F_beta scores are averaged over the orders for which the
-    reference has at least one n-gram. Two empty strings count as a perfect
-    match.
+    n-grams of orders 1 to 6 are taken over NFC text with whitespace
+    removed; the F_2 scores (recall weighted twice as much as precision) are
+    averaged over the orders for which the reference has at least one
+    n-gram. Two empty strings count as a perfect match.
     """
     ids = _Ids()
-    ref = _chrf_profile(reference, max_order, ids, True)
-    hyp = _chrf_profile(hypothesis, max_order, ids, False)
-    return _chrf_score(hyp, ref, beta)
+    ref = _chrf_profile(reference, ids, True)
+    hyp = _chrf_profile(hypothesis, ids, False)
+    return _chrf_score(hyp, ref)
 
 
-def _chrf_score(hyp: _Profile, ref: _Profile, beta: float) -> float:
+def _chrf_score(hyp: _Profile, ref: _Profile) -> float:
+    beta = _CHRF_BETA
     if not hyp.length and not ref.length:
         return 100.0
 
@@ -806,10 +781,10 @@ class BleuMetric(_ProfileCache):
     lowercase: bool = False
 
     def _profile(self, text: str, grow: bool) -> _Profile:
-        return _bleu_profile(text, self.lowercase, _BLEU_ORDER, self._ids, grow)
+        return _bleu_profile(text, self.lowercase, self._ids, grow)
 
     def segment_score(self, hypothesis: str, reference: str) -> float:
-        return _segment_bleu_score(*self._pair(hypothesis, reference), _BLEU_ORDER)
+        return _segment_bleu_score(*self._pair(hypothesis, reference))
 
 
 @dataclass(frozen=True)
@@ -817,10 +792,10 @@ class ChrfMetric(_ProfileCache):
     metric_id: str = "chrf"
 
     def _profile(self, text: str, grow: bool) -> _Profile:
-        return _chrf_profile(text, _CHRF_ORDER, self._ids, grow)
+        return _chrf_profile(text, self._ids, grow)
 
     def segment_score(self, hypothesis: str, reference: str) -> float:
-        return _chrf_score(*self._pair(hypothesis, reference), _CHRF_BETA)
+        return _chrf_score(*self._pair(hypothesis, reference))
 
 
 class PrismMetric:
@@ -829,14 +804,13 @@ class PrismMetric:
     def __init__(self, scorer: SequenceScorer, metric_id: str = "prism"):
         self.scorer = scorer
         self.metric_id = metric_id
-        self._lowercase = getattr(scorer, "lowercase", False)
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         """:func:`prism_score` of each pair, from one ``score_batch`` call
-        over both directions of every pair; each text is tokenized once. A
-        scorer with a NaN theta gives NaN."""
+        over both directions of every pair; each text is tokenized once, as
+        the scorer tokenizes it. A scorer with a NaN theta gives NaN."""
         texts = {text for pair in pairs for text in pair}
-        tokens = {text: tokenize(text, self._lowercase) for text in texts}
+        tokens = {text: tokenize(text, self.scorer.lowercase) for text in texts}
         directions = [
             (tokens[first], tokens[second])
             for hypothesis, reference in pairs

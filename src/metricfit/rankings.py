@@ -78,13 +78,11 @@ class RankingDerivation:
 
 @dataclass(frozen=True)
 class RankingDataset:
-    """Train/validation partition of relative rankings with its provenance."""
+    """Train/validation partition of the relative rankings of one language
+    pair; how it was split is recorded in the rankings manifest."""
 
     train: tuple[RelativeRanking, ...]
     validation: tuple[RelativeRanking, ...]
-    seed: int
-    holdout_size: int
-    threshold: float = DEFAULT_THRESHOLD
 
 
 def derive_rankings(
@@ -163,13 +161,13 @@ def split_holdout(
     rankings: Sequence[RelativeRanking],
     holdout_size: int = DEFAULT_HOLDOUT_SIZE,
     seed: int = 0,
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> RankingDataset:
     """Partition rankings into train and a seed-deterministic validation split.
 
-    The validation set is a uniform random sample without replacement; both
-    splits keep the input order. A holdout larger than the dataset is clamped
-    to the whole dataset (with a warning) rather than raising.
+    The validation set is a uniform random sample of ``holdout_size``
+    rankings without replacement; both splits keep the input order. A
+    holdout larger than the dataset is clamped to the whole dataset (with a
+    warning) rather than raising.
     """
     if holdout_size < 0:
         raise ValueError(f"holdout_size must be nonnegative, got {holdout_size}")
@@ -185,13 +183,7 @@ def split_holdout(
     validation_indices = set(rng.sample(range(len(rankings)), holdout_size))
     train = tuple(r for i, r in enumerate(rankings) if i not in validation_indices)
     validation = tuple(r for i, r in enumerate(rankings) if i in validation_indices)
-    return RankingDataset(
-        train=train,
-        validation=validation,
-        seed=seed,
-        holdout_size=holdout_size,
-        threshold=threshold,
-    )
+    return RankingDataset(train=train, validation=validation)
 
 
 def write_rankings(rankings: Iterable[RelativeRanking], path: Path | str) -> None:

@@ -51,7 +51,6 @@ class TrainingConfig:
     enable_ce: bool = True
     enable_forward: bool = True
     enable_backward: bool = True
-    lowercase: bool = False
 
     def __post_init__(self):
         for name in ("epsilon", "alpha", "learning_rate"):
@@ -113,14 +112,15 @@ def batch_loss_terms(
 
     A hinge whose margin is met contributes its subgradient 0, so the
     zero-loss region is genuinely flat. A NaN hinge adds no gradient but
-    makes ``total`` NaN, which ``train`` refuses.
+    makes ``total`` NaN, which ``train`` refuses. Texts are tokenized as the
+    scorer tokenizes them.
     """
     pairs = []  # each example's enabled pairs in turn: ce, forward, backward
     for example in examples:
-        source = tokenize(example.src, config.lowercase)
-        reference = tokenize(example.ref, config.lowercase)
-        better = tokenize(example.sys_plus, config.lowercase)
-        worse = tokenize(example.sys_minus, config.lowercase)
+        source = tokenize(example.src, scorer.lowercase)
+        reference = tokenize(example.ref, scorer.lowercase)
+        better = tokenize(example.sys_plus, scorer.lowercase)
+        worse = tokenize(example.sys_minus, scorer.lowercase)
         if config.enable_ce:
             pairs.append((reference, source))
         if config.enable_forward:
@@ -175,13 +175,13 @@ def ranking_accuracy(
     scorer,
     examples: Sequence[RelativeRanking],
     direction: str = "forward",
-    lowercase: bool = False,
 ) -> float | None:
     """Fraction of pairs the scorer ranks like the human preference.
 
     ``forward`` compares the translations given the reference, ``backward``
-    compares reconstructing the reference from each translation. Ties count
-    as incorrect. None when there are no examples.
+    compares reconstructing the reference from each translation, each text
+    tokenized as the scorer tokenizes it. Ties count as incorrect. None when
+    there are no examples.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction: {direction!r}")
@@ -189,9 +189,9 @@ def ranking_accuracy(
         return None
     pairs = []
     for example in examples:
-        reference = tokenize(example.ref, lowercase)
-        better = tokenize(example.sys_plus, lowercase)
-        worse = tokenize(example.sys_minus, lowercase)
+        reference = tokenize(example.ref, scorer.lowercase)
+        better = tokenize(example.sys_plus, scorer.lowercase)
+        worse = tokenize(example.sys_minus, scorer.lowercase)
         if direction == "forward":
             pairs += [(better, reference), (worse, reference)]
         else:
@@ -266,8 +266,10 @@ def train(
     Plain SGD on the combined loss. Within each epoch the largest language
     pair makes a single sequential pass over its (seed-shuffled) training
     split; in every round each pair contributes one batch, smaller pairs
-    topping up exhausted data by resampling with replacement. Identical seeds
-    give bit-identical weights and reports.
+    topping up exhausted data by resampling with replacement. Texts are
+    tokenized as the scorer tokenizes them (``scorer.lowercase``), so the
+    trained scorer scores as it was trained. Identical seeds give
+    bit-identical weights and reports.
     """
     if config is None:
         config = TrainingConfig()
@@ -339,19 +341,18 @@ def train(
         report.validation.append(
             EpochValidation(
                 epoch=epoch,
-                forward_accuracy=ranking_accuracy(
-                    trained, validation_pool, "forward", config.lowercase
-                ),
+                forward_accuracy=ranking_accuracy(trained, validation_pool, "forward"),
                 backward_accuracy=ranking_accuracy(
-                    trained, validation_pool, "backward", config.lowercase
+                    trained, validation_pool, "backward"
                 ),
             )
         )
 
     probe = _probe_pairs(corpus, datasets)
     if probe:
+        lowercase = trained.lowercase
         probe_pairs = [
-            (tokenize(reference, config.lowercase), tokenize(source, config.lowercase))
+            (tokenize(reference, lowercase), tokenize(source, lowercase))
             for source, reference in probe
         ]
         report.final_score_magnitude = score_magnitude(

@@ -299,6 +299,8 @@ def separable_ranking_examples(n_examples: int = 240, seed: int = 5):
 class FlatScorer:
     """Stub scorer assigning one fixed log-probability to every scored token."""
 
+    lowercase = False
+
     def __init__(self, logprob: float):
         self.logprob = logprob
 
@@ -314,6 +316,8 @@ class FlatScorer:
 
 class TableScorer:
     """Stub scorer with a fixed sequence score per (target, context) pair."""
+
+    lowercase = False
 
     def __init__(self, table: dict):
         self.table = {
@@ -466,6 +470,10 @@ class PerSequenceScorer:
     def theta(self):
         return self.scorer.theta
 
+    @property
+    def lowercase(self):
+        return self.scorer.lowercase
+
     def token_logprobs(self, target, context):
         return self.scorer.score_batch([(target, context)], False)[0][0]
 
@@ -583,6 +591,26 @@ def rowwise(fn):
     return statistic
 
 
+def batched_pearson(a, b, human, swaps):
+    """``rowwise(pearson)`` a chunk at a time: each resampled row is
+    centred, then correlated with the centred human vector by one matmul;
+    NaN where either side is constant."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    h = np.asarray(human, dtype=np.float64)
+    h = h - h.mean()
+    h_norm = float(h @ h)
+    rows_a, rows_b = [], []
+    for chunk in swaps:
+        for rows, x in ((rows_a, np.where(chunk, b, a)),
+                        (rows_b, np.where(chunk, a, b))):
+            x -= x.mean(axis=1, keepdims=True)
+            denominator = np.sqrt(np.einsum("ij,ij->i", x, x) * h_norm)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows.append(np.where(denominator == 0.0, np.nan, (x @ h) / denominator))
+    return np.concatenate(rows_a), np.concatenate(rows_b)
+
+
 def perm_both_oracle(metric_a, metric_b, human, correlation_fn, n_resamples, seed):
     """The scalar perm-both loop: one ``rng.random(n)`` draw and two calls of
     the scalar ``correlation_fn(x, human) -> float | None`` per attempt."""
@@ -684,10 +712,10 @@ def backward_ranking_loss(scorer, reference, better, worse, margin) -> float:
 def loss_values_oracle(scorer, example, config):
     """``(ce, forward, backward, total)`` of the objective from the three
     value-only losses above, through ``token_logprobs``."""
-    source = tokenize(example.src, config.lowercase)
-    reference = tokenize(example.ref, config.lowercase)
-    better = tokenize(example.sys_plus, config.lowercase)
-    worse = tokenize(example.sys_minus, config.lowercase)
+    source = tokenize(example.src, scorer.lowercase)
+    reference = tokenize(example.ref, scorer.lowercase)
+    better = tokenize(example.sys_plus, scorer.lowercase)
+    worse = tokenize(example.sys_minus, scorer.lowercase)
 
     ce = cross_entropy_loss(scorer, source, reference) if config.enable_ce else 0.0
     forward = (
@@ -714,10 +742,10 @@ def loss_terms_oracle(scorer, example, config):
     through ``token_logprobs`` (``loss_values_oracle``), then the gradient
     through ``token_logprob_gradients``, one sequence per call. Returns
     ``(ce, forward, backward, total)`` and the gradient."""
-    source = tokenize(example.src, config.lowercase)
-    reference = tokenize(example.ref, config.lowercase)
-    better = tokenize(example.sys_plus, config.lowercase)
-    worse = tokenize(example.sys_minus, config.lowercase)
+    source = tokenize(example.src, scorer.lowercase)
+    reference = tokenize(example.ref, scorer.lowercase)
+    better = tokenize(example.sys_plus, scorer.lowercase)
+    worse = tokenize(example.sys_minus, scorer.lowercase)
 
     def score_with_gradient(target, context):
         logprobs, gradients = scorer.token_logprob_gradients(target, context)
@@ -740,15 +768,15 @@ def loss_terms_oracle(scorer, example, config):
     return loss_values_oracle(scorer, example, config), grad
 
 
-def ranking_accuracy_oracle(scorer, examples, direction, lowercase):
+def ranking_accuracy_oracle(scorer, examples, direction):
     """``training.ranking_accuracy`` one example and one sequence at a time."""
     if not examples:
         return None
     correct = 0
     for example in examples:
-        reference = tokenize(example.ref, lowercase)
-        better = tokenize(example.sys_plus, lowercase)
-        worse = tokenize(example.sys_minus, lowercase)
+        reference = tokenize(example.ref, scorer.lowercase)
+        better = tokenize(example.sys_plus, scorer.lowercase)
+        worse = tokenize(example.sys_minus, scorer.lowercase)
         if direction == "forward":
             better_score = sequence_score(scorer, better, reference)
             worse_score = sequence_score(scorer, worse, reference)
@@ -842,10 +870,10 @@ def train_oracle(scorer, datasets, corpus=None, config=None):
             EpochValidation(
                 epoch=epoch,
                 forward_accuracy=ranking_accuracy_oracle(
-                    oracle, validation_pool, "forward", config.lowercase
+                    oracle, validation_pool, "forward"
                 ),
                 backward_accuracy=ranking_accuracy_oracle(
-                    oracle, validation_pool, "backward", config.lowercase
+                    oracle, validation_pool, "backward"
                 ),
             )
         )
@@ -856,8 +884,8 @@ def train_oracle(scorer, datasets, corpus=None, config=None):
             [
                 sequence_score(
                     oracle,
-                    tokenize(reference, config.lowercase),
-                    tokenize(source, config.lowercase),
+                    tokenize(reference, oracle.lowercase),
+                    tokenize(source, oracle.lowercase),
                 )
                 for source, reference in probe
             ]

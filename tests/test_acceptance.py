@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     TableScorer,
     backward_ranking_loss,
+    batched_pearson,
     central_difference_gradient,
     chrf_oracle,
     combined_loss,
@@ -22,11 +23,9 @@ from conftest import (
     forward_ranking_loss,
     kendall_tau_oracle,
     load_robustness_corpus,
-    pearson,
     random_mqm_eval_set,
     ranking_pair_count_oracle,
     robustness_corpus_rows,
-    rowwise,
     segment_bleu_oracle,
     separable_ranking_examples,
     write_corpus_files,
@@ -116,7 +115,7 @@ def test_criterion_03_perm_both_null_calibration():
         metric_a = list(quality + rng.normal(size=200))
         metric_b = list(quality + rng.normal(size=200))
         p = perm_both_test(
-            metric_a, metric_b, list(human), rowwise(pearson),
+            metric_a, metric_b, list(human), batched_pearson,
             n_resamples=1000, seed=trial,
         )
         if p < 0.05:

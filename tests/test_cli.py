@@ -696,7 +696,20 @@ def test_train_passes_only_the_given_settings(artefacts, tmp_path, monkeypatch):
     assert run("train", "--config", config, "--corpus", artefacts["bundle"],
                "--rankings", artefacts["rankings"], "--seed", 4, "--epochs", 2,
                "--out", tmp_path / "model") == EXIT_USAGE
-    assert given == {"seed": 4, "epochs": 2, "enable_ce": False, "lowercase": True}
+    assert given == {"seed": 4, "epochs": 2, "enable_ce": False}
+
+
+def test_train_builds_and_records_a_lowercasing_scorer(artefacts, tmp_path):
+    """The config's ``lowercase`` is the scorer's setting, kept in scorer.json."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lowercase": True}))
+    for options, lowercase in (((), False), (("--config", config), True)):
+        out = tmp_path / f"model-{lowercase}"
+        assert run("train", *options, "--corpus", artefacts["bundle"],
+                   "--rankings", artefacts["rankings"], "--seed", 4,
+                   "--out", out) == EXIT_OK
+        saved = json.loads((out / "scorer.json").read_text(encoding="utf-8"))
+        assert saved["lowercase"] is lowercase
 
 
 def test_quotes_round_trip_through_ingest_rankings_score(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    batched_pearson,
     kendall_tau_oracle,
     kendall_tau_scipy_oracle,
     load_robustness_corpus,
@@ -253,6 +254,34 @@ def test_perm_both_rough_null_calibration():
         if p < 0.05:
             rejections += 1
     assert 0 <= rejections / trials <= 0.12
+
+
+def test_batched_pearson_gives_the_p_values_of_rowwise_pearson():
+    """Criterion 3's statistic, on the first 20 of that criterion's trials."""
+    rng = np.random.default_rng(2024)
+    for trial in range(20):
+        human = list(rng.normal(size=200))
+        quality = rng.normal(size=200)
+        metric_a = list(quality + rng.normal(size=200))
+        metric_b = list(quality + rng.normal(size=200))
+        batched, scalar = (
+            perm_both_test(metric_a, metric_b, human, statistic, 1000, seed=trial)
+            for statistic in (batched_pearson, rowwise(pearson))
+        )
+        assert batched == scalar
+
+
+def test_batched_pearson_is_nan_where_pearson_is_undefined():
+    a, b, human = [1.0, 1.0, 1.0], [1.0, 2.0, 4.0], [0.5, 2.0, 1.0]
+    swaps = [np.array([[False] * 3, [True, False, False], [False, True, True]])]
+    batched = batched_pearson(a, b, human, swaps)
+    scalar = rowwise(pearson)(a, b, human, swaps)
+    for got, want in zip(batched, scalar):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    flat = batched_pearson(a, b, [3.0, 3.0, 3.0], swaps)
+    assert np.isnan(np.concatenate(flat)).all()
 
 
 def test_perm_both_validates_input():

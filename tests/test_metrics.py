@@ -625,18 +625,19 @@ def test_prism_symmetry_random():
 
 def test_bleu_identical_is_100():
     hyps = ["the cat sat on the mat", "a quick brown fox"]
-    assert bleu(hyps, hyps, level="corpus") == pytest.approx(100.0)
-    assert bleu(hyps, hyps, level="segment") == pytest.approx(100.0)
+    assert bleu(hyps, hyps) == pytest.approx(100.0)
+    for hyp in hyps:
+        assert segment_bleu(hyp, hyp) == pytest.approx(100.0)
 
 
 def test_bleu_disjoint_is_0():
-    assert bleu(["aa bb cc dd"], ["xx yy zz ww"], level="corpus") == 0.0
+    assert bleu(["aa bb cc dd"], ["xx yy zz ww"]) == 0.0
     assert segment_bleu("aa bb cc dd", "xx yy zz ww") == 0.0
 
 
 def test_bleu_partial_overlap_matches_oracle():
     hyp, ref = "the cat sat", "the cat sat down"
-    assert bleu([hyp], [ref], level="corpus") == pytest.approx(
+    assert bleu([hyp], [ref]) == pytest.approx(
         corpus_bleu_oracle([hyp], [ref]), abs=1e-9
     )
 
@@ -650,7 +651,7 @@ def test_bleu_matches_oracle_on_random_pairs():
     vocabulary = ["the", "cat", "dog", "sat", "ran", "fast", "mat", "on"]
     hyps = [_random_sentence(rng, vocabulary) for _ in range(50)]
     refs = [_random_sentence(rng, vocabulary) for _ in range(50)]
-    assert bleu(hyps, refs, level="corpus") == pytest.approx(
+    assert bleu(hyps, refs) == pytest.approx(
         corpus_bleu_oracle(hyps, refs), abs=1e-9
     )
     for hyp, ref in zip(hyps, refs):
@@ -670,8 +671,6 @@ def test_bleu_range_and_validation():
         bleu([], [])
     with pytest.raises(ValueError):
         bleu(["a"], ["a", "b"])
-    with pytest.raises(ValueError):
-        bleu(["a"], ["a"], level="document")
 
 
 def test_bleu_invariant_under_token_relabeling():

@@ -172,7 +172,6 @@ def test_split_clamps_oversized_holdout():
     dataset = split_holdout(_dummy_rankings(10), holdout_size=20, seed=1)
     assert dataset.train == ()
     assert len(dataset.validation) == 10
-    assert dataset.holdout_size == 10
 
 
 def test_split_negative_holdout_rejected():

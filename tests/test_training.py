@@ -366,12 +366,12 @@ def test_fused_loss_terms_match_two_pass_oracle():
 
 
 def _enabled_pairs(example, config):
-    reference = tokenize(example.ref, config.lowercase)
-    better = tokenize(example.sys_plus, config.lowercase)
-    worse = tokenize(example.sys_minus, config.lowercase)
+    reference = tokenize(example.ref)
+    better = tokenize(example.sys_plus)
+    worse = tokenize(example.sys_minus)
     pairs = []
     if config.enable_ce:
-        pairs.append((reference, tokenize(example.src, config.lowercase)))
+        pairs.append((reference, tokenize(example.src)))
     if config.enable_forward:
         pairs += [(better, reference), (worse, reference)]
     if config.enable_backward:
@@ -473,7 +473,7 @@ def test_round_robin_schedule_with_upsampling():
     assert small_sizes == [32, 32, 32, 32]  # upsampled by resampling
 
 
-def _mixed_case_dataset(n_examples=40, holdout=10, seed=5):
+def _mixed_case_dataset(n_examples=40, holdout=10, seed=5, lowercase=False):
     """Separable examples, some of their words capitalised, with repeats."""
     examples, texts = separable_ranking_examples(n_examples, seed=seed)
     examples = [
@@ -486,7 +486,7 @@ def _mixed_case_dataset(n_examples=40, holdout=10, seed=5):
     ]
     examples += examples[:5]
     dataset = split_holdout(examples, holdout_size=holdout, seed=seed)
-    return {"xx-yy": dataset}, ToyScorer.from_texts(texts)
+    return {"xx-yy": dataset}, ToyScorer.from_texts(texts, lowercase=lowercase)
 
 
 @pytest.mark.parametrize("batch_size", [1, 7])
@@ -495,14 +495,13 @@ def _mixed_case_dataset(n_examples=40, holdout=10, seed=5):
     "ablation", ABLATION_CONFIGS, ids=lambda a: "-".join(k[7:] for k in a if a[k])
 )
 def test_batched_training_matches_per_example_oracle(ablation, lowercase, batch_size):
-    datasets, scorer = _mixed_case_dataset()
+    datasets, scorer = _mixed_case_dataset(lowercase=lowercase)
     config = TrainingConfig(
         seed=3,
         epochs=2,
         batch_size=batch_size,
         epsilon=1.0,  # keeps hinges active past the first steps
         learning_rate=0.5,
-        lowercase=lowercase,
         **ablation,
     )
     trained, report = train(scorer, datasets, config=config)
@@ -510,6 +509,39 @@ def test_batched_training_matches_per_example_oracle(ablation, lowercase, batch_
     assert trained.theta.tobytes() == expected.theta.tobytes()
     assert report.to_dict() == expected_report.to_dict()
     assert not np.array_equal(trained.theta, scorer.theta)
+
+
+def test_training_tokenizes_as_the_scorer_does():
+    """A lowercasing scorer trains on mixed-case rankings exactly as on the
+    same rankings lowercased beforehand."""
+    datasets, scorer = _mixed_case_dataset(lowercase=True)
+
+    def lowered(examples):
+        return tuple(
+            dataclasses.replace(
+                e, src=e.src.lower(), ref=e.ref.lower(),
+                sys_plus=e.sys_plus.lower(), sys_minus=e.sys_minus.lower(),
+            )
+            for e in examples
+        )
+
+    lowercased = {
+        lang_pair: dataclasses.replace(
+            dataset,
+            train=lowered(dataset.train),
+            validation=lowered(dataset.validation),
+        )
+        for lang_pair, dataset in datasets.items()
+    }
+    assert lowercased != datasets
+    config = TrainingConfig(
+        seed=3, epochs=2, batch_size=7, epsilon=1.0, learning_rate=0.5
+    )
+    trained, report = train(scorer, datasets, config=config)
+    expected, expected_report = train(scorer, lowercased, config=config)
+    assert trained.theta.tobytes() == expected.theta.tobytes()
+    assert report.to_dict() == expected_report.to_dict()
+    assert trained.lowercase
 
 
 def test_batched_training_matches_oracle_with_upsampling_and_corpus(tmp_path):
