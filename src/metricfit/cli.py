@@ -129,7 +129,11 @@ def _number(kind: type, test=None, rule: str = ""):
 
 def _metrics(name: str, value) -> list[str]:
     if isinstance(value, str):
-        names = [part.strip() for part in value.split(",") if part.strip()]
+        names = [part.strip() for part in value.split(",")]
+        if "" in names:
+            raise UsageError(
+                f"{name} has an empty entry (number {names.index('') + 1}) in {value!r}"
+            )
     elif isinstance(value, list) and all(isinstance(item, str) for item in value):
         names = value
     else:

@@ -18,12 +18,11 @@ import bisect
 import copy
 import itertools
 import math
-import operator
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -45,6 +44,9 @@ LN2 = math.log(2.0)
 _BLOCK_CELLS = 1 << 13
 _CANCELLATION = 8.0
 _TINY = 2.0**-960
+# chrF and BLEU count the n-grams of a call's pairs in chunks whose distinct
+# texts hold at most this many units (characters or tokens), or one pair's.
+_CHUNK_UNITS = 1 << 13
 
 EOS_TOKEN = "</s>"
 BOS_TOKEN = "<s>"
@@ -518,100 +520,150 @@ class ToyScorer:
             raise ArtefactError(path, None, f"not a scorer: {err}") from None
 
 
-class _Ids(dict):
-    """Interned n-gram keys: each key gets the next integer on first lookup."""
-
-    def __missing__(self, key):
-        self[key] = value = len(self)
-        return value
+def _chrf_units(text: str) -> np.ndarray:
+    """chrF's units of a text: its NFC code points, whitespace removed."""
+    chars = "".join(unicodedata.normalize("NFC", text).split())
+    return np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), np.uint32)
 
 
-# One order's n-grams of a text, as interned keys: each distinct n-gram once,
-# and the count of each n-gram that occurs more than once. A tuple, not a
-# set: a kept set of 40 keys takes about 2 KiB, the tuple about 0.4 KiB, and
-# a pair builds the one set its intersection needs.
-_Grams = tuple[tuple[int, ...], dict[int, int]]
+def _bleu_units(text: str, ids: dict[str, int]) -> np.ndarray:
+    """BLEU's units of a text: its tokens, each interned in ``ids``."""
+    return np.array(
+        [ids.setdefault(token, len(ids)) for token in tokenize(text)], np.int64
+    )
 
 
-class _Profile(NamedTuple):
-    """The n-grams of one text, orders 1..max_order (:func:`_ngram_profile`)."""
+def _ngram_matches(
+    units: Sequence[np.ndarray],
+    hyp_index: np.ndarray,
+    ref_index: np.ndarray,
+    max_order: int,
+) -> np.ndarray:
+    """Clipped n-gram matches of text pairs, orders 1..max_order.
 
-    length: int  # characters (chrF) or tokens (BLEU)
-    grams: tuple[_Grams, ...]
-    totals: tuple[int, ...]  # per order: the number of n-grams in the text
-
-
-def _ngram_profile(
-    units: str | tuple[str, ...], max_order: int, ids: _Ids, grow: bool
-) -> _Profile:
-    """Profile of a character string or token tuple.
-
-    n-grams are interned in ``ids``. With ``grow`` false, n-grams that
-    ``ids`` lacks are left out: no profile built with ``grow`` holds them,
-    so no match against one is lost, and ``ids`` does not grow for a text
-    used once. The totals count every n-gram.
+    ``units`` holds one int array per text; pair i is text ``hyp_index[i]``
+    against text ``ref_index[i]``. Entry [i, n - 1] of the result is the
+    sum over n-grams g of min(count of g in the hypothesis, count of g in
+    the reference). Every count is an exact integer.
     """
-    key = ids.__getitem__ if grow else ids.get
-    unigrams = [units[i : i + 1] for i in range(len(units))]
-    ngrams = unigrams
-    grams, totals = [], []
+    n_texts, n_pairs = len(units), len(hyp_index)
+    matches = np.zeros((n_pairs, max_order), np.int64)
+    lengths = np.array([len(u) for u in units], np.int64)
+    flat = np.concatenate([np.zeros(0, np.int64), *units])
+    text = np.repeat(np.arange(n_texts), lengths)
+    # the units left in its text from each position on, itself included
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(flat))
+    distinct, unigram = np.unique(flat, return_inverse=True)
+    position, gram = np.arange(len(flat)), unigram  # the n-grams' starts and ids
     for order in range(1, max_order + 1):
-        if order > 1:  # each (order - 1)-gram extended by the unit after it
-            ngrams = list(map(operator.add, ngrams, unigrams[order - 1 :]))
-        counts = Counter(map(key, ngrams))
-        counts.pop(None, None)
-        repeats = {}
-        if len(counts) < len(ngrams):
-            repeats = {gram: count for gram, count in counts.items() if count > 1}
-        grams.append((tuple(counts), repeats))
-        totals.append(len(ngrams))
-    return _Profile(len(units), tuple(grams), tuple(totals))
-
-
-def _clipped_matches(hyp: _Grams, ref: _Grams) -> int:
-    """sum over n-grams g of min(hyp count of g, ref count of g): one per
-    shared n-gram, plus the occurrences beyond the first that both repeat."""
-    (hyp_keys, hyp_repeats), (ref_keys, ref_repeats) = hyp, ref
-    matches = len(set(hyp_keys).intersection(ref_keys))
-    for gram in hyp_repeats.keys() & ref_repeats.keys():
-        matches += min(hyp_repeats[gram], ref_repeats[gram]) - 1
+        if order > 1:  # each (order - 1)-gram with a unit after it, extended
+            keep = left[position] >= order
+            position = position[keep]
+            extended = gram[keep] * len(distinct) + unigram[position + order - 1]
+            _, gram = np.unique(extended, return_inverse=True)
+        if not len(position):
+            break
+        # (text, n-gram) keys with their counts, sorted, and each text's rows
+        n_grams = gram.max() + 1
+        keys, counts = np.unique(text[position] * n_grams + gram, return_counts=True)
+        row_starts = keys.searchsorted(np.arange(n_texts + 1) * n_grams)
+        # each pair's hypothesis rows, looked up among its reference's
+        first = row_starts[hyp_index]
+        n_rows = row_starts[hyp_index + 1] - first
+        rows = _ranges(first, n_rows)
+        needles = (ref_index * n_grams).repeat(n_rows) + keys[rows] % n_grams
+        found = np.minimum(keys.searchsorted(needles), len(keys) - 1)
+        shared = np.minimum(counts[rows], counts[found] * (keys[found] == needles))
+        sums = np.concatenate(([0], shared.cumsum()))
+        ends = n_rows.cumsum()
+        matches[:, order - 1] = sums[ends] - sums[ends - n_rows]
     return matches
 
 
-def _bleu_profile(text: str, lowercase: bool, ids: _Ids, grow: bool) -> _Profile:
-    return _ngram_profile(tokenize(text, lowercase), _BLEU_ORDER, ids, grow)
+# per pair: its hypothesis's units, its reference's, its matches of each order
+_PairCounts = tuple[list[int], list[int], list[list[int]]]
 
 
-def _chrf_profile(text: str, ids: _Ids, grow: bool) -> _Profile:
-    chars = "".join(unicodedata.normalize("NFC", text).split())
-    return _ngram_profile(chars, _CHRF_ORDER, ids, grow)
+def _chunks(
+    pairs: Sequence[tuple[str, str]], units: Mapping[str, np.ndarray]
+) -> Iterator[tuple[list[int], dict[str, int]]]:
+    """The positions of the pairs, grouped by reference, in consecutive
+    chunks whose distinct texts hold at most ``_CHUNK_UNITS`` units, or one
+    pair's texts if those hold more; each with its texts, numbered."""
+    rank = {text: i for i, text in enumerate(units)}
+    chunk: list[int] = []
+    members: dict[str, int] = {}
+    size = 0
+    for i in sorted(range(len(pairs)), key=lambda i: rank[pairs[i][1]]):
+        texts = dict.fromkeys(pairs[i])
+        grow = sum(len(units[text]) for text in texts if text not in members)
+        if chunk and size + grow > _CHUNK_UNITS:
+            yield chunk, members
+            chunk, members, size = [], {}, 0
+            grow = sum(len(units[text]) for text in texts)
+        for text in texts:
+            members.setdefault(text, len(members))
+        chunk.append(i)
+        size += grow
+    if chunk:
+        yield chunk, members
 
 
-def segment_bleu(hypothesis: str, reference: str, lowercase: bool = False) -> float:
+def _pair_counts(
+    pairs: Sequence[tuple[str, str]],
+    encode: Callable[[str], np.ndarray],
+    max_order: int,
+) -> _PairCounts:
+    """Per (hypothesis, reference) pair: the units of its hypothesis and of
+    its reference, and its clipped n-gram matches of each order.
+
+    ``encode`` turns a text into its int units; each distinct text is
+    encoded once. Each chunk of :func:`_chunks` is one
+    :func:`_ngram_matches` call, which bounds the memory a call takes.
+    """
+    units: dict[str, np.ndarray] = {}
+    for pair in pairs:
+        for text in pair:
+            if text not in units:
+                units[text] = encode(text)
+    matches = np.zeros((len(pairs), max_order), np.int64)
+    for chunk, members in _chunks(pairs, units):
+        index = np.array([[members[text] for text in pairs[i]] for i in chunk])
+        matches[chunk] = _ngram_matches(
+            [units[text] for text in members], index[:, 0], index[:, 1], max_order
+        )
+    return (
+        [len(units[hypothesis]) for hypothesis, _ in pairs],
+        [len(units[reference]) for _, reference in pairs],
+        matches.tolist(),
+    )
+
+
+def _bleu_counts(pairs: Sequence[tuple[str, str]]) -> _PairCounts:
+    ids: dict[str, int] = {}
+    return _pair_counts(pairs, lambda text: _bleu_units(text, ids), _BLEU_ORDER)
+
+
+def segment_bleu(hypothesis: str, reference: str) -> float:
     """Sentence-level 4-gram BLEU with add-one smoothing on orders >= 2.
 
     The unigram precision is left unsmoothed so that a hypothesis sharing no
     word with its reference still scores 0.
     """
-    ids = _Ids()
-    ref = _bleu_profile(reference, lowercase, ids, True)
-    hyp = _bleu_profile(hypothesis, lowercase, ids, False)
-    return _segment_bleu_score(hyp, ref)
+    return BleuMetric().score_pairs([(hypothesis, reference)])[0]
 
 
-def _segment_bleu_score(hyp: _Profile, ref: _Profile) -> float:
+def _segment_bleu_score(hyp_len: int, ref_len: int, matches: list[int]) -> float:
     log_precisions = []
-    for order, hyp_grams, ref_grams, total in zip(
-        range(1, _BLEU_ORDER + 1), hyp.grams, ref.grams, hyp.totals
-    ):
-        matches = _clipped_matches(hyp_grams, ref_grams)
+    for order, matched in enumerate(matches, 1):
+        total = max(hyp_len - order + 1, 0)
         if order >= 2:
-            matches += 1
+            matched += 1
             total += 1
-        if matches == 0 or total == 0:
+        if matched == 0 or total == 0:
             return 0.0
-        log_precisions.append(math.log(matches / total))
-    return 100.0 * _brevity_penalty(hyp.length, ref.length) * math.exp(
+        log_precisions.append(math.log(matched / total))
+    return 100.0 * _brevity_penalty(hyp_len, ref_len) * math.exp(
         sum(log_precisions) / _BLEU_ORDER
     )
 
@@ -624,9 +676,7 @@ def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / hyp_len)
 
 
-def bleu(
-    hypotheses: Sequence[str], references: Sequence[str], lowercase: bool = False
-) -> float:
+def bleu(hypotheses: Sequence[str], references: Sequence[str]) -> float:
     """Corpus BLEU in [0, 100]: the standard unsmoothed 4-gram geometric mean
     of precisions over pooled counts, times the brevity penalty. Segment
     scores use the smoothed :func:`segment_bleu`."""
@@ -637,22 +687,18 @@ def bleu(
             f"hypotheses and references differ in length: "
             f"{len(hypotheses)} vs {len(references)}"
         )
-    matches = [0] * _BLEU_ORDER
-    totals = [0] * _BLEU_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hypothesis, reference in zip(hypotheses, references):
-        ids = _Ids()
-        ref = _bleu_profile(reference, lowercase, ids, True)
-        hyp = _bleu_profile(hypothesis, lowercase, ids, False)
-        hyp_len += hyp.length
-        ref_len += ref.length
-        for order in range(_BLEU_ORDER):
-            matches[order] += _clipped_matches(hyp.grams[order], ref.grams[order])
-            totals[order] += hyp.totals[order]
+    hyp_lengths, ref_lengths, pair_matches = _bleu_counts(
+        list(zip(hypotheses, references))
+    )
+    matches = [sum(column) for column in zip(*pair_matches)]
+    totals = [
+        sum(max(length - order + 1, 0) for length in hyp_lengths)
+        for order in range(1, _BLEU_ORDER + 1)
+    ]
     if any(m == 0 or t == 0 for m, t in zip(matches, totals)):
         return 0.0
     log_mean = sum(math.log(m / t) for m, t in zip(matches, totals)) / _BLEU_ORDER
+    hyp_len, ref_len = sum(hyp_lengths), sum(ref_lengths)
     return 100.0 * _brevity_penalty(hyp_len, ref_len) * math.exp(log_mean)
 
 
@@ -664,24 +710,19 @@ def chrf(hypothesis: str, reference: str) -> float:
     averaged over the orders for which the reference has at least one
     n-gram. Two empty strings count as a perfect match.
     """
-    ids = _Ids()
-    ref = _chrf_profile(reference, ids, True)
-    hyp = _chrf_profile(hypothesis, ids, False)
-    return _chrf_score(hyp, ref)
+    return ChrfMetric().score_pairs([(hypothesis, reference)])[0]
 
 
-def _chrf_score(hyp: _Profile, ref: _Profile) -> float:
+def _chrf_score(hyp_len: int, ref_len: int, matches: list[int]) -> float:
     beta = _CHRF_BETA
-    if not hyp.length and not ref.length:
+    if not hyp_len and not ref_len:
         return 100.0
 
     f_scores = []
-    for hyp_grams, ref_grams, hyp_total, ref_total in zip(
-        hyp.grams, ref.grams, hyp.totals, ref.totals
-    ):
-        if not ref_total:
-            continue
-        matched = _clipped_matches(hyp_grams, ref_grams)
+    # the orders of which the reference has at least one n-gram
+    for order, matched in enumerate(matches[:ref_len], 1):
+        hyp_total = max(hyp_len - order + 1, 0)
+        ref_total = ref_len - order + 1
         precision = matched / hyp_total if hyp_total else 0.0
         recall = matched / ref_total
         denominator = beta * beta * precision + recall
@@ -733,69 +774,33 @@ class Metric(Protocol):
 
 
 @dataclass(frozen=True)
-class _ProfileCache:
-    """The n-gram profiles one metric object will use again, keyed by text.
+class BleuMetric:
+    """Segment-level BLEU (:func:`segment_bleu`). It keeps no state between
+    calls: each ``score_pairs`` call encodes its distinct texts once and
+    counts their n-grams in bounded chunks."""
 
-    A reference text's profile is kept for the object's lifetime, and so is
-    a hypothesis text's from the second time the object sees it. A text
-    seen once as a hypothesis is profiled for that pair and dropped, so
-    scoring many one-off hypotheses against few references holds only the
-    references. Each pair then costs a clipped intersection per order.
-    The metric dataclasses are frozen, as a setting changed after profiles
-    were kept would leave them stale.
-    """
-
-    _ids: _Ids = field(default_factory=_Ids, init=False, repr=False, compare=False)
-    _profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _seen: set = field(default_factory=set, init=False, repr=False, compare=False)
-
-    def _profile(self, text: str, grow: bool) -> _Profile:
-        raise NotImplementedError
+    metric_id: str = "bleu"
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        """``segment_score`` of each pair, in order."""
-        return [self.segment_score(*pair) for pair in pairs]
-
-    def _pair(self, hypothesis: str, reference: str) -> tuple[_Profile, _Profile]:
-        profiles = self._profiles
-        # The reference first: a one-off hypothesis is built without adding
-        # interned keys, so the reference's keys must be there already.
-        ref = profiles.get(reference)
-        if ref is None:
-            ref = profiles[reference] = self._profile(reference, True)
-            self._seen.discard(reference)
-        hyp = profiles.get(hypothesis)
-        if hyp is None:
-            if hypothesis in self._seen:
-                self._seen.remove(hypothesis)
-                hyp = profiles[hypothesis] = self._profile(hypothesis, True)
-            else:
-                self._seen.add(hypothesis)
-                hyp = self._profile(hypothesis, False)
-        return hyp, ref
-
-
-@dataclass(frozen=True)
-class BleuMetric(_ProfileCache):
-    metric_id: str = "bleu"
-    lowercase: bool = False
-
-    def _profile(self, text: str, grow: bool) -> _Profile:
-        return _bleu_profile(text, self.lowercase, self._ids, grow)
+        """:func:`segment_bleu` of each pair, in order."""
+        return list(map(_segment_bleu_score, *_bleu_counts(pairs)))
 
     def segment_score(self, hypothesis: str, reference: str) -> float:
-        return _segment_bleu_score(*self._pair(hypothesis, reference))
+        return self.score_pairs([(hypothesis, reference)])[0]
 
 
 @dataclass(frozen=True)
-class ChrfMetric(_ProfileCache):
+class ChrfMetric:
+    """Segment-level chrF (:func:`chrf`), stateless like :class:`BleuMetric`."""
+
     metric_id: str = "chrf"
 
-    def _profile(self, text: str, grow: bool) -> _Profile:
-        return _chrf_profile(text, self._ids, grow)
+    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        """:func:`chrf` of each pair, in order."""
+        return list(map(_chrf_score, *_pair_counts(pairs, _chrf_units, _CHRF_ORDER)))
 
     def segment_score(self, hypothesis: str, reference: str) -> float:
-        return _chrf_score(*self._pair(hypothesis, reference))
+        return self.score_pairs([(hypothesis, reference)])[0]
 
 
 class PrismMetric:

@@ -998,8 +998,8 @@ def chrf_oracle(hypothesis: str, reference: str, beta: float = 2.0) -> float:
     return 100.0 * sum(f_scores) / len(f_scores)
 
 
-# The Counter-based BLEU and chrF that the profiled metrics replaced, kept
-# verbatim as bit-for-bit oracles: same integer counts, same float operations.
+# Counter-based BLEU and chrF, the bit-for-bit oracles of the batched metrics:
+# same integer counts, same float operations.
 
 
 def _counter_ngrams(units, order) -> Counter:
@@ -1015,10 +1015,10 @@ def _counter_brevity_penalty(hyp_len: int, ref_len: int) -> float:
 
 
 def segment_bleu_counter_oracle(
-    hypothesis: str, reference: str, max_order: int = 4, lowercase: bool = False
+    hypothesis: str, reference: str, max_order: int = 4
 ) -> float:
-    hyp_tokens = tokenize(hypothesis, lowercase)
-    ref_tokens = tokenize(reference, lowercase)
+    hyp_tokens = tokenize(hypothesis)
+    ref_tokens = tokenize(reference)
     log_precisions = []
     for order in range(1, max_order + 1):
         hyp_counts = _counter_ngrams(hyp_tokens, order)
@@ -1036,16 +1036,14 @@ def segment_bleu_counter_oracle(
     )
 
 
-def corpus_bleu_counter_oracle(
-    hypotheses, references, max_order: int = 4, lowercase: bool = False
-) -> float:
+def corpus_bleu_counter_oracle(hypotheses, references, max_order: int = 4) -> float:
     matches = [0] * max_order
     totals = [0] * max_order
     hyp_len = 0
     ref_len = 0
     for hypothesis, reference in zip(hypotheses, references):
-        hyp_tokens = tokenize(hypothesis, lowercase)
-        ref_tokens = tokenize(reference, lowercase)
+        hyp_tokens = tokenize(hypothesis)
+        ref_tokens = tokenize(reference)
         hyp_len += len(hyp_tokens)
         ref_len += len(ref_tokens)
         for order in range(1, max_order + 1):

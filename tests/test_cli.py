@@ -498,6 +498,15 @@ MALFORMED = [
     ("robustness-repeated-metric",
      lambda t, a: _flags(t, a, "robustness", "--metrics", "chrf,chrf"),
      EXIT_USAGE, "metric given more than once: chrf"),
+    ("score-empty-metric",
+     lambda t, a: _flags(t, a, "score", "--metrics", "bleu,,chrf"),
+     EXIT_USAGE, "metrics has an empty entry (number 2) in 'bleu,,chrf'"),
+    ("score-trailing-comma-metric",
+     lambda t, a: _flags(t, a, "score", "--metrics", "bleu,"),
+     EXIT_USAGE, "metrics has an empty entry (number 2) in 'bleu,'"),
+    ("robustness-comma-metric",
+     lambda t, a: _flags(t, a, "robustness", "--metrics", ","),
+     EXIT_USAGE, "metrics has an empty entry (number 1) in ','"),
     ("robustness-zero-resamples",
      lambda t, a: _flags(t, a, "robustness", "--resamples", 0),
      EXIT_USAGE, "resamples must be at least 1, got 0"),

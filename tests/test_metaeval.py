@@ -22,7 +22,6 @@ from conftest import (
     rowwise,
 )
 from metricfit import metaeval
-from metricfit import metrics as metrics_module
 from metricfit.corpus import error_free_translations
 from metricfit.metaeval import (
     JudgmentTable,
@@ -652,28 +651,6 @@ def test_robustness_report_scores_each_pair_once(tmp_path):
         assert metric.batches == 1, metric.metric_id
         assert metric.calls
         assert max(metric.calls.values()) == 1, metric.metric_id
-
-
-def test_robustness_report_profiles_each_text_at_most_twice(tmp_path, monkeypatch):
-    """A text is profiled once as a one-off hypothesis, then once for keeps."""
-    eval_set = load_robustness_corpus(tmp_path, n_systems=6, n_segments=30)
-    builds = Counter()
-    for name in ("_bleu_profile", "_chrf_profile"):
-        build = getattr(metrics_module, name)
-
-        def counting(text, *args, build=build):
-            builds[(id(args[-2]), text)] += 1  # args[-2]: the object's interned keys
-            return build(text, *args)
-
-        monkeypatch.setattr(metrics_module, name, counting)
-    chrf_metric, bleu_metric = ChrfMetric(), BleuMetric()
-    robustness_report(eval_set, [bleu_metric, chrf_metric], seed=4, n_resamples=5)
-    owners = {id(chrf_metric._ids), id(bleu_metric._ids)}
-    assert {owner for owner, _ in builds} == owners
-    assert max(builds.values()) == 2
-    texts = {tr.text for tr in eval_set.translations.values()}
-    texts |= {ref.text for ref in eval_set.references.values()}
-    assert {text for _, text in builds} <= texts
 
 
 def test_robustness_report_builds_error_free_index_once_per_context(

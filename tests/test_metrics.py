@@ -1,5 +1,6 @@
 """Tests for sequence scoring, the toy scorer, and the BLEU/chrF baselines."""
 
+import collections
 import dataclasses
 import functools
 import math
@@ -8,7 +9,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,6 +23,7 @@ from conftest import (
     segment_bleu_counter_oracle,
     segment_bleu_oracle,
     separable_ranking_examples,
+    load_robustness_corpus,
     load_tiny_corpus,
     toy_dense_score_oracle,
     toy_logprob_oracle,
@@ -726,10 +728,11 @@ def test_chrf_invariant_under_character_relabeling():
     )
 
 
-# Profiled BLEU and chrF: the Counter oracles bit for bit, with texts that
-# repeat, are empty or whitespace only, differ only in NFC form, or in case.
+# Batched BLEU and chrF: the Counter oracles bit for bit, with texts that
+# repeat, are empty or whitespace only, differ only in NFC form or in case,
+# or hold astral characters or lone surrogates.
 _ATOMS = ["der", "Der", "DER", "hund", "Hund", "ab", "ba", "a",
-          "caf\u00e9", "cafe\u0301", "Caf\u00e9"]
+          "caf\u00e9", "cafe\u0301", "Caf\u00e9", "\U0001d11e", "x\ud800"]
 _TEXTS = st.one_of(
     st.sampled_from(["", " ", "\t \n", "caf\u00e9", "cafe\u0301", "a  b", "a b"]),
     st.lists(st.sampled_from(_ATOMS), max_size=8).map(" ".join),
@@ -745,18 +748,16 @@ def _text_pairs(draw):
     return [(pool[draw(index)], pool[draw(index)]) for _ in range(n_pairs)]
 
 
-_PROFILED = [
+_BATCHED = [
     (ChrfMetric(), chrf_counter_oracle),
     (BleuMetric(), segment_bleu_counter_oracle),
-    (BleuMetric(lowercase=True),
-     lambda hyp, ref: segment_bleu_counter_oracle(hyp, ref, lowercase=True)),
 ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(pairs=_text_pairs(), order=st.randoms(use_true_random=False))
 def test_profiled_metrics_match_counter_oracles_bit_for_bit(pairs, order):
-    for template, oracle in _PROFILED:
+    for template, oracle in _BATCHED:
         metric = dataclasses.replace(template)  # one object across all pairs
         scores = [metric.segment_score(hyp, ref).hex() for hyp, ref in pairs]
         assert scores == [oracle(hyp, ref).hex() for hyp, ref in pairs]
@@ -771,35 +772,109 @@ def test_profiled_metrics_match_counter_oracles_bit_for_bit(pairs, order):
         ]
         assert fresh == scores
     hyps, refs = zip(*pairs)
-    for lowercase in (False, True):
-        assert bleu(hyps, refs, lowercase=lowercase).hex() == corpus_bleu_counter_oracle(
-            hyps, refs, lowercase=lowercase
-        ).hex()
+    assert bleu(hyps, refs).hex() == corpus_bleu_counter_oracle(hyps, refs).hex()
     for hyp, ref in pairs:
         assert chrf(hyp, ref).hex() == chrf_counter_oracle(hyp, ref).hex()
         assert segment_bleu(hyp, ref).hex() == segment_bleu_counter_oracle(hyp, ref).hex()
 
 
-@pytest.mark.parametrize("template", [ChrfMetric(), BleuMetric()], ids=repr)
-def test_profiled_metric_keeps_references_and_repeated_hypotheses(template):
-    metric = dataclasses.replace(template)
-    for i in range(50):
-        metric.segment_score(f"hyp{i} der hund", "der hund läuft")
-    assert list(metric._profiles) == ["der hund läuft"]
+# More characters and more tokens than the default chunk bound, on its own.
+_LONG = " ".join(["der", "hund", "ab", "ba"] * 2_100)
+_EDGE_PAIRS = [
+    ("", ""), (" ", "\t \n"), ("", "der hund"), ("der hund", " "),
+    ("der hund", "der hund"), ("a b", "ab"),
+    ("\u00e9", "\u00e9"), ("\u00e9", "e\u0301"), ("e\u0301 e", "\u00e9e"),
+    ("\U0001d11e ab", "ab \U0001d11e"), ("\U0001d11e", "\U0001d11e"),
+    ("\ud800", "\ud800 a"), ("a\udfffb", "a\udfff b"), ("\ud800", "\udfff"),
+    ("der hund ab", _LONG), (_LONG, _LONG), (_LONG, "der hund"), ("", _LONG),
+]
 
-    metric.segment_score("die katze", "der hund läuft")
-    assert "die katze" not in metric._profiles
-    metric.segment_score("die katze", "der hund")
-    assert set(metric._profiles) == {"der hund läuft", "der hund", "die katze"}
+
+@pytest.mark.parametrize("bound", [1, 7, metrics_module._CHUNK_UNITS])
+@settings(max_examples=40, deadline=None)
+@given(pairs=_text_pairs(), order=st.randoms(use_true_random=False))
+@example(pairs=_EDGE_PAIRS, order=random.Random(0))
+def test_batched_metrics_match_counter_oracles_at_every_chunk_bound(bound, pairs, order):
+    """One ``score_pairs`` call gives each pair the oracle's bits, whatever
+    the chunk bound and the order of the pairs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics_module, "_CHUNK_UNITS", bound)
+        for metric, oracle in _BATCHED:
+            scores = _hexes(metric.score_pairs(pairs))
+            assert scores == [oracle(hyp, ref).hex() for hyp, ref in pairs]
+            positions = list(range(len(pairs)))
+            order.shuffle(positions)
+            shuffled = _hexes(metric.score_pairs([pairs[i] for i in positions]))
+            assert [scores[i] for i in positions] == shuffled
+        hyps, refs = zip(*pairs)
+        assert bleu(hyps, refs).hex() == corpus_bleu_counter_oracle(hyps, refs).hex()
 
 
-def test_profiled_metric_objects_share_no_state():
-    first, second = ChrfMetric(), ChrfMetric()
-    first.segment_score("der hund", "der hund")
-    first.segment_score("die katze", "der hund")
-    assert first._profiles and first._ids and first._seen
-    assert not (second._profiles or second._ids or second._seen)
-    assert BleuMetric()._ids is not BleuMetric()._ids
+@pytest.mark.parametrize(
+    "metric, encoder", [(ChrfMetric(), "_chrf_units"), (BleuMetric(), "_bleu_units")]
+)
+def test_score_pairs_encodes_each_distinct_text_once(metric, encoder, monkeypatch):
+    encoded = collections.Counter()
+    encode = getattr(metrics_module, encoder)
+
+    def counting(text, *args):
+        encoded[text] += 1
+        return encode(text, *args)
+
+    monkeypatch.setattr(metrics_module, encoder, counting)
+    monkeypatch.setattr(metrics_module, "_CHUNK_UNITS", 10)  # several chunks
+    texts = ["der hund", "die katze", "der hund läuft", "", "die katze schläft"]
+    pairs = [(hyp, ref) for hyp in texts for ref in texts[:3]] * 2
+    metric.score_pairs(pairs)
+    assert encoded == dict.fromkeys(texts, 1)
+
+
+def test_metric_objects_hold_only_their_id_and_repeat_their_bits():
+    pairs = [("der hund", "der hund läuft"), ("die katze", "der hund")] * 3
+    for metric in (ChrfMetric(), BleuMetric()):
+        first = _hexes(metric.score_pairs(pairs))
+        assert vars(metric) == {"metric_id": metric.metric_id}
+        assert _hexes(metric.score_pairs(pairs)) == first
+        assert vars(metric) == {"metric_id": metric.metric_id}
+
+
+@pytest.mark.parametrize("bound", [100, metrics_module._CHUNK_UNITS])
+@pytest.mark.parametrize(
+    "metric, encoder", [(ChrfMetric(), "_chrf_units"), (BleuMetric(), "_bleu_units")]
+)
+def test_chunks_bound_their_units_and_count_each_pair_once(
+    tmp_path, monkeypatch, bound, metric, encoder
+):
+    eval_set = load_robustness_corpus(tmp_path, n_systems=8, n_segments=50)
+    pairs = [
+        (translation.text, eval_set.standard_reference(seg_id).text)
+        for (_, seg_id), translation in eval_set.translations.items()
+        if not translation.is_human
+    ]
+    encoded, chunks = {}, []
+    encode, kernel = getattr(metrics_module, encoder), metrics_module._ngram_matches
+
+    def recording(text, *args):
+        encoded[text] = units = encode(text, *args)
+        return units
+
+    def spying(units, hyp_index, ref_index, max_order):
+        chunks.append((units, hyp_index, ref_index))
+        return kernel(units, hyp_index, ref_index, max_order)
+
+    monkeypatch.setattr(metrics_module, encoder, recording)
+    monkeypatch.setattr(metrics_module, "_ngram_matches", spying)
+    monkeypatch.setattr(metrics_module, "_CHUNK_UNITS", bound)
+    metric.score_pairs(pairs)
+
+    text_of = {id(units): text for text, units in encoded.items()}
+    largest = max(sum(len(encoded[text]) for text in set(pair)) for pair in pairs)
+    scored = collections.Counter()
+    for units, hyp_index, ref_index in chunks:
+        assert sum(map(len, units)) <= max(bound, largest)
+        texts = [text_of[id(array)] for array in units]
+        scored.update((texts[h], texts[r]) for h, r in zip(hyp_index, ref_index))
+    assert scored == collections.Counter(pairs)
 
 
 def test_system_score():
