@@ -308,12 +308,9 @@ def load_corpus(paths: CorpusPaths) -> EvaluationSet:
 
     All text fields are NFC-normalized. Rows referencing unknown segments or
     systems are rejected with an :class:`IntegrityError` naming the offending
-    key; malformed rows raise :class:`CorpusFormatError` with a line number.
+    key; malformed rows raise :class:`CorpusFormatError` with a line number,
+    and a missing file an :class:`ArtefactError` naming it.
     """
-    for path in (paths.segments, paths.system_outputs, paths.references, paths.ratings):
-        if not path.exists():
-            raise CorpusError(f"missing corpus file: {path}")
-
     segments: dict[str, Segment] = {}
     for line, row in read_tsv(paths.segments, _SEGMENTS_COLUMNS):
         seg_id = row["seg_id"].strip()

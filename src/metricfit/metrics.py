@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import copy
-import itertools
 import math
 import unicodedata
 from collections import Counter
@@ -68,34 +67,28 @@ def tokenize(text: str, lowercase: bool = False) -> tuple[str, ...]:
 
 
 class SequenceScorer(Protocol):
-    """Conditional model exposing per-token base-2 log-probabilities.
+    """Conditional model that scores target sequences given a context.
 
     ``lowercase`` is how the model tokenizes text (:func:`tokenize`). It is
     the one owner of that rule: training, scoring and the robustness report
     all tokenize a scorer's input with it.
 
-    ``token_logprobs(target, context)`` returns one log-probability per
-    target token plus one for the appended end-of-sequence token, so the
-    returned list always has ``len(target) + 1`` entries, each <= 0.
-
     ``score_batch(pairs, with_gradients)`` scores many (target, context)
-    pairs in one call: one ``(logprobs, gradients)`` per pair, in order,
-    where ``logprobs`` is that pair's ``token_logprobs`` and ``gradients``
-    holds one row of d logprob / d theta per entry, or is None unless asked
-    for. Training scores each SGD step with one call.
+    pairs in one call: one ``(score, gradient)`` per pair, in order. The
+    score is the pair's sequence score, the mean base-2 log-probability of
+    its target tokens and the appended end-of-sequence token, so it is in
+    (-inf, 0]. The gradient is the mean of those tokens' d logprob / d
+    theta rows, or None unless asked for. Each distinct pair is scored once
+    per call.
     """
 
     lowercase: bool
-
-    def token_logprobs(
-        self, target: Sequence[str], context: Sequence[str]
-    ) -> list[float]: ...
 
     def score_batch(
         self,
         pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
         with_gradients: bool,
-    ) -> list[tuple[list[float], np.ndarray | None]]: ...
+    ) -> list[tuple[float, np.ndarray | None]]: ...
 
 
 def sequence_score(
@@ -107,8 +100,7 @@ def sequence_score(
     is well-defined (it scores only the end token). An empty context means
     unconditional scoring. The result is in (-inf, 0].
     """
-    logprobs = scorer.token_logprobs(target, context)
-    return math.fsum(logprobs) / len(logprobs)
+    return scorer.score_batch([(target, context)], False)[0][0]
 
 
 def prism_score(
@@ -118,8 +110,9 @@ def prism_score(
 
     Symmetric in its two sequence arguments by construction.
     """
-    forward = sequence_score(scorer, candidate, reference)
-    backward = sequence_score(scorer, reference, candidate)
+    (forward, _), (backward, _) = scorer.score_batch(
+        [(candidate, reference), (reference, candidate)], False
+    )
     return 0.5 * forward + 0.5 * backward
 
 
@@ -294,13 +287,33 @@ class ToyScorer:
         self,
         pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
         with_gradients: bool,
-    ) -> list[tuple[list[float], np.ndarray | None]]:
-        """Per-token log-probabilities of each (target, context) pair, and
-        their gradients w.r.t. theta if asked for.
-
-        One ``(logprobs, gradients)`` per pair, in order; a gradient array
-        has one row per scored token (end token included), or is None.
+    ) -> list[tuple[float, np.ndarray | None]]:
+        """The sequence score of each (target, context) pair and, if asked
+        for, its gradient w.r.t. theta: one ``(score, gradient)`` per pair,
+        in order, as :class:`SequenceScorer` describes. Each distinct pair
+        is scored once; its results do not depend on the rest of the call.
         """
+        index: dict[tuple, int] = {}  # each distinct pair's position among them
+        order = [index.setdefault((tuple(t), tuple(c)), len(index)) for t, c in pairs]
+        logprobs, gradients, ends = self._token_scores(list(index), with_gradients)
+        scores = []
+        for start, stop in zip(ends, ends[1:]):
+            values = logprobs[start:stop].tolist()
+            scores.append((
+                math.fsum(values) / len(values),
+                None if gradients is None else gradients[start:stop].mean(axis=0),
+            ))
+        return [scores[i] for i in order]
+
+    def _token_scores(
+        self,
+        pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
+        with_gradients: bool,
+    ) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
+        """Per-token log-probabilities of the pairs, end to end, their
+        gradients w.r.t. theta (one row per token, or None unless asked
+        for), and the bounds: pair i's tokens, end token included, are
+        ``ends[i]:ends[i + 1]``."""
         index = self._index
         unknown, end = index[UNK_TOKEN], index[EOS_TOKEN]
         targets: list[int] = []  # every pair's positions, end to end
@@ -324,19 +337,13 @@ class ToyScorer:
                     softmax, block, targets, previous, contexts, ends,
                     logprobs, gradients,
                 )
-        return [
-            (
-                logprobs[start:stop].tolist(),
-                None if gradients is None else gradients[start:stop],
-            )
-            for start, stop in itertools.pairwise(ends)
-        ]
+        return logprobs, gradients, ends
 
     def _score_block(
         self, softmax, block, targets, previous, contexts, ends, logprobs, gradients
     ) -> None:
         """Fill ``logprobs`` (and ``gradients``, unless None) at the positions
-        of ``block``, a slice; the rest are ``score_batch``'s lists."""
+        of ``block``, a slice; the rest are ``_token_scores``'s lists."""
         n_vocab = len(self.vocab)
         theta0, theta2 = softmax.theta0, softmax.theta2
         lift0, lift2 = softmax.lift0, softmax.lift2
@@ -441,7 +448,9 @@ class ToyScorer:
     def token_logprobs(
         self, target: Sequence[str], context: Sequence[str]
     ) -> list[float]:
-        return self.score_batch([(target, context)], with_gradients=False)[0][0]
+        """One base-2 log-probability per target token plus one for the
+        appended end token; their mean is the pair's sequence score."""
+        return self._token_scores([(target, context)], False)[0].tolist()
 
     def token_logprob_gradients(
         self, target: Sequence[str], context: Sequence[str]
@@ -450,7 +459,8 @@ class ToyScorer:
 
         The gradient array has one row per scored token (end token included).
         """
-        return self.score_batch([(target, context)], with_gradients=True)[0]
+        logprobs, gradients, _ = self._token_scores([(target, context)], True)
+        return logprobs.tolist(), gradients
 
     def to_dict(self) -> dict:
         return {
@@ -480,8 +490,15 @@ class ToyScorer:
         lowercase = data.get("lowercase", False)
         if not isinstance(lowercase, bool):
             raise ValueError(f"lowercase must be true or false, got {lowercase!r}")
+        theta = data["theta"]
+        if not isinstance(theta, list) or any(type(v) not in (int, float) for v in theta):
+            raise ValueError(f"theta must be a list of numbers, got {theta!r}")
         # counts up to 2**53 convert to float exactly, and their sum stays finite
-        counts = dict(data["unigram_counts"])
+        counts = data["unigram_counts"]
+        if not isinstance(counts, dict):
+            raise ValueError(
+                f"unigram_counts must be an object, got {type(counts).__name__}"
+            )
         for token, count in counts.items():
             if type(count) is not int or not 0 <= count <= 2**53:
                 raise ValueError(
@@ -501,7 +518,7 @@ class ToyScorer:
         return cls(
             unigram_counts=counts,
             bigrams=[tuple(pair) for pair in bigrams],
-            theta=data["theta"],
+            theta=theta,
             lowercase=lowercase,
         )
 
@@ -510,13 +527,15 @@ class ToyScorer:
 
     @classmethod
     def load(cls, path: Path | str) -> "ToyScorer":
-        """Read a scorer; a NaN theta loads, and scoring with it fails later."""
+        """Read a scorer; a non-finite theta loads, and scoring with it fails
+        later."""
         data = read_json(path)
         try:
             return cls.from_dict(data)
         except KeyError as err:
             raise ArtefactError(path, None, f"missing key {err}") from None
-        except (AttributeError, TypeError, ValueError) as err:  # not a scorer object
+        except (AttributeError, TypeError, ValueError, OverflowError) as err:
+            # not a scorer object, or an integer in theta too large for a float
             raise ArtefactError(path, None, f"not a scorer: {err}") from None
 
 
@@ -763,12 +782,10 @@ class Metric(Protocol):
     """A reference-based segment-level metric; higher is better.
 
     ``score_pairs`` scores many (hypothesis, reference) text pairs in one
-    call, in order; each value equals that pair's ``segment_score``.
+    call, one value per pair, in order.
     """
 
     metric_id: str
-
-    def segment_score(self, hypothesis: str, reference: str) -> float: ...
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]: ...
 
@@ -821,13 +838,10 @@ class PrismMetric:
             for hypothesis, reference in pairs
             for first, second in ((hypothesis, reference), (reference, hypothesis))
         ]
-        means = [
-            math.fsum(logprobs) / len(logprobs)
-            for logprobs, _ in self.scorer.score_batch(directions, with_gradients=False)
-        ]
+        scores = self.scorer.score_batch(directions, with_gradients=False)
         return [
             0.5 * forward + 0.5 * backward
-            for forward, backward in zip(means[::2], means[1::2])
+            for (forward, _), (backward, _) in zip(scores[::2], scores[1::2])
         ]
 
     def segment_score(self, hypothesis: str, reference: str) -> float:

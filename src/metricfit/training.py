@@ -84,31 +84,12 @@ class LossTerms:
     gradient: np.ndarray = field(compare=False)
 
 
-def _score_pairs(
-    scorer, pairs: list[tuple[tuple[str, ...], tuple[str, ...]]], with_gradients: bool
-) -> list[tuple[float, np.ndarray | None]]:
-    """``sequence_score`` of each (target, context) pair and its gradient
-    (None unless asked for), in order, from one ``score_batch`` call that
-    scores each distinct pair once."""
-    distinct = list(dict.fromkeys(pairs))
-    scored = {
-        pair: (
-            math.fsum(logprobs) / len(logprobs),
-            gradients.mean(axis=0) if with_gradients else None,
-        )
-        for pair, (logprobs, gradients) in zip(
-            distinct, scorer.score_batch(distinct, with_gradients)
-        )
-    }
-    return [scored[pair] for pair in pairs]
-
-
 def batch_loss_terms(
     scorer, examples: Sequence[RelativeRanking], config: TrainingConfig
 ) -> list[LossTerms]:
     """All loss terms of the combined objective for each ranking example and
-    the gradient of their total, from one ``score_batch`` call that scores
-    each distinct enabled (target, context) pair of the examples once.
+    the gradient of their total, from one ``score_batch`` call over the
+    enabled (target, context) pairs of the examples.
 
     A hinge whose margin is met contributes its subgradient 0, so the
     zero-loss region is genuinely flat. A NaN hinge adds no gradient but
@@ -127,7 +108,7 @@ def batch_loss_terms(
             pairs += [(better, reference), (worse, reference)]
         if config.enable_backward:
             pairs += [(reference, better), (reference, worse)]
-    scores = iter(_score_pairs(scorer, pairs, with_gradients=True))
+    scores = iter(scorer.score_batch(pairs, with_gradients=True))
 
     terms = []
     for _ in examples:
@@ -196,7 +177,7 @@ def ranking_accuracy(
             pairs += [(better, reference), (worse, reference)]
         else:
             pairs += [(reference, better), (reference, worse)]
-    scores = [score for score, _ in _score_pairs(scorer, pairs, with_gradients=False)]
+    scores = [score for score, _ in scorer.score_batch(pairs, with_gradients=False)]
     correct = sum(plus > minus for plus, minus in zip(scores[::2], scores[1::2]))
     return correct / len(examples)
 
@@ -356,6 +337,6 @@ def train(
             for source, reference in probe
         ]
         report.final_score_magnitude = score_magnitude(
-            [score for score, _ in _score_pairs(trained, probe_pairs, False)]
+            [score for score, _ in trained.score_batch(probe_pairs, False)]
         )
     return trained, report

@@ -304,14 +304,9 @@ class FlatScorer:
     def __init__(self, logprob: float):
         self.logprob = logprob
 
-    def token_logprobs(self, target, context):
-        return [self.logprob] * (len(target) + 1)
-
-    def token_logprob_gradients(self, target, context):
-        return _zero_gradients(self.token_logprobs(target, context))
-
     def score_batch(self, pairs, with_gradients):
-        return _stub_batch(self, pairs, with_gradients)
+        gradient = np.zeros(3) if with_gradients else None  # weights unused
+        return [(self.logprob, gradient) for _ in pairs]
 
 
 class TableScorer:
@@ -325,28 +320,12 @@ class TableScorer:
             for (target, context), score in table.items()
         }
 
-    def token_logprobs(self, target, context):
-        score = self.table[(tuple(target), tuple(context))]
-        return [score] * (len(target) + 1)
-
-    def token_logprob_gradients(self, target, context):
-        return _zero_gradients(self.token_logprobs(target, context))
-
     def score_batch(self, pairs, with_gradients):
-        return _stub_batch(self, pairs, with_gradients)
-
-
-def _zero_gradients(logprobs):
-    """Stub scores do not depend on the weights: one zero gradient row per
-    scored token, as ``ToyScorer.token_logprob_gradients`` returns."""
-    return logprobs, np.zeros((len(logprobs), 3))
-
-
-def _stub_batch(scorer, pairs, with_gradients):
-    """``ToyScorer.score_batch`` for a stub: one pair at a time."""
-    if with_gradients:
-        return [scorer.token_logprob_gradients(*pair) for pair in pairs]
-    return [(scorer.token_logprobs(*pair), None) for pair in pairs]
+        gradient = np.zeros(3) if with_gradients else None  # weights unused
+        return [
+            (self.table[(tuple(target), tuple(context))], gradient)
+            for target, context in pairs
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +453,11 @@ class PerSequenceScorer:
     def lowercase(self):
         return self.scorer.lowercase
 
-    def token_logprobs(self, target, context):
-        return self.scorer.score_batch([(target, context)], False)[0][0]
+    def score_batch(self, pairs, with_gradients):
+        return [self.scorer.score_batch([pair], with_gradients)[0] for pair in pairs]
 
     def token_logprob_gradients(self, target, context):
-        return self.scorer.score_batch([(target, context)], True)[0]
+        return self.scorer.token_logprob_gradients(target, context)
 
 
 def toy_dense_score_oracle(scorer, target, context, with_gradients):
@@ -1094,11 +1073,13 @@ def robustness_report_oracle(
     alpha: float = 0.05,
     weights: SeverityWeights = DEFAULT_WEIGHTS,
 ) -> dict:
-    """``robustness_report(...).to_dict()`` computed by rescoring: every
-    metric value is recomputed with ``segment_score`` where it is used (once
-    per unit and condition at segment level, once per system pair and
-    condition at system level), the seeds are hashed from their key strings
-    here, and perm-both runs the scalar loop of :func:`perm_both_oracle`."""
+    """``robustness_report(...).to_dict()`` computed by rescoring: the
+    oracle lists every (hypothesis, reference) pair where it is used (once
+    per unit and condition at segment level, once per system pair, segment
+    and condition at system level) and scores that list with one
+    ``score_pairs`` call per metric and context; the seeds are hashed from
+    their key strings here, and perm-both runs the scalar loop of
+    :func:`perm_both_oracle`."""
     import hashlib
     from itertools import combinations
 
@@ -1142,34 +1123,24 @@ def robustness_report_oracle(
             skipped_system_pairs=0,
         )
 
-        scores = {"ref_std": {}, "ref_mt": {}}
-        for metric in metrics:
-            std = [
-                metric.segment_score(
-                    group.translation(system, seg_id).text, std_refs[seg_id].text
-                )
-                for system, seg_id in units
-            ]
-            mt = [
-                metric.segment_score(
-                    group.translation(system, seg_id).text,
-                    assignments[system].choices[seg_id].text,
-                )
-                for system, seg_id in units
-            ]
-            scores["ref_std"][metric.metric_id] = std
-            scores["ref_mt"][metric.metric_id] = mt
-            tau_std = metaeval.kendall_tau(std, human_vector) if len(units) >= 2 else None
-            tau_mt = metaeval.kendall_tau(mt, human_vector) if len(units) >= 2 else None
-            context.segment_level[metric.metric_id] = metaeval.ConditionPair.of(
-                tau_std, tau_mt
-            )
+        used = []  # every (hypothesis, reference) pair, where it is used
 
-        correct = {
-            condition: {metric.metric_id: 0 for metric in metrics}
-            for condition in ("std", "mt")
+        def use(pairs):
+            used.extend(pairs)
+            return slice(len(used) - len(pairs), len(used))
+
+        unit_slices = {
+            "ref_std": use(
+                [(group.translation(system, seg_id).text, std_refs[seg_id].text)
+                 for system, seg_id in units]
+            ),
+            "ref_mt": use(
+                [(group.translation(system, seg_id).text,
+                  assignments[system].choices[seg_id].text)
+                 for system, seg_id in units]
+            ),
         }
-        decided = 0
+        decided = []  # (human_a > human_b, {condition: (slice a, slice b)})
         for system_a, system_b in combinations(systems, 2):
             assignment = metaeval.sample_refs_system_pair(group, system_a, system_b, seed)
             pair_segments = sorted(
@@ -1188,31 +1159,43 @@ def robustness_report_oracle(
             human_b = -math.fsum(human_scores[(system_b, s)] for s in pair_segments)
             if human_a == human_b:
                 continue
-            decided += 1
-            for metric in metrics:
-                for condition, reference_text in (
-                    ("std", lambda s: std_refs[s].text),
-                    ("mt", lambda s: assignment.choices[s].text),
-                ):
-                    score_a = math.fsum(
-                        metric.segment_score(
-                            group.translation(system_a, s).text, reference_text(s)
-                        )
-                        for s in pair_segments
+            decided.append((
+                human_a > human_b,
+                {
+                    condition: tuple(
+                        use([(group.translation(system, s).text, reference_text(s))
+                             for s in pair_segments])
+                        for system in (system_a, system_b)
                     )
-                    score_b = math.fsum(
-                        metric.segment_score(
-                            group.translation(system_b, s).text, reference_text(s)
-                        )
-                        for s in pair_segments
+                    for condition, reference_text in (
+                        ("std", lambda s: std_refs[s].text),
+                        ("mt", lambda s: assignment.choices[s].text),
                     )
-                    if score_a != score_b and (score_a > score_b) == (human_a > human_b):
-                        correct[condition][metric.metric_id] += 1
+                },
+            ))
+
+        scores = {"ref_std": {}, "ref_mt": {}}
         for metric in metrics:
-            metric_id = metric.metric_id
-            context.system_level[metric_id] = metaeval.ConditionPair.of(
-                correct["std"][metric_id] / decided if decided else None,
-                correct["mt"][metric_id] / decided if decided else None,
+            values = metric.score_pairs(used)
+            std = values[unit_slices["ref_std"]]
+            mt = values[unit_slices["ref_mt"]]
+            scores["ref_std"][metric.metric_id] = std
+            scores["ref_mt"][metric.metric_id] = mt
+            tau_std = metaeval.kendall_tau(std, human_vector) if len(units) >= 2 else None
+            tau_mt = metaeval.kendall_tau(mt, human_vector) if len(units) >= 2 else None
+            context.segment_level[metric.metric_id] = metaeval.ConditionPair.of(
+                tau_std, tau_mt
+            )
+            correct = {"std": 0, "mt": 0}
+            for a_better, slices in decided:
+                for condition, (slice_a, slice_b) in slices.items():
+                    score_a = math.fsum(values[slice_a])
+                    score_b = math.fsum(values[slice_b])
+                    if score_a != score_b and (score_a > score_b) == a_better:
+                        correct[condition] += 1
+            context.system_level[metric.metric_id] = metaeval.ConditionPair.of(
+                correct["std"] / len(decided) if decided else None,
+                correct["mt"] / len(decided) if decided else None,
             )
 
         context_id = f"{lang_pair}|{domain}"

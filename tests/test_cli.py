@@ -413,15 +413,21 @@ def _non_utf8_segments(tmp, art):
     return argv, f"{paths.segments}:3:"
 
 
-def _scorer_count(tmp, art, literal):
-    """The scorer with the unigram count of 'ein' written as ``literal``."""
-    argv, where = _broken_scorer(
-        tmp, art, lambda p: p["unigram_counts"].update(ein="COUNT")
-    )
+def _scorer_literal(tmp, art, edit, literal):
+    """The scorer with the value that ``edit`` sets to "LITERAL" written as
+    ``literal``."""
+    argv, where = _broken_scorer(tmp, art, edit)
     scorer = tmp / "scorer.json"
     text = scorer.read_text(encoding="utf-8")
-    scorer.write_text(text.replace('"COUNT"', literal), encoding="utf-8")
+    scorer.write_text(text.replace('"LITERAL"', literal), encoding="utf-8")
     return argv, where
+
+
+def _scorer_count(tmp, art, literal):
+    """The scorer with the unigram count of 'ein' written as ``literal``."""
+    return _scorer_literal(
+        tmp, art, lambda p: p["unigram_counts"].update(ein="LITERAL"), literal
+    )
 
 
 def _not_json_scorer(tmp, art):
@@ -461,6 +467,26 @@ MALFORMED = [
      lambda t, a: _broken_scorer(t, a, lambda p: p.update(theta=[1.0, 2.0])),
      EXIT_DATA, "theta must have shape"),
     ("score-scorer-not-json", _not_json_scorer, EXIT_DATA, "not JSON"),
+    ("score-scorer-string-theta",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(theta=["1", "2", "3"])),
+     EXIT_DATA, "not a scorer: theta must be a list of numbers, got ['1', '2', '3']"),
+    ("score-scorer-boolean-theta",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(theta=[True, False, True])),
+     EXIT_DATA, "not a scorer: theta must be a list of numbers, got [True, False, True]"),
+    ("score-scorer-theta-not-list",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(theta=2.0)),
+     EXIT_DATA, "not a scorer: theta must be a list of numbers, got 2.0"),
+    ("score-scorer-huge-integer-theta",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(theta=[10**400, 1, 1])),
+     EXIT_DATA, "not a scorer: int too large to convert to float"),
+    ("score-scorer-theta-beyond-float",
+     lambda t, a: _scorer_literal(t, a, lambda p: p.update(theta="LITERAL"),
+                                  "[1e400, 1, 1]"),
+     EXIT_NUMERIC, "metric 'prism': non-finite score for ('sys1', 'seg000')"),
+    ("score-scorer-counts-as-pairs",
+     lambda t, a: _broken_scorer(
+         t, a, lambda p: p.update(unigram_counts=list(p["unigram_counts"].items()))),
+     EXIT_DATA, "not a scorer: unigram_counts must be an object, got list"),
     ("score-scorer-bad-bigram",
      lambda t, a: _broken_scorer(t, a, lambda p: p["bigrams"].append(["ein", 3])),
      EXIT_DATA, "bigram is not a pair of strings: ['ein', 3]"),

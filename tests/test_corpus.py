@@ -11,6 +11,7 @@ from conftest import (
     tiny_corpus_rows,
     write_corpus_files,
 )
+from metricfit.artefacts import ArtefactError
 from metricfit.corpus import (
     CorpusFormatError,
     CorpusPaths,
@@ -288,5 +289,7 @@ def test_no_error_row_combined_with_error_rows(tmp_path):
 
 def test_missing_file_reported(tmp_path):
     paths = CorpusPaths.in_directory(tmp_path / "nowhere")
-    with pytest.raises(Exception, match="missing corpus file"):
+    with pytest.raises(ArtefactError, match="missing file") as raised:
         load_corpus(paths)
+    assert raised.value.path == str(paths.segments)
+    assert str(raised.value) == f"{paths.segments}: missing file"

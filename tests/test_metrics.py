@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import functools
+import itertools
 import math
 import random
 import string
@@ -314,22 +315,63 @@ def _key(pair):
     return tuple(target), tuple(context)
 
 
-def _assert_batch_matches_oracles(scorer, pairs):
-    """``score_batch`` on ``pairs``, with and without gradients: bit for bit
-    the results of scoring each pair in a call of its own, and within
-    tolerance of the dense and the blocked oracle (whose gradients may also
-    be off by their own matmul's rounding)."""
+def _token_batch(scorer, pairs, with_gradients):
+    """``ToyScorer._token_scores`` on ``pairs``: one ``(logprobs,
+    gradients)`` per pair, gradients None unless asked for."""
+    logprobs, gradients, ends = scorer._token_scores(pairs, with_gradients)
+    return [
+        (
+            logprobs[start:stop].tolist(),
+            None if gradients is None else gradients[start:stop],
+        )
+        for start, stop in itertools.pairwise(ends)
+    ]
+
+
+def _token_views(scorer, pair):
+    """One pair's per-token log-probabilities, from ``token_logprobs``, and
+    gradients, from ``token_logprob_gradients``."""
+    return scorer.token_logprobs(*pair), scorer.token_logprob_gradients(*pair)[1]
+
+
+def _assert_sequence_scores(scorer, pairs, tokens=_token_views):
+    """``score_batch`` on ``pairs``, with and without gradients: each pair's
+    score has the bits of ``math.fsum`` of its per-token log-probabilities
+    over their count, and its gradient those of the mean of its per-token
+    gradient rows, both from ``tokens(scorer, pair)``."""
     with np.errstate(invalid="ignore", over="ignore"):
         without = scorer.score_batch(pairs, with_gradients=False)
         with_grad = scorer.score_batch(pairs, with_gradients=True)
+        expected = [tokens(scorer, pair) for pair in pairs]
+    assert len(without) == len(with_grad) == len(pairs)
+    for (score, none), (grad_score, gradient), (logprobs, gradients) in zip(
+        without, with_grad, expected
+    ):
+        assert none is None
+        assert score.hex() == grad_score.hex()
+        assert score.hex() == (math.fsum(logprobs) / len(logprobs)).hex()
+        assert _hexes(gradient) == _hexes(gradients.mean(axis=0))
+
+
+def _assert_batch_matches_oracles(scorer, pairs):
+    """``ToyScorer._token_scores`` on ``pairs``, with and without
+    gradients: bit for bit the results of scoring each pair in a call of its
+    own, and within tolerance of the dense and the blocked oracle (whose
+    gradients may also be off by their own matmul's rounding);
+    ``score_batch`` gives each pair the mean of those results
+    (:func:`_assert_sequence_scores`)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        without = _token_batch(scorer, pairs, with_gradients=False)
+        with_grad = _token_batch(scorer, pairs, with_gradients=True)
         expected = {
             key: (
-                scorer.score_batch([key], with_gradients=True)[0],
+                _token_batch(scorer, [key], with_gradients=True)[0],
                 toy_score_oracle(scorer, *key, True),
                 toy_dense_score_oracle(scorer, *key, True),
             )
             for key in map(_key, pairs)
         }
+    _assert_sequence_scores(scorer, pairs, lambda _, pair: expected[_key(pair)][0])
     assert len(without) == len(with_grad) == len(pairs)
     for pair, (logprobs, none), (grad_logprobs, gradients) in zip(
         pairs, without, with_grad
@@ -389,8 +431,8 @@ def test_score_batch_matches_oracles_when_sequences_cross_blocks(n_vocab, monkey
     ]
     pairs += [([], []), pairs[0], ([], ["xyz"]), pairs[2]]
     _assert_batch_matches_oracles(scorer, pairs)
-    expected = scorer.score_batch(pairs, with_gradients=True)
-    backwards = scorer.score_batch(pairs[::-1], with_gradients=True)[::-1]
+    expected = _token_batch(scorer, pairs, with_gradients=True)
+    backwards = _token_batch(scorer, pairs[::-1], with_gradients=True)[::-1]
     for (logprobs, gradients), (again, again_gradients) in zip(expected, backwards):
         assert _hexes(again) == _hexes(logprobs)
         assert _hexes(again_gradients) == _hexes(gradients)
@@ -398,14 +440,35 @@ def test_score_batch_matches_oracles_when_sequences_cross_blocks(n_vocab, monkey
     for block_cells in (1, 5, 64, cells - 1):  # blocks of one position and up
         monkeypatch.setattr(metrics_module, "_BLOCK_CELLS", block_cells)
         for (logprobs, gradients), (again, again_gradients) in zip(
-            expected, scorer.score_batch(pairs, with_gradients=True)
+            expected, _token_batch(scorer, pairs, with_gradients=True)
         ):
             assert _hexes(again) == _hexes(logprobs)
             assert _hexes(again_gradients) == _hexes(gradients)
 
 
+@pytest.mark.parametrize(
+    "theta",
+    [(0.7, 0.4, -0.3), (50.0, -50.0, 50.0), (-50.0, 50.0, -50.0), (math.nan, 1.0, 0.5)],
+    ids=repr,
+)
+def test_score_batch_reduces_each_pair_to_the_mean_of_its_tokens(theta):
+    rng = random.Random(5)
+    scorer = _batch_scorer(92).with_theta(theta)
+    words = [f"v{i:04d}" for i in range(90)] + list(_BATCH_EXTRA_WORDS)
+    lists = [
+        ([rng.choice(words) for _ in range(rng.randint(0, 9))],
+         [rng.choice(words) for _ in range(rng.randint(0, 6))])
+        for _ in range(12)
+    ]
+    # list and tuple inputs, empty targets, and pairs repeated in either form
+    empty = [([], []), ((), ("xyz",)), ((), ())]
+    pairs = lists + empty + [_key(pair) for pair in lists[:4]] + lists[:3]
+    _assert_sequence_scores(scorer, pairs)
+
+
 def test_score_batch_of_nothing_is_empty():
     assert _small_scorer().score_batch([], with_gradients=True) == []
+    assert _token_batch(_small_scorer(), [], with_gradients=True) == []
 
 
 @pytest.mark.parametrize("n_vocab", [3, 92, 2_802])
@@ -419,7 +482,7 @@ def test_zero_weights_keep_the_bits_of_the_uniform_distribution(n_vocab):
         for _ in range(20)
     ]
     uniform = (0.0 - (0.0 + math.log(n_vocab))) / LN2  # the dense softmax's bits
-    for logprobs, _ in scorer.score_batch(pairs, with_gradients=True):
+    for logprobs, _ in _token_batch(scorer, pairs, with_gradients=True):
         assert _hexes(logprobs) == [uniform.hex()] * len(logprobs)
 
 
@@ -448,7 +511,7 @@ def test_extreme_weights_score_finite_and_match_the_dense_oracle(theta, limit):
             target = [rng.choice(words) for _ in range(rng.randint(0, 6))]
             context = ["v0000"] * rng.randint(0, 2)
             context += [rng.choice(words) for _ in range(rng.randint(0, 5))]
-            (logprobs, gradients), = scorer.score_batch([(target, context)], True)
+            logprobs, gradients = scorer.token_logprob_gradients(target, context)
             assert np.isfinite(logprobs).all() and np.isfinite(gradients).all()
             expected, expected_gradients = toy_dense_score_oracle(
                 scorer, target, context, True
@@ -484,7 +547,7 @@ def test_nan_theta_gives_nan_scores_and_stops_prism_and_training(tmp_path):
     scorer = ToyScorer.from_texts(texts, theta=(math.nan, 1.0, 0.5))
     pairs = [(("gut1", "gut2"), ("quelle1",)), ((), ()), (("xyz",), ("gut1", "xyz"))]
     for with_gradients in (False, True):
-        for logprobs, gradients in scorer.score_batch(pairs, with_gradients):
+        for logprobs, gradients in _token_batch(scorer, pairs, with_gradients):
             assert len(logprobs) > 0 and all(math.isnan(v) for v in logprobs)
             if with_gradients:
                 assert np.isnan(gradients).all()
@@ -582,22 +645,32 @@ def test_prism_scores_all_pairs_in_one_call_tokenizing_each_text_once(monkeypatc
     scorer = _small_scorer()
     texts = ["der hund", "die katze schläft", "der hund schläft gern", "xyz der"]
     pairs = [(a, b) for a in texts for b in texts] + [(texts[0], texts[1])]
-    calls, tokenized = [], []
+    calls, scored, tokenized = [], [], []
     score_batch, tokenize_text = scorer.score_batch, metrics_module.tokenize
+    token_scores = scorer._token_scores
 
     def counted_batch(batch, with_gradients):
         calls.append(len(batch))
         return score_batch(batch, with_gradients)
+
+    def counted_tokens(batch, with_gradients):
+        scored.extend(batch)
+        return token_scores(batch, with_gradients)
 
     def counted_tokenize(text, lowercase=False):
         tokenized.append(text)
         return tokenize_text(text, lowercase)
 
     monkeypatch.setattr(scorer, "score_batch", counted_batch)
+    monkeypatch.setattr(scorer, "_token_scores", counted_tokens)
     monkeypatch.setattr(metrics_module, "tokenize", counted_tokenize)
     values = PrismMetric(scorer).score_pairs(pairs)
     assert calls == [2 * len(pairs)]
     assert sorted(tokenized) == sorted(texts)
+    # each distinct direction once: (a, a) has one, the repeated pair none more
+    directions = {(tokenize(a), tokenize(b)) for a in texts for b in texts}
+    assert len(scored) == len(directions) == len(texts) ** 2
+    assert set(scored) == directions
     monkeypatch.undo()
     expected = [
         prism_score(scorer, tokenize(hypothesis), tokenize(reference))
@@ -757,23 +830,26 @@ _BATCHED = [
 @settings(max_examples=200, deadline=None)
 @given(pairs=_text_pairs(), order=st.randoms(use_true_random=False))
 def test_profiled_metrics_match_counter_oracles_bit_for_bit(pairs, order):
+    """Every pair gets the oracle's bits from one ``score_pairs`` call, in
+    any order and from a fresh object; the one-pair views (``segment_score``,
+    ``chrf``, ``segment_bleu``) agree on a few pairs of each example."""
+    positions = list(range(len(pairs)))
+    order.shuffle(positions)
+    views = positions[:2]
     for template, oracle in _BATCHED:
         metric = dataclasses.replace(template)  # one object across all pairs
-        scores = [metric.segment_score(hyp, ref).hex() for hyp, ref in pairs]
+        scores = _hexes(metric.score_pairs(pairs))
         assert scores == [oracle(hyp, ref).hex() for hyp, ref in pairs]
         shuffled = dataclasses.replace(template)
-        positions = list(range(len(pairs)))
-        order.shuffle(positions)
-        again = {i: shuffled.segment_score(*pairs[i]).hex() for i in positions}
-        assert [again[i] for i in range(len(pairs))] == scores
-        fresh = [
-            dataclasses.replace(template).segment_score(hyp, ref).hex()
-            for hyp, ref in pairs
-        ]
+        again = _hexes(shuffled.score_pairs([pairs[i] for i in positions]))
+        assert again == [scores[i] for i in positions]
+        fresh = _hexes(dataclasses.replace(template).score_pairs(pairs))
         assert fresh == scores
+        for i in views:
+            assert metric.segment_score(*pairs[i]).hex() == scores[i]
     hyps, refs = zip(*pairs)
     assert bleu(hyps, refs).hex() == corpus_bleu_counter_oracle(hyps, refs).hex()
-    for hyp, ref in pairs:
+    for hyp, ref in (pairs[i] for i in views):
         assert chrf(hyp, ref).hex() == chrf_counter_oracle(hyp, ref).hex()
         assert segment_bleu(hyp, ref).hex() == segment_bleu_counter_oracle(hyp, ref).hex()
 

@@ -383,7 +383,7 @@ def _enabled_pairs(example, config):
 def test_training_scores_each_distinct_pair_of_a_step_once(monkeypatch, batch_size):
     steps, calls = [], []
     batch_loss_terms = training.batch_loss_terms
-    score_batch = ToyScorer.score_batch
+    token_scores = ToyScorer._token_scores
 
     def spied_step(scorer, examples, config):
         steps.append(list(examples))
@@ -391,10 +391,10 @@ def test_training_scores_each_distinct_pair_of_a_step_once(monkeypatch, batch_si
 
     def counted(self, pairs, with_gradients):
         calls.append((list(pairs), with_gradients))
-        return score_batch(self, pairs, with_gradients)
+        return token_scores(self, pairs, with_gradients)
 
     monkeypatch.setattr(training, "batch_loss_terms", spied_step)
-    monkeypatch.setattr(ToyScorer, "score_batch", counted)
+    monkeypatch.setattr(ToyScorer, "_token_scores", counted)
     examples, texts = separable_ranking_examples(30, seed=5)
     examples += examples[:10]  # the same ranking twice, as from two annotators
     datasets = {"xx-yy": split_holdout(examples, holdout_size=0, seed=5)}
