@@ -14,7 +14,6 @@ scale.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import math
 import unicodedata
@@ -119,11 +118,14 @@ def prism_score(
 class _Softmax:
     """The parts of ToyScorer's sparse softmax that depend on theta alone:
     with s = theta_1 u, top = max s, weights w = e^(s - top) and moments
-    w u, their sums over the vocabulary, and per copy and bigram weight its
-    positive part (lift) and (e^theta - 1) / e^lift (excess), which lies in
-    (-1, 1) for every finite theta."""
+    w u, their sums over the vocabulary and over the successors of each
+    previous-token row of the bigram index, and per copy and bigram weight
+    its positive part (lift) and (e^theta - 1) / e^lift (excess), which
+    lies in (-1, 1) for every finite theta."""
 
-    def __init__(self, theta: np.ndarray, unigram: np.ndarray):
+    def __init__(
+        self, theta: np.ndarray, unigram: np.ndarray, bigram_keys: np.ndarray
+    ):
         self.theta0, theta1, self.theta2 = theta.tolist()
         self.lift0, self.lift2 = max(self.theta0, 0.0), max(self.theta2, 0.0)
         self.excess0, self.excess2 = (
@@ -136,26 +138,48 @@ class _Softmax:
         self.weights = np.exp(self.scaled - self.top)
         self.moments = self.weights * unigram
         self.w_all, self.y_all = self.weights.sum(), self.moments.sum()
+        # W(S) and Y(S) of each row, summed over its successors in key order
+        n_vocab = len(unigram)
+        rows, successors = np.divmod(bigram_keys[:-1], n_vocab)
+        self.w_successors = np.bincount(rows, self.weights[successors], n_vocab + 1)
+        self.y_successors = np.bincount(rows, self.moments[successors], n_vocab + 1)
 
 
-def _blocks(ends: Sequence[int], contexts: Sequence[Sequence[int]]) -> Iterator[slice]:
-    """Consecutive slices of the positions, pair i's from ends[i] to
-    ends[i + 1], each of at most ``_BLOCK_CELLS`` cells (a position counts
-    its pair's context words, at least one) and at least one position."""
-    start = position = cells = 0
-    for stop, context in zip(ends[1:], contexts):
-        width = max(len(context), 1)
-        while position < stop:
-            take = min(stop - position, (_BLOCK_CELLS - cells) // width)
-            if take <= 0 and position > start:
-                yield slice(start, position)
-                start, cells = position, 0
-                continue
-            take = max(take, 1)
-            position += take
-            cells += take * width
-    if position > start:
-        yield slice(start, position)
+@dataclass(frozen=True)
+class _Table:
+    """The theta-independent part of scoring a list of (target, context)
+    pairs, built by ``ToyScorer._compile``. Pair i's positions (its target
+    tokens, then the end token) are ``ends[i]:ends[i + 1]`` and its sorted
+    distinct context words ``context_words[context_ends[i]:context_ends[i +
+    1]]``. Per position: the vocabulary index of its token (``targets``),
+    the bigram-index row of the token before it (``previous``), whether its
+    token is a context word (``copied``) or follows the previous token
+    (``followed``), and, as ``cell_words[cell_ends[p]:cell_ends[p + 1]]``,
+    its pair's context words that follow the previous token, in context
+    order. Index arrays are int32."""
+
+    ends: np.ndarray
+    context_ends: np.ndarray
+    context_words: np.ndarray
+    targets: np.ndarray
+    previous: np.ndarray
+    copied: np.ndarray
+    followed: np.ndarray
+    cell_ends: np.ndarray
+    cell_words: np.ndarray
+
+
+def _blocks(costs: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of the positions, each of at most ``_BLOCK_CELLS``
+    cells (position i counts ``costs[i]`` of them, at least one) or of one
+    position."""
+    stops = np.cumsum(np.maximum(costs, 1))
+    start = 0
+    while start < len(stops):
+        limit = (stops[start - 1] if start else 0) + _BLOCK_CELLS
+        stop = max(int(np.searchsorted(stops, limit, "right")), start + 1)
+        yield slice(start, stop)
+        start = stop
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -168,6 +192,26 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _is_key(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
     """Which needles occur in ``keys``, sorted and ending past every needle."""
     return keys[np.searchsorted(keys, needles)] == needles
+
+
+def _sequence_scores(
+    logprobs: np.ndarray, gradients: np.ndarray | None, ends: Sequence[int]
+) -> list[tuple[float, np.ndarray | None]]:
+    """Each pair's ``(score, gradient)`` from its per-token results, pair i
+    holding ``ends[i]:ends[i + 1]``: ``math.fsum`` of its log-probabilities
+    over their count and, unless ``gradients`` is None, the mean of its
+    gradient rows (summed in row order, as ``.mean(axis=0)`` sums them)."""
+    values = logprobs.tolist()
+    counts = np.diff(ends)
+    means = [None] * len(counts)
+    if gradients is not None:
+        pair = np.repeat(np.arange(len(counts)), counts)
+        sums = [np.bincount(pair, column, len(counts)) for column in gradients.T]
+        means = np.stack(sums, axis=1) / counts[:, None]
+    return [
+        (math.fsum(values[start:stop]) / (stop - start), mean)
+        for start, stop, mean in zip(ends, ends[1:], means)
+    ]
 
 
 class ToyScorer:
@@ -193,28 +237,35 @@ class ToyScorer:
         Z e^-m = W(vocabulary) + (e^theta_0 - 1) W(C) + (e^theta_2 - 1) W(S)
                  + (e^theta_0 - 1) (e^theta_2 - 1) W(C & S).
 
-    W(vocabulary) is summed once per call. Within a block of positions,
-    W(C) is summed once per sequence, W(S) once per previous token and
-    W(C & S) once per position, over the context words that the bigram
-    index lists after the previous token; the expected features of the
-    gradient split the same way. Each position
-    scales these terms by its own shift, an upper bound on its largest
-    logit, so no finite theta overflows. A position whose terms cancel
-    most of the mass (theta_0 = -50 with the likeliest word of the
-    vocabulary in the context, say) is scored with a dense softmax row
+    Scoring has two parts. Compiling (``_compile``) turns pairs into a
+    table of everything that does not depend on theta: token indices, each
+    pair's context words, each position's copy and bigram flags and its
+    C & S words. Evaluating (``_evaluate``) scores some of the table's
+    pairs under the current theta. Per call, W(vocabulary) is summed once,
+    W(C) once per pair, W(S) once per previous token and W(C & S) once per
+    position; the expected features of the gradient split the same way.
+    Each position scales these terms by its own shift, an upper bound on
+    its largest logit, so no finite theta overflows. A position whose
+    terms cancel most of the mass (theta_0 = -50 with the likeliest word of
+    the vocabulary in the context, say) is scored with a dense softmax row
     instead. A NaN or infinite weight scores NaN everywhere.
 
     Log-probabilities and gradients agree with a dense softmax over the
     vocabulary to within about 1e-12 (relative, for values beyond 1). Every
     sum runs over one sequence's, token's or position's own words in a
     fixed order, so a pair's results keep their bits however pairs are
-    batched. Positions are scored in blocks of at most ``_BLOCK_CELLS``
-    (position, context word) cells, which bounds the memory a call takes
-    besides its results.
+    batched or compiled. Positions are compiled and evaluated in blocks of
+    at most ``_BLOCK_CELLS`` (position, context word) cells, which bounds
+    the memory a call takes besides its table and results.
     """
 
     FEATURE_NAMES = ("copy_from_context", "log2_unigram_prob", "bigram_seen")
     FORMAT_VERSION = 1
+    # the keys of ``to_dict``, the only ones ``from_dict`` accepts
+    KEYS = (
+        "format_version", "feature_names", "theta", "lowercase", "vocabulary",
+        "unigram_counts", "bigrams",
+    )
 
     def __init__(
         self,
@@ -291,18 +342,12 @@ class ToyScorer:
         """The sequence score of each (target, context) pair and, if asked
         for, its gradient w.r.t. theta: one ``(score, gradient)`` per pair,
         in order, as :class:`SequenceScorer` describes. Each distinct pair
-        is scored once; its results do not depend on the rest of the call.
+        is compiled and evaluated once; its results do not depend on the
+        rest of the call.
         """
         index: dict[tuple, int] = {}  # each distinct pair's position among them
         order = [index.setdefault((tuple(t), tuple(c)), len(index)) for t, c in pairs]
-        logprobs, gradients, ends = self._token_scores(list(index), with_gradients)
-        scores = []
-        for start, stop in zip(ends, ends[1:]):
-            values = logprobs[start:stop].tolist()
-            scores.append((
-                math.fsum(values) / len(values),
-                None if gradients is None else gradients[start:stop].mean(axis=0),
-            ))
+        scores = _sequence_scores(*self._token_scores(list(index), with_gradients))
         return [scores[i] for i in order]
 
     def _token_scores(
@@ -310,94 +355,144 @@ class ToyScorer:
         pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
         with_gradients: bool,
     ) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
-        """Per-token log-probabilities of the pairs, end to end, their
-        gradients w.r.t. theta (one row per token, or None unless asked
-        for), and the bounds: pair i's tokens, end token included, are
-        ``ends[i]:ends[i + 1]``."""
+        """``_evaluate`` of every pair of the pairs' own table."""
+        return self._evaluate(self._compile(pairs), range(len(pairs)), with_gradients)
+
+    def _compile(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> _Table:
+        """The theta-independent table of the pairs, in order; the C & S
+        words are gathered in blocks of at most ``_BLOCK_CELLS`` cells."""
         index = self._index
         unknown, end = index[UNK_TOKEN], index[EOS_TOKEN]
         targets: list[int] = []  # every pair's positions, end to end
         previous: list[int] = []  # the row of the token before each position
-        contexts: list[list[int]] = []  # each pair's distinct context words, sorted
-        ends = [0]
+        words: list[int] = []  # each pair's distinct context words, sorted
+        ends, context_ends = [0], [0]
         for target, context in pairs:
             tokens = [index.get(token, unknown) for token in target]
             previous += [self._start_row, *tokens]
             targets += tokens
             targets.append(end)
             ends.append(len(targets))
-            contexts.append(sorted({index.get(token, unknown) for token in context}))
+            words += sorted({index.get(token, unknown) for token in context})
+            context_ends.append(len(words))
 
-        logprobs = np.full(len(targets), math.nan)
-        gradients = np.full((len(targets), 3), math.nan) if with_gradients else None
-        if np.isfinite(self.theta).all():
-            softmax = _Softmax(self.theta, self._unigram_feature)
-            for block in _blocks(ends, contexts):
-                self._score_block(
-                    softmax, block, targets, previous, contexts, ends,
-                    logprobs, gradients,
-                )
+        # each list is freed as soon as it is an array
+        targets = np.array(targets, np.int32)
+        previous = np.array(previous, np.int32)
+        words = np.array(words, np.int32)
+        n_vocab, n_pairs = len(self.vocab), len(ends) - 1
+        context_lengths = np.diff(context_ends)
+        seq = np.repeat(np.arange(n_pairs), np.diff(ends))
+        # a context cell's key pair * V + word is sorted, and a last key past
+        # them all makes every search land on an entry
+        context_keys = np.append(
+            np.repeat(np.arange(n_pairs) * n_vocab, context_lengths) + words,
+            n_pairs * n_vocab,
+        )
+        copied = _is_key(context_keys, seq * n_vocab + targets)
+        del context_keys
+        key_base = previous.astype(np.int64) * n_vocab  # previous token * V
+        followed = _is_key(self._bigram_keys, key_base + targets)
+        context_starts = np.array(context_ends[:-1])
+        cells = [np.zeros(0, np.int32)]
+        cell_ends = np.zeros(len(targets) + 1, np.int32)  # counts, then their sums
+        for block in _blocks(context_lengths[seq]):
+            at = seq[block]
+            widths = context_lengths[at]
+            cell_words = words[_ranges(context_starts[at], widths)]
+            cell_position = np.repeat(np.arange(len(at)), widths)
+            follows = _is_key(
+                self._bigram_keys, key_base[block][cell_position] + cell_words
+            )
+            cells.append(cell_words[follows])
+            cell_ends[block.start + 1 : block.stop + 1] = np.bincount(
+                cell_position[follows], minlength=len(at)
+            )
+        np.cumsum(cell_ends, out=cell_ends)
+        return _Table(
+            ends=np.array(ends, np.int32),
+            context_ends=np.array(context_ends, np.int32),
+            context_words=words,
+            targets=targets,
+            previous=previous,
+            copied=copied,
+            followed=followed,
+            cell_ends=cell_ends,
+            cell_words=np.concatenate(cells),
+        )
+
+    def _evaluate(
+        self, table: _Table, rows: Sequence[int], with_gradients: bool
+    ) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
+        """Per-token log-probabilities of the table's pairs ``rows``, end to
+        end, their gradients w.r.t. theta (one row per token, or None unless
+        asked for), and the bounds: the tokens of ``rows[i]``, end token
+        included, are ``ends[i]:ends[i + 1]``."""
+        rows = np.asarray(rows, np.intp)
+        starts = table.ends[rows]
+        lengths = table.ends[rows + 1] - starts
+        ends = [0, *np.cumsum(lengths).tolist()]
+        logprobs = np.full(ends[-1], math.nan)
+        gradients = np.full((ends[-1], 3), math.nan) if with_gradients else None
+        if not np.isfinite(self.theta).all():
+            return logprobs, gradients, ends
+
+        softmax = _Softmax(self.theta, self._unigram_feature, self._bigram_keys)
+        # W(C) and Y(C) of each row, over its sorted context words
+        context_starts = table.context_ends[rows]
+        context_lengths = table.context_ends[rows + 1] - context_starts
+        words = table.context_words[_ranges(context_starts, context_lengths)]
+        owner = np.repeat(np.arange(len(rows)), context_lengths)
+        w_context = np.bincount(owner, softmax.weights[words], len(rows))
+        y_context = np.bincount(owner, softmax.moments[words], len(rows))
+        positions = _ranges(starts, lengths)
+        seq = np.repeat(np.arange(len(rows)), lengths)
+        for block in _blocks(context_lengths[seq]):
+            at = seq[block]
+            self._score_block(
+                softmax, table, positions[block], rows[at], context_lengths[at],
+                w_context[at], y_context[at], logprobs[block],
+                None if gradients is None else gradients[block],
+            )
         return logprobs, gradients, ends
 
     def _score_block(
-        self, softmax, block, targets, previous, contexts, ends, logprobs, gradients
+        self, softmax, table, positions, rows, context_lengths, w_context, y_context,
+        logprobs, gradients,
     ) -> None:
-        """Fill ``logprobs`` (and ``gradients``, unless None) at the positions
-        of ``block``, a slice; the rest are ``_token_scores``'s lists."""
+        """Fill ``logprobs`` (and ``gradients``, unless None), views of
+        ``_evaluate``'s results, at the table's ``positions``; the rest are
+        each position's row, and that row's context length, W(C) and Y(C)."""
         n_vocab = len(self.vocab)
         theta0, theta2 = softmax.theta0, softmax.theta2
         lift0, lift2 = softmax.lift0, softmax.lift2
         excess0, excess2 = softmax.excess0, softmax.excess2
         weights, moments = softmax.weights, softmax.moments
-        start, stop = block.start, block.stop
-        size = stop - start
-        target = np.array(targets[block], np.intp)
-        prev = np.array(previous[block], np.intp)
+        size = len(positions)
+        target = table.targets[positions]
+        prev = table.previous[positions]
+        copied = table.copied[positions]
+        followed = table.followed[positions]
 
-        # The pairs the block overlaps, and W(C) of each. A context cell's key
-        # pair * V + word is sorted, and a last key past them all makes every
-        # search land on an entry.
-        first = bisect.bisect_right(ends, start) - 1
-        last = bisect.bisect_left(ends, stop)
-        bounds = np.clip(ends[first : last + 1], start, stop)
-        seq = np.repeat(np.arange(last - first), np.diff(bounds))
-        words = np.array([w for c in contexts[first:last] for w in c], np.intp)
-        context_lengths = np.array([len(c) for c in contexts[first:last]])
-        context_ends = np.concatenate(([0], np.cumsum(context_lengths)))
-        context_seq = np.repeat(np.arange(last - first), context_lengths)
-        w_context = np.bincount(context_seq, weights[words], last - first)[seq]
-        y_context = np.bincount(context_seq, moments[words], last - first)[seq]
-        context_keys = np.append(
-            context_seq * n_vocab + words, (last - first) * n_vocab
-        )
-
-        # W(S) of each distinct previous token
-        rows, row_of = np.unique(prev, return_inverse=True)
-        row_start = self._successor_starts[rows]
-        successor_counts = self._successor_starts[rows + 1] - row_start
-        successors = self._bigram_keys[_ranges(row_start, successor_counts)] % n_vocab
-        owner = np.repeat(np.arange(len(rows)), successor_counts)
-        w_successors = np.bincount(owner, weights[successors], len(rows))[row_of]
-        y_successors = np.bincount(owner, moments[successors], len(rows))[row_of]
-
-        # W(C & S) of each position: its context words that follow prev
-        lengths = context_lengths[seq]
-        cell_words = words[_ranges(context_ends[seq], lengths)]
-        cell_position = np.repeat(np.arange(size), lengths)
-        follows = _is_key(self._bigram_keys, prev[cell_position] * n_vocab + cell_words)
-        at, both = cell_position[follows], cell_words[follows]
+        # W(S) of each position's previous token, and W(C & S) over its cells
+        w_successors = softmax.w_successors[prev]
+        y_successors = softmax.y_successors[prev]
+        successor_starts = self._successor_starts[prev]
+        successor_counts = self._successor_starts[prev + 1] - successor_starts
+        cell_starts = table.cell_ends[positions]
+        cell_counts = table.cell_ends[positions + 1] - cell_starts
+        both = table.cell_words[_ranges(cell_starts, cell_counts)]
+        at = np.repeat(np.arange(size), cell_counts)
         w_both = np.bincount(at, weights[both], size)
         y_both = np.bincount(at, moments[both], size)
 
-        copied = _is_key(context_keys, seq * n_vocab + target)
-        followed = _is_key(self._bigram_keys, prev * n_vocab + target)
         logits = copied * theta0 + softmax.scaled[target] + followed * theta2
         # The shift above `top`, lift_c + lift_s: the largest sum of positive
         # weights that lifts a present group of words (the context, the
         # successors or both), kept in its two parts so that every exponent
         # below cancels exactly where it should.
-        has_c, has_s = lengths > 0, successor_counts[row_of] > 0
-        has_both = np.bincount(at, minlength=size) > 0
+        has_c, has_s = context_lengths > 0, successor_counts > 0
+        has_both = cell_counts > 0
         lift_c = np.where(has_both | has_c & ~(has_s & (lift2 > lift0)), lift0, 0.0)
         lift_s = np.where(has_both | has_s & ~(has_c & (lift0 >= lift2)), lift2, 0.0)
 
@@ -429,9 +524,13 @@ class ToyScorer:
         )
         for i in np.flatnonzero(~kept):  # a dense softmax row
             row_logits = softmax.scaled.copy()
-            own = words[context_ends[seq[i]] : context_ends[seq[i] + 1]]
+            own = table.context_words[
+                table.context_ends[rows[i]] : table.context_ends[rows[i] + 1]
+            ]
             row_logits[own] += theta0
-            follow = successors[owner == row_of[i]]
+            follow = self._bigram_keys[
+                successor_starts[i] : successor_starts[i] + successor_counts[i]
+            ] % n_vocab
             row_logits[follow] += theta2
             shift[i] = row_logits.max()
             exps = np.exp(row_logits - shift[i])
@@ -439,11 +538,11 @@ class ToyScorer:
             moment[i] = exps @ softmax.unigram
 
         log_z = np.array(list(map(math.log, z.tolist())))
-        logprobs[block] = (logits - (shift + log_z)) / LN2
+        logprobs[:] = (logits - (shift + log_z)) / LN2
         if gradients is not None:
-            gradients[block, 0] = (copied - mass_c / z) / LN2
-            gradients[block, 1] = (softmax.unigram[target] - moment / z) / LN2
-            gradients[block, 2] = (followed - mass_s / z) / LN2
+            gradients[:, 0] = (copied - mass_c / z) / LN2
+            gradients[:, 1] = (softmax.unigram[target] - moment / z) / LN2
+            gradients[:, 2] = (followed - mass_s / z) / LN2
 
     def token_logprobs(
         self, target: Sequence[str], context: Sequence[str]
@@ -476,8 +575,11 @@ class ToyScorer:
     @classmethod
     def from_dict(cls, data: dict) -> "ToyScorer":
         version = data.get("format_version")
-        if version != cls.FORMAT_VERSION:
+        if type(version) is not int or version != cls.FORMAT_VERSION:
             raise ValueError(f"unsupported scorer format version: {version!r}")
+        unknown = sorted(set(data) - set(cls.KEYS))
+        if unknown:
+            raise ValueError(f"unknown key(s): {', '.join(map(repr, unknown))}")
         bigrams = data["bigrams"]
         for pair in bigrams:
             if not (

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import EvaluationSet
-from .metrics import ToyScorer, score_magnitude, tokenize
+from .metrics import ToyScorer, _sequence_scores, _Table, score_magnitude, tokenize
 from .rankings import RankingDataset, RelativeRanking
 
 PROBE_LIMIT = 100
@@ -84,32 +84,46 @@ class LossTerms:
     gradient: np.ndarray = field(compare=False)
 
 
-def batch_loss_terms(
-    scorer, examples: Sequence[RelativeRanking], config: TrainingConfig
+def _tokenized(
+    examples: Sequence[RelativeRanking], lowercase: bool
+) -> dict[str, tuple[str, ...]]:
+    """Each distinct text of the examples, tokenized once."""
+    texts = dict.fromkeys(
+        text for e in examples for text in (e.src, e.ref, e.sys_plus, e.sys_minus)
+    )
+    return {text: tokenize(text, lowercase) for text in texts}
+
+
+def _example_pairs(
+    example: RelativeRanking, config: TrainingConfig, tokens: Mapping[str, tuple]
+) -> list[tuple[tuple, tuple]]:
+    """The example's enabled (target, context) pairs in turn: ce, forward,
+    backward; ``tokens`` maps each of its texts to its tokens."""
+    reference, better = tokens[example.ref], tokens[example.sys_plus]
+    worse = tokens[example.sys_minus]
+    pairs = []
+    if config.enable_ce:
+        pairs.append((reference, tokens[example.src]))
+    if config.enable_forward:
+        pairs += [(better, reference), (worse, reference)]
+    if config.enable_backward:
+        pairs += [(reference, better), (reference, worse)]
+    return pairs
+
+
+def _terms(
+    examples: Sequence[RelativeRanking],
+    scores: Iterable[tuple[float, np.ndarray]],
+    config: TrainingConfig,
 ) -> list[LossTerms]:
-    """All loss terms of the combined objective for each ranking example and
-    the gradient of their total, from one ``score_batch`` call over the
-    enabled (target, context) pairs of the examples.
+    """Each example's ``LossTerms`` from the ``(score, gradient)`` of its
+    enabled pairs, all examples' in turn as ``_example_pairs`` lists them.
 
     A hinge whose margin is met contributes its subgradient 0, so the
     zero-loss region is genuinely flat. A NaN hinge adds no gradient but
-    makes ``total`` NaN, which ``train`` refuses. Texts are tokenized as the
-    scorer tokenizes them.
+    makes ``total`` NaN, which ``train`` refuses.
     """
-    pairs = []  # each example's enabled pairs in turn: ce, forward, backward
-    for example in examples:
-        source = tokenize(example.src, scorer.lowercase)
-        reference = tokenize(example.ref, scorer.lowercase)
-        better = tokenize(example.sys_plus, scorer.lowercase)
-        worse = tokenize(example.sys_minus, scorer.lowercase)
-        if config.enable_ce:
-            pairs.append((reference, source))
-        if config.enable_forward:
-            pairs += [(better, reference), (worse, reference)]
-        if config.enable_backward:
-            pairs += [(reference, better), (reference, worse)]
-    scores = iter(scorer.score_batch(pairs, with_gradients=True))
-
+    scores = iter(scores)
     terms = []
     for _ in examples:
         ce = forward = backward = 0.0
@@ -137,6 +151,19 @@ def batch_loss_terms(
             )
         )
     return terms
+
+
+def batch_loss_terms(
+    scorer, examples: Sequence[RelativeRanking], config: TrainingConfig
+) -> list[LossTerms]:
+    """All loss terms of the combined objective for each ranking example and
+    the gradient of their total (see ``_terms``), from one ``score_batch``
+    call over the enabled (target, context) pairs of the examples. Texts are
+    tokenized as the scorer tokenizes them.
+    """
+    tokens = _tokenized(examples, scorer.lowercase)
+    pairs = [pair for e in examples for pair in _example_pairs(e, config, tokens)]
+    return _terms(examples, scorer.score_batch(pairs, with_gradients=True), config)
 
 
 def loss_terms(scorer, example: RelativeRanking, config: TrainingConfig) -> LossTerms:
@@ -236,6 +263,32 @@ def _probe_pairs(
     return pairs
 
 
+def _compile_examples(
+    scorer: ToyScorer,
+    datasets: Mapping[str, RankingDataset],
+    lang_pairs: Sequence[str],
+    config: TrainingConfig,
+) -> tuple[_Table, dict[str, np.ndarray]]:
+    """The scorer's table of the distinct enabled pairs of every training
+    example, and per language pair the table rows of each training
+    example's enabled pairs, one example per row of an array, as
+    ``_example_pairs`` lists them."""
+    tokens = _tokenized(
+        [e for lp in lang_pairs for e in datasets[lp].train], scorer.lowercase
+    )
+    index: dict[tuple, int] = {}  # each distinct pair's row
+
+    def rows(example):
+        pairs = _example_pairs(example, config, tokens)
+        return [index.setdefault(pair, len(index)) for pair in pairs]
+
+    example_rows = {
+        lp: np.array([rows(e) for e in datasets[lp].train], np.int32)
+        for lp in lang_pairs
+    }
+    return scorer._compile(list(index)), example_rows
+
+
 def train(
     scorer: ToyScorer,
     datasets: Mapping[str, RankingDataset],
@@ -249,8 +302,10 @@ def train(
     split; in every round each pair contributes one batch, smaller pairs
     topping up exhausted data by resampling with replacement. Texts are
     tokenized as the scorer tokenizes them (``scorer.lowercase``), so the
-    trained scorer scores as it was trained. Identical seeds give
-    bit-identical weights and reports.
+    trained scorer scores as it was trained. The scorer compiles the
+    training pairs once per call (``ToyScorer._compile``), and each step
+    evaluates its distinct pairs under the current weights. Identical seeds
+    give bit-identical weights and reports.
     """
     if config is None:
         config = TrainingConfig()
@@ -259,6 +314,7 @@ def train(
         raise TrainingError("no language pair has a nonempty training split")
 
     trained = scorer.with_theta(scorer.theta)
+    table, example_rows = _compile_examples(trained, datasets, pairs, config)
     rng = random.Random(config.seed)
     report = TrainingReport(seed=config.seed)
     max_len = max(len(datasets[lp].train) for lp in pairs)
@@ -269,9 +325,9 @@ def train(
 
     step = 0
     for epoch in range(config.epochs):
-        shuffled: dict[str, list[RelativeRanking]] = {}
+        shuffled: dict[str, list[int]] = {}  # example indices
         for lang_pair in pairs:
-            items = list(datasets[lang_pair].train)
+            items = list(range(len(datasets[lang_pair].train)))
             rng.shuffle(items)
             shuffled[lang_pair] = items
         positions = {lang_pair: 0 for lang_pair in pairs}
@@ -289,9 +345,16 @@ def train(
                 if not batch:
                     continue
 
+                # the step's distinct rows, each evaluated once
+                rows, order = np.unique(
+                    example_rows[lang_pair][batch], return_inverse=True
+                )
+                scores = _sequence_scores(*trained._evaluate(table, rows, True))
+                examples = [datasets[lang_pair].train[i] for i in batch]
                 batch_grad = np.zeros_like(trained.theta)
                 ce_sum = forward_sum = backward_sum = total_sum = 0.0
-                for terms in batch_loss_terms(trained, batch, config):
+                pair_scores = (scores[i] for i in order.ravel().tolist())
+                for terms in _terms(examples, pair_scores, config):
                     batch_grad += terms.gradient
                     ce_sum += terms.ce
                     forward_sum += terms.forward

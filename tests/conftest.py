@@ -767,10 +767,13 @@ def ranking_accuracy_oracle(scorer, examples, direction):
     return correct / len(examples)
 
 
-def train_oracle(scorer, datasets, corpus=None, config=None):
+def train_oracle(scorer, datasets, corpus=None, config=None, batched=False):
     """``training.train`` as a loop over each step's examples: every
     sequence is scored on its own through ``PerSequenceScorer``, and each
-    example's loss and gradient come from ``loss_terms_oracle``."""
+    example's loss and gradient come from ``loss_terms_oracle``. With
+    ``batched``, each step's loss terms come from one
+    ``training.batch_loss_terms`` call instead, which tokenizes the step's
+    texts and scores its pairs in one ``score_batch`` call."""
     from metricfit.training import (
         EpochValidation,
         NumericError,
@@ -778,6 +781,7 @@ def train_oracle(scorer, datasets, corpus=None, config=None):
         TrainingConfig,
         TrainingReport,
         _probe_pairs,
+        batch_loss_terms,
     )
 
     if config is None:
@@ -817,10 +821,16 @@ def train_oracle(scorer, datasets, corpus=None, config=None):
 
                 batch_grad = np.zeros_like(trained.theta)
                 ce_sum = forward_sum = backward_sum = total_sum = 0.0
-                for example in batch:
-                    (ce, forward, backward, total), grad = loss_terms_oracle(
-                        oracle, example, config
-                    )
+                if batched:
+                    step_terms = [
+                        ((t.ce, t.forward, t.backward, t.total), t.gradient)
+                        for t in batch_loss_terms(trained, batch, config)
+                    ]
+                else:
+                    step_terms = [
+                        loss_terms_oracle(oracle, example, config) for example in batch
+                    ]
+                for (ce, forward, backward, total), grad in step_terms:
                     batch_grad += grad
                     ce_sum += ce
                     forward_sum += forward

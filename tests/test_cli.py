@@ -612,6 +612,21 @@ MALFORMED = [
      lambda t, a: _broken_scorer(t, a, lambda p: p["feature_names"].reverse()),
      EXIT_DATA, "feature_names must be ['copy_from_context', 'log2_unigram_prob', "
      "'bigram_seen'], got ['bigram_seen', 'log2_unigram_prob', 'copy_from_context']"),
+    ("score-scorer-boolean-version",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(format_version=True)),
+     EXIT_DATA, "not a scorer: unsupported scorer format version: True"),
+    ("score-scorer-fractional-version",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(format_version=1.0)),
+     EXIT_DATA, "not a scorer: unsupported scorer format version: 1.0"),
+    ("score-scorer-string-version",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(format_version="1")),
+     EXIT_DATA, "not a scorer: unsupported scorer format version: '1'"),
+    ("score-scorer-unknown-key",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(extra=1)),
+     EXIT_DATA, "not a scorer: unknown key(s): 'extra'"),
+    ("score-scorer-unknown-keys",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(theta2=[], Theta=[])),
+     EXIT_DATA, "not a scorer: unknown key(s): 'Theta', 'theta2'"),
 ]
 
 

@@ -1,12 +1,14 @@
 """Tests for sequence scoring, the toy scorer, and the BLEU/chrF baselines."""
 
 import collections
+import contextlib
 import dataclasses
 import functools
 import itertools
 import math
 import random
 import string
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -48,6 +50,7 @@ from metricfit.metrics import (
     sequence_score,
     system_score,
     tokenize,
+    _sequence_scores,
     write_metric_scores,
 )
 from metricfit.rankings import split_holdout
@@ -469,6 +472,64 @@ def test_score_batch_reduces_each_pair_to_the_mean_of_its_tokens(theta):
 def test_score_batch_of_nothing_is_empty():
     assert _small_scorer().score_batch([], with_gradients=True) == []
     assert _token_batch(_small_scorer(), [], with_gradients=True) == []
+
+
+# Weights in +-50: its ends drive some positions onto the dense softmax row.
+_EVALUATE_WEIGHTS = st.one_of(
+    st.floats(-50.0, 50.0), st.sampled_from([-50.0, 50.0, 0.0, math.nan])
+)
+
+
+@pytest.mark.parametrize("block_cells", [None, 1, 5, 64])
+@settings(max_examples=40, deadline=None)
+@given(
+    n_vocab=st.one_of(st.integers(3, 60), st.integers(61, 3_000)),
+    theta=st.lists(_EVALUATE_WEIGHTS, min_size=3, max_size=3),
+    data=st.data(),
+)
+def test_evaluate_of_compiled_rows_matches_score_batch(
+    block_cells, n_vocab, theta, data
+):
+    """A table compiled once scores any subset, permutation or repetition
+    of its rows with the bits of ``score_batch`` on those pairs, in blocks
+    of any size."""
+    scorer = _batch_scorer(n_vocab).with_theta(theta)
+    words = st.one_of(
+        st.integers(0, n_vocab - 3).map("v{:04d}".format),
+        st.sampled_from(_BATCH_EXTRA_WORDS),
+    )
+    pool = data.draw(
+        st.lists(
+            st.tuples(st.lists(words, max_size=10), st.lists(words, max_size=8)),
+            min_size=1,
+            max_size=8,
+        ),
+        label="pool",
+    )
+    rows = data.draw(
+        st.lists(st.integers(0, len(pool) - 1), max_size=12), label="rows"
+    )
+    blocks = (
+        contextlib.nullcontext()
+        if block_cells is None
+        else unittest.mock.patch.object(metrics_module, "_BLOCK_CELLS", block_cells)
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = scorer.score_batch([pool[row] for row in rows], with_gradients=True)
+        tokens = [scorer.token_logprob_gradients(*pool[row]) for row in rows]
+        with blocks:
+            table = scorer._compile(pool)
+            logprobs, gradients, ends = scorer._evaluate(table, rows, True)
+            alone, none, ends_alone = scorer._evaluate(table, rows, False)
+    assert none is None and ends == ends_alone
+    assert _hexes(logprobs) == _hexes(alone)
+    assert len(ends) == len(rows) + 1
+    scores = _sequence_scores(logprobs, gradients, ends)
+    for i, (start, stop) in enumerate(itertools.pairwise(ends)):
+        assert scores[i][0].hex() == expected[i][0].hex()
+        assert _hexes(scores[i][1]) == _hexes(expected[i][1])
+        assert _hexes(logprobs[start:stop]) == _hexes(tokens[i][0])
+        assert _hexes(gradients[start:stop]) == _hexes(tokens[i][1])
 
 
 @pytest.mark.parametrize("n_vocab", [3, 92, 2_802])

@@ -1,6 +1,7 @@
 """Tests for the fine-tuning objective, gradients and the training loop."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -381,20 +382,27 @@ def _enabled_pairs(example, config):
 
 @pytest.mark.parametrize("batch_size", [7, 40])
 def test_training_scores_each_distinct_pair_of_a_step_once(monkeypatch, batch_size):
-    steps, calls = [], []
-    batch_loss_terms = training.batch_loss_terms
-    token_scores = ToyScorer._token_scores
+    steps, calls, tables = [], [], []
+    terms = training._terms
+    compile_pairs, evaluate = ToyScorer._compile, ToyScorer._evaluate
 
-    def spied_step(scorer, examples, config):
+    def spied_step(examples, scores, config):
         steps.append(list(examples))
-        return batch_loss_terms(scorer, examples, config)
+        return terms(examples, scores, config)
 
-    def counted(self, pairs, with_gradients):
-        calls.append((list(pairs), with_gradients))
-        return token_scores(self, pairs, with_gradients)
+    def spied_compile(self, pairs):
+        table = compile_pairs(self, pairs)
+        tables.append((table, list(pairs)))
+        return table
 
-    monkeypatch.setattr(training, "batch_loss_terms", spied_step)
-    monkeypatch.setattr(ToyScorer, "_token_scores", counted)
+    def spied_evaluate(self, table, rows, with_gradients):
+        (pairs,) = [pairs for known, pairs in tables if known is table]
+        calls.append(([pairs[row] for row in rows], with_gradients))
+        return evaluate(self, table, rows, with_gradients)
+
+    monkeypatch.setattr(training, "_terms", spied_step)
+    monkeypatch.setattr(ToyScorer, "_compile", spied_compile)
+    monkeypatch.setattr(ToyScorer, "_evaluate", spied_evaluate)
     examples, texts = separable_ranking_examples(30, seed=5)
     examples += examples[:10]  # the same ranking twice, as from two annotators
     datasets = {"xx-yy": split_holdout(examples, holdout_size=0, seed=5)}
@@ -403,6 +411,7 @@ def test_training_scores_each_distinct_pair_of_a_step_once(monkeypatch, batch_si
 
     assert report.final_score_magnitude is None  # no validation, no probe
     assert len(calls) == len(steps) == len(report.steps)
+    [(_, compiled)] = tables  # one table per train call, of every pair
     every_pair = {pair for e in examples for pair in _enabled_pairs(e, config)}
     assert len(every_pair) < 5 * len(examples)
     for batch, (pairs, with_gradients) in zip(steps, calls):
@@ -417,6 +426,7 @@ def test_training_scores_each_distinct_pair_of_a_step_once(monkeypatch, batch_si
             for pair in pairs
         }
         assert scored == every_pair
+    assert set(compiled) == every_pair and len(compiled) == len(every_pair)
 
 
 def _separable_dataset(n_examples=240, holdout=40, seed=5):
@@ -453,7 +463,8 @@ def test_training_is_seed_deterministic():
     assert report_a.to_dict() == report_b.to_dict()
 
 
-def test_round_robin_schedule_with_upsampling():
+def _two_lang_pair_datasets():
+    """A large and a small language pair, so the small one is upsampled."""
     examples, texts = separable_ranking_examples(137, seed=6)
     large = [dataclasses.replace(e, lang_pair="aa-bb") for e in examples[:100]]
     small = [dataclasses.replace(e, lang_pair="cc-dd") for e in examples[100:137]]
@@ -461,7 +472,11 @@ def test_round_robin_schedule_with_upsampling():
         "aa-bb": split_holdout(large, holdout_size=0, seed=1),
         "cc-dd": split_holdout(small, holdout_size=0, seed=1),
     }
-    scorer = ToyScorer.from_texts(texts)
+    return datasets, ToyScorer.from_texts(texts)
+
+
+def test_round_robin_schedule_with_upsampling():
+    datasets, scorer = _two_lang_pair_datasets()
     config = TrainingConfig(seed=3, batch_size=32)
     _, report = train(scorer, datasets, config=config)
 
@@ -511,6 +526,42 @@ def test_batched_training_matches_per_example_oracle(ablation, lowercase, batch_
     assert not np.array_equal(trained.theta, scorer.theta)
 
 
+# (make the datasets and scorer, TrainingConfig settings) per case
+_STEP_LOOP_CASES = {
+    "ce-only": (_mixed_case_dataset, dict(enable_forward=False, enable_backward=False)),
+    "forward-only": (_mixed_case_dataset, dict(enable_ce=False, enable_backward=False)),
+    "backward-only": (_mixed_case_dataset, dict(enable_ce=False, enable_forward=False)),
+    "lowercase": (functools.partial(_mixed_case_dataset, lowercase=True), {}),
+    "two-epochs": (_mixed_case_dataset, dict(epochs=2)),
+    "upsampled-lang-pair": (_two_lang_pair_datasets, dict(epochs=2)),
+    "duplicate-examples": (
+        functools.partial(_mixed_case_dataset, n_examples=20, holdout=4),
+        dict(batch_size=9),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STEP_LOOP_CASES))
+def test_compiled_training_matches_the_step_loop_oracle(case):
+    """``train`` compiles its pairs once and evaluates each step's rows;
+    it gives the bits of calling ``batch_loss_terms`` on every step."""
+    make, settings = _STEP_LOOP_CASES[case]
+    datasets, scorer = make()
+    config = TrainingConfig(
+        **{**dict(seed=3, batch_size=7, epsilon=1.0, learning_rate=0.5), **settings}
+    )
+    if case == "duplicate-examples":
+        train_set = datasets["xx-yy"].train
+        assert len(set(train_set)) < len(train_set)
+    trained, report = train(scorer, datasets, config=config)
+    expected, expected_report = train_oracle(
+        scorer, datasets, config=config, batched=True
+    )
+    assert trained.theta.tobytes() == expected.theta.tobytes()
+    assert report.to_dict() == expected_report.to_dict()
+    assert not np.array_equal(trained.theta, scorer.theta)
+
+
 def test_training_tokenizes_as_the_scorer_does():
     """A lowercasing scorer trains on mixed-case rankings exactly as on the
     same rankings lowercased beforehand."""
@@ -545,14 +596,7 @@ def test_training_tokenizes_as_the_scorer_does():
 
 
 def test_batched_training_matches_oracle_with_upsampling_and_corpus(tmp_path):
-    examples, texts = separable_ranking_examples(137, seed=6)
-    large = [dataclasses.replace(e, lang_pair="aa-bb") for e in examples[:100]]
-    small = [dataclasses.replace(e, lang_pair="cc-dd") for e in examples[100:137]]
-    datasets = {
-        "aa-bb": split_holdout(large, holdout_size=0, seed=1),
-        "cc-dd": split_holdout(small, holdout_size=0, seed=1),
-    }
-    scorer = ToyScorer.from_texts(texts)
+    datasets, scorer = _two_lang_pair_datasets()
     corpus = load_tiny_corpus(tmp_path)
     config = TrainingConfig(seed=3, batch_size=32, epochs=2, learning_rate=0.5)
     for probe_corpus in (None, corpus):
