@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from collections import defaultdict
 from contextlib import suppress
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 from .artefacts import ArtefactError, read_json, write_json
@@ -392,8 +393,9 @@ def cmd_score(args) -> int:
 
 
 def _mean(values: list[float] | None) -> float | None:
-    # sum, not fsum: correlations.json keeps the bytes it always had
-    return sum(values) / len(values) if values else None
+    # left to right from 0.0, not fsum (correlations.json keeps the bytes it
+    # always had) nor sum(), which compensates from Python 3.12 on
+    return reduce(operator.add, values, 0.0) / len(values) if values else None
 
 
 def cmd_correlate(args) -> int:

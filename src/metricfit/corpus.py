@@ -14,9 +14,11 @@ computed from ratings are *penalties*: lower is better, zero is perfect.
 from __future__ import annotations
 
 import math
+import operator
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -162,9 +164,10 @@ DEFAULT_WEIGHTS = SeverityWeights()
 def mqm_score(rating: MqmRating, weights: SeverityWeights = DEFAULT_WEIGHTS) -> float:
     """Total penalty of a rating: the sum of per-error severity weights.
 
-    Zero errors yield 0.0. Lower is better.
+    Zero errors yield 0.0. Lower is better. The weights are added left to
+    right from 0.0, on every Python: ``sum()`` compensates from 3.12 on.
     """
-    return sum(weights.weight(error) for error in rating.errors)
+    return reduce(operator.add, map(weights.weight, rating.errors), 0.0)
 
 
 @dataclass(frozen=True)

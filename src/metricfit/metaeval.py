@@ -67,6 +67,13 @@ def kendall_tau(
     The pair counts are exact integers over dense ranks, with discordant
     pairs from a merge count in O(n log^2 n), and :func:`_tau_b` turns them
     into tau-b.
+
+    Values tie only when equal as floats, so values one ulp apart are
+    untied and scores that differ only by rounding can move tau: two units
+    of a robustness benchmark corpus whose prism scores agree to 30 digits
+    moved prism's segment tau from 0.7056743534703047 to 0.7056699316054752
+    when they came out one ulp apart. A tolerance would be a setting of its
+    own and would change output bytes.
     """
     metric = np.asarray(metric_scores, dtype=np.float64)
     human = np.asarray(human_penalties, dtype=np.float64)

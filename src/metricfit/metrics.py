@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -196,22 +198,21 @@ def _is_key(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
 
 def _sequence_scores(
     logprobs: np.ndarray, gradients: np.ndarray | None, ends: Sequence[int]
-) -> list[tuple[float, np.ndarray | None]]:
-    """Each pair's ``(score, gradient)`` from its per-token results, pair i
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each pair's score and gradient from its per-token results, pair i
     holding ``ends[i]:ends[i + 1]``: ``math.fsum`` of its log-probabilities
     over their count and, unless ``gradients`` is None, the mean of its
-    gradient rows (summed in row order, as ``.mean(axis=0)`` sums them)."""
+    gradient rows (summed in row order, as ``.mean(axis=0)`` sums them), one
+    row per pair."""
     values = logprobs.tolist()
     counts = np.diff(ends)
-    means = [None] * len(counts)
+    sums = (math.fsum(values[start:stop]) for start, stop in zip(ends, ends[1:]))
+    means = None
     if gradients is not None:
         pair = np.repeat(np.arange(len(counts)), counts)
-        sums = [np.bincount(pair, column, len(counts)) for column in gradients.T]
-        means = np.stack(sums, axis=1) / counts[:, None]
-    return [
-        (math.fsum(values[start:stop]) / (stop - start), mean)
-        for start, stop, mean in zip(ends, ends[1:], means)
-    ]
+        columns = [np.bincount(pair, column, len(counts)) for column in gradients.T]
+        means = np.stack(columns, axis=1) / counts[:, None]
+    return np.fromiter(sums, np.float64, len(counts)) / counts, means
 
 
 class ToyScorer:
@@ -347,8 +348,13 @@ class ToyScorer:
         """
         index: dict[tuple, int] = {}  # each distinct pair's position among them
         order = [index.setdefault((tuple(t), tuple(c)), len(index)) for t, c in pairs]
-        scores = _sequence_scores(*self._token_scores(list(index), with_gradients))
-        return [scores[i] for i in order]
+        scores, means = _sequence_scores(
+            *self._token_scores(list(index), with_gradients)
+        )
+        if means is None:
+            means = [None] * len(scores)
+        scored = list(zip(scores.tolist(), means))
+        return [scored[i] for i in order]
 
     def _token_scores(
         self,
@@ -784,8 +790,9 @@ def _segment_bleu_score(hyp_len: int, ref_len: int, matches: list[int]) -> float
         if matched == 0 or total == 0:
             return 0.0
         log_precisions.append(math.log(matched / total))
+    # summed left to right from 0.0: sum() compensates from Python 3.12 on
     return 100.0 * _brevity_penalty(hyp_len, ref_len) * math.exp(
-        sum(log_precisions) / _BLEU_ORDER
+        reduce(operator.add, log_precisions, 0.0) / _BLEU_ORDER
     )
 
 
@@ -818,7 +825,8 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str]) -> float:
     ]
     if any(m == 0 or t == 0 for m, t in zip(matches, totals)):
         return 0.0
-    log_mean = sum(math.log(m / t) for m, t in zip(matches, totals)) / _BLEU_ORDER
+    logs = (math.log(m / t) for m, t in zip(matches, totals))
+    log_mean = reduce(operator.add, logs, 0.0) / _BLEU_ORDER  # see _segment_bleu_score
     hyp_len, ref_len = sum(hyp_lengths), sum(ref_lengths)
     return 100.0 * _brevity_penalty(hyp_len, ref_len) * math.exp(log_mean)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -65,13 +65,6 @@ class TrainingConfig:
             raise TrainingError("at least one loss term must be enabled")
 
 
-def _hinge(margin: float, better_score: float, worse_score: float) -> float:
-    value = margin - better_score + worse_score
-    if math.isnan(value):  # max(0.0, nan) would silently hide broken scores
-        return value
-    return max(0.0, value)
-
-
 @dataclass(frozen=True)
 class LossTerms:
     """Per-term loss values for one example, disabled terms zero, and the
@@ -111,59 +104,51 @@ def _example_pairs(
     return pairs
 
 
-def _terms(
-    examples: Sequence[RelativeRanking],
-    scores: Iterable[tuple[float, np.ndarray]],
-    config: TrainingConfig,
-) -> list[LossTerms]:
-    """Each example's ``LossTerms`` from the ``(score, gradient)`` of its
-    enabled pairs, all examples' in turn as ``_example_pairs`` lists them.
-
-    A hinge whose margin is met contributes its subgradient 0, so the
-    zero-loss region is genuinely flat. A NaN hinge adds no gradient but
-    makes ``total`` NaN, which ``train`` refuses.
-    """
-    scores = iter(scores)
-    terms = []
-    for _ in examples:
-        ce = forward = backward = 0.0
-        grad = np.zeros(len(ToyScorer.FEATURE_NAMES))
+def _loss(scores, gradients, config: TrainingConfig) -> np.ndarray:
+    """One row per example of ce, forward, backward, total and the gradient
+    of ``total``, disabled terms zero, from the ``(examples, pairs)`` scores
+    and ``(examples, pairs, features)`` gradients of its enabled pairs in
+    ``_example_pairs`` order. A hinge whose margin is met adds its
+    subgradient 0, so the zero-loss region is genuinely flat; a NaN hinge
+    adds no gradient but makes ``total`` NaN, which ``train`` refuses."""
+    loss = np.zeros((len(scores), 4 + gradients.shape[-1]))
+    ce, forward, backward, total = loss[:, :4].T
+    grad = loss[:, 4:]
+    column = int(config.enable_ce)
+    # NaN and inf are results here (train refuses a non-finite total), and
+    # a discarded step may be inf - inf
+    with np.errstate(invalid="ignore", over="ignore"):
         if config.enable_ce:
-            score, ce_grad = next(scores)
-            ce = -score
-            grad += config.alpha * -ce_grad
-        if config.enable_forward:
-            better_score, better_grad = next(scores)
-            worse_score, worse_grad = next(scores)
-            forward = _hinge(config.epsilon, better_score, worse_score)
-            if forward > 0.0:
-                grad += 0.5 * (worse_grad - better_grad)
-        if config.enable_backward:
-            better_score, better_grad = next(scores)
-            worse_score, worse_grad = next(scores)
-            backward = _hinge(config.epsilon, better_score, worse_score)
-            if backward > 0.0:
-                grad += 0.5 * (worse_grad - better_grad)
-        total = config.alpha * ce + 0.5 * forward + 0.5 * backward
-        terms.append(
-            LossTerms(
-                ce=ce, forward=forward, backward=backward, total=total, gradient=grad
-            )
-        )
-    return terms
+            ce[:] = -scores[:, 0]
+            grad += config.alpha * -gradients[:, 0]
+        hinges = (forward, config.enable_forward), (backward, config.enable_backward)
+        for hinge, enabled in hinges:
+            if enabled:
+                better, worse = scores[:, column], scores[:, column + 1]
+                hinge[:] = np.maximum(0.0, (config.epsilon - better) + worse)
+                step = 0.5 * (gradients[:, column + 1] - gradients[:, column])
+                grad += np.where(hinge[:, None] > 0.0, step, 0.0)
+                column += 2
+        total[:] = config.alpha * ce + 0.5 * forward + 0.5 * backward
+    return loss
 
 
 def batch_loss_terms(
     scorer, examples: Sequence[RelativeRanking], config: TrainingConfig
 ) -> list[LossTerms]:
     """All loss terms of the combined objective for each ranking example and
-    the gradient of their total (see ``_terms``), from one ``score_batch``
+    the gradient of their total (see ``_loss``), from one ``score_batch``
     call over the enabled (target, context) pairs of the examples. Texts are
     tokenized as the scorer tokenizes them.
     """
+    if not examples:
+        return []
     tokens = _tokenized(examples, scorer.lowercase)
     pairs = [pair for e in examples for pair in _example_pairs(e, config, tokens)]
-    return _terms(examples, scorer.score_batch(pairs, with_gradients=True), config)
+    scores, gradients = zip(*scorer.score_batch(pairs, with_gradients=True))
+    shape = (len(examples), len(pairs) // len(examples), -1)
+    loss = _loss(np.reshape(scores, shape[:2]), np.reshape(gradients, shape), config)
+    return [LossTerms(*row[:4].tolist(), gradient=row[4:].copy()) for row in loss]
 
 
 def loss_terms(scorer, example: RelativeRanking, config: TrainingConfig) -> LossTerms:
@@ -195,15 +180,12 @@ def ranking_accuracy(
         raise ValueError(f"unknown direction: {direction!r}")
     if not examples:
         return None
-    pairs = []
-    for example in examples:
-        reference = tokenize(example.ref, scorer.lowercase)
-        better = tokenize(example.sys_plus, scorer.lowercase)
-        worse = tokenize(example.sys_minus, scorer.lowercase)
-        if direction == "forward":
-            pairs += [(better, reference), (worse, reference)]
-        else:
-            pairs += [(reference, better), (reference, worse)]
+    forward = direction == "forward"
+    config = TrainingConfig(
+        enable_ce=False, enable_forward=forward, enable_backward=not forward
+    )
+    tokens = _tokenized(examples, scorer.lowercase)
+    pairs = [pair for e in examples for pair in _example_pairs(e, config, tokens)]
     scores = [score for score, _ in scorer.score_batch(pairs, with_gradients=False)]
     correct = sum(plus > minus for plus, minus in zip(scores[::2], scores[1::2]))
     return correct / len(examples)
@@ -323,25 +305,19 @@ def train(
         example for lp in sorted(datasets) for example in datasets[lp].validation
     ]
 
-    step = 0
     for epoch in range(config.epochs):
         shuffled: dict[str, list[int]] = {}  # example indices
         for lang_pair in pairs:
             items = list(range(len(datasets[lang_pair].train)))
             rng.shuffle(items)
             shuffled[lang_pair] = items
-        positions = {lang_pair: 0 for lang_pair in pairs}
 
-        for _ in range(rounds):
+        for r in range(rounds):
             for lang_pair in pairs:
                 items = shuffled[lang_pair]
-                start = positions[lang_pair]
-                batch = items[start : start + config.batch_size]
-                positions[lang_pair] = start + len(batch)
+                batch = items[r * config.batch_size : (r + 1) * config.batch_size]
                 if len(batch) < config.batch_size and len(items) < max_len:
-                    batch = batch + rng.choices(
-                        items, k=config.batch_size - len(batch)
-                    )
+                    batch += rng.choices(items, k=config.batch_size - len(batch))
                 if not batch:
                     continue
 
@@ -349,38 +325,34 @@ def train(
                 rows, order = np.unique(
                     example_rows[lang_pair][batch], return_inverse=True
                 )
-                scores = _sequence_scores(*trained._evaluate(table, rows, True))
-                examples = [datasets[lang_pair].train[i] for i in batch]
-                batch_grad = np.zeros_like(trained.theta)
-                ce_sum = forward_sum = backward_sum = total_sum = 0.0
-                pair_scores = (scores[i] for i in order.ravel().tolist())
-                for terms in _terms(examples, pair_scores, config):
-                    batch_grad += terms.gradient
-                    ce_sum += terms.ce
-                    forward_sum += terms.forward
-                    backward_sum += terms.backward
-                    total_sum += terms.total
-                size = len(batch)
-                mean_total = total_sum / size
-                if not math.isfinite(mean_total):
+                scores, gradients = _sequence_scores(
+                    *trained._evaluate(table, rows, True)
+                )
+                order = order.reshape(len(batch), -1)
+                loss = _loss(scores[order], gradients[order], config)
+                # summed over the examples in turn from 0.0, as += would sum
+                zero = np.zeros((1, loss.shape[1]))
+                mean = np.cumsum(np.vstack([zero, loss]), axis=0)[-1] / len(batch)
+                ce, forward, backward, total = mean[:4].tolist()
+                step = len(report.steps)
+                if not math.isfinite(total):
                     raise NumericError(
                         f"non-finite loss at step {step} "
                         f"(epoch {epoch}, lang_pair {lang_pair})"
                     )
-                trained.theta -= config.learning_rate * (batch_grad / size)
+                trained.theta -= config.learning_rate * mean[4:]
                 report.steps.append(
                     StepRecord(
                         step=step,
                         epoch=epoch,
                         lang_pair=lang_pair,
-                        batch_size=size,
-                        loss_total=mean_total,
-                        loss_ce=ce_sum / size,
-                        loss_forward=forward_sum / size,
-                        loss_backward=backward_sum / size,
+                        batch_size=len(batch),
+                        loss_total=total,
+                        loss_ce=ce,
+                        loss_forward=forward,
+                        loss_backward=backward,
                     )
                 )
-                step += 1
 
         report.validation.append(
             EpochValidation(

@@ -747,6 +747,32 @@ def loss_terms_oracle(scorer, example, config):
     return loss_values_oracle(scorer, example, config), grad
 
 
+def scored_loss_terms_oracle(scored, config):
+    """One example's ``(ce, forward, backward, total)`` and gradient from the
+    ``(score, gradient)`` of its enabled pairs, in ``_example_pairs`` order,
+    term by term in Python floats: a hinge whose margin is met, or that is
+    NaN, adds no gradient."""
+    scored = iter(scored)
+    ce = 0.0
+    grad = np.zeros(3)
+    if config.enable_ce:
+        score, ce_grad = next(scored)
+        ce = -score
+        grad += config.alpha * -ce_grad
+    hinges = []
+    for enabled in (config.enable_forward, config.enable_backward):
+        value = 0.0
+        if enabled:
+            (better, better_grad), (worse, worse_grad) = next(scored), next(scored)
+            value = _hinge(config.epsilon, better, worse)
+            if value > 0.0:
+                grad += 0.5 * (worse_grad - better_grad)
+        hinges.append(value)
+    forward, backward = hinges
+    total = config.alpha * ce + 0.5 * forward + 0.5 * backward
+    return (ce, forward, backward, total), grad
+
+
 def ranking_accuracy_oracle(scorer, examples, direction):
     """``training.ranking_accuracy`` one example and one sequence at a time."""
     if not examples:

@@ -84,6 +84,20 @@ def test_kendall_constant_input_is_undefined():
         )
 
 
+def test_kendall_ties_only_equal_floats():
+    """Exact float equality is the tie rule: one ulp apart is untied."""
+    score = -0.7056743534703047
+    human = [3.0, 2.0, 1.0]  # penalties: the last unit is the best
+    untied = [score, math.nextafter(score, 0.0), 0.0]
+    assert kendall_tau(untied, human) == 1.0
+    tied = [score, score, 0.0]  # one tied metric pair of three
+    assert kendall_tau(tied, human) == pytest.approx(2.0 / math.sqrt(6.0))
+    for metric in (untied, tied):
+        assert _tau_hex(kendall_tau(metric, human)) == _tau_hex(
+            kendall_tau_scipy_oracle(metric, human)
+        )
+
+
 def test_kendall_validates_input():
     with pytest.raises(ValueError):
         kendall_tau([1.0], [2.0])

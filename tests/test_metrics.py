@@ -524,10 +524,11 @@ def test_evaluate_of_compiled_rows_matches_score_batch(
     assert none is None and ends == ends_alone
     assert _hexes(logprobs) == _hexes(alone)
     assert len(ends) == len(rows) + 1
-    scores = _sequence_scores(logprobs, gradients, ends)
+    scores, means = _sequence_scores(logprobs, gradients, ends)
+    assert scores.shape == (len(rows),) and means.shape == (len(rows), 3)
     for i, (start, stop) in enumerate(itertools.pairwise(ends)):
-        assert scores[i][0].hex() == expected[i][0].hex()
-        assert _hexes(scores[i][1]) == _hexes(expected[i][1])
+        assert scores[i].hex() == expected[i][0].hex()
+        assert _hexes(means[i]) == _hexes(expected[i][1])
         assert _hexes(logprobs[start:stop]) == _hexes(tokens[i][0])
         assert _hexes(gradients[start:stop]) == _hexes(tokens[i][1])
 

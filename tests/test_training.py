@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
     forward_ranking_loss,
     load_tiny_corpus,
     loss_terms_oracle,
+    scored_loss_terms_oracle,
     separable_ranking_examples,
     train_oracle,
 )
@@ -29,6 +31,7 @@ from metricfit.training import (
     NumericError,
     TrainingConfig,
     TrainingError,
+    batch_loss_terms,
     gradient,
     loss_terms,
     ranking_accuracy,
@@ -366,6 +369,92 @@ def test_fused_loss_terms_match_two_pass_oracle():
     assert hinges == {True, False}  # both the active and the flat branch ran
 
 
+class _GradientTableScorer(TableScorer):
+    """``TableScorer`` with a fixed gradient per (target, context) pair too."""
+
+    def __init__(self, table: dict, gradients: dict):
+        super().__init__(table)
+        self.gradients = gradients
+
+    def score_batch(self, pairs, with_gradients):
+        keys = [(tuple(target), tuple(context)) for target, context in pairs]
+        return [(self.table[key], self.gradients[key]) for key in keys]
+
+
+def _hex_terms(values, grad):
+    return [float(value).hex() for value in (*values, *grad)]
+
+
+# Scores and gradient components beyond the finite: NaN, +-inf and -0.0.
+_SPECIAL_SCORES = [math.nan, math.inf, -math.inf, -0.0, 0.0, -0.5, -0.4, -3.25]
+_SPECIAL_GRADIENTS = [math.nan, math.inf, -math.inf, -0.0]
+
+
+@pytest.mark.parametrize(
+    "ablation", ABLATION_CONFIGS, ids=lambda a: "-".join(k[7:] for k in a if a[k])
+)
+def test_batch_loss_terms_match_the_scalar_oracle_on_special_scores(ablation):
+    """The array kernel gives each example the bits of the scalar loop:
+    NaN and infinite scores and gradients, signed zeros and a hinge exactly
+    at its margin (scores -0.4 and -0.5 at epsilon 0.1) included."""
+    rng = random.Random(31)
+    config = TrainingConfig(**ablation)
+    examples, table, gradients = [], {}, {}
+    for i in range(80):
+        example = _example(src=f"s{i}", ref=f"r{i}", plus=f"p{i}", minus=f"m{i}")
+        examples.append(example)
+        at_margin = i < 4  # better -0.4, worse -0.5
+        for j, pair in enumerate(_enabled_pairs(example, TrainingConfig())):
+            key = tuple(map(tuple, pair))
+            if at_margin and j:
+                table[key] = -0.4 if j % 2 else -0.5
+            else:
+                table[key] = rng.choice(_SPECIAL_SCORES)
+            gradients[key] = np.array(
+                [
+                    rng.choice(_SPECIAL_GRADIENTS)
+                    if rng.random() < 0.1
+                    else rng.uniform(-2.0, 2.0)
+                    for _ in range(3)
+                ]
+            )
+    scorer = _GradientTableScorer(table, gradients)
+    assert batch_loss_terms(scorer, [], config) == []
+    terms = batch_loss_terms(scorer, examples, config)
+    assert len(terms) == len(examples)
+
+    seen = set()
+    for example, term in zip(examples, terms):
+        scored = scorer.score_batch(_enabled_pairs(example, config), True)
+        with np.errstate(invalid="ignore", over="ignore"):
+            values, grad = scored_loss_terms_oracle(scored, config)
+        fields = (term.ce, term.forward, term.backward, term.total)
+        assert all(type(value) is float for value in fields)
+        assert _hex_terms(fields, term.gradient) == _hex_terms(values, grad)
+        for name, hinge in (("forward", term.forward), ("backward", term.backward)):
+            if not getattr(config, f"enable_{name}"):
+                continue
+            seen.add("nan" if math.isnan(hinge) else hinge > 0.0)
+            if math.isnan(hinge):
+                assert math.isnan(term.total)
+                # the gradient of the other terms alone
+                rest = types.SimpleNamespace(
+                    **{**vars(config), f"enable_{name}": False}
+                )
+                kept = scorer.score_batch(_enabled_pairs(example, rest), True)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    _, without = scored_loss_terms_oracle(kept, rest)
+                assert _hex_terms((), term.gradient) == _hex_terms((), without)
+            elif not hinge:
+                assert math.copysign(1.0, hinge) == 1.0  # never -0.0
+    for term in terms[:4]:  # exactly at the margin: flat
+        assert [term.forward, term.backward] == [0.0, 0.0]
+    if config.enable_forward or config.enable_backward:
+        assert seen == {"nan", True, False}
+    for one, other in itertools.pairwise(terms):  # no shared gradient arrays
+        assert not np.shares_memory(one.gradient, other.gradient)
+
+
 def _enabled_pairs(example, config):
     reference = tokenize(example.ref)
     better = tokenize(example.sys_plus)
@@ -382,13 +471,31 @@ def _enabled_pairs(example, config):
 
 @pytest.mark.parametrize("batch_size", [7, 40])
 def test_training_scores_each_distinct_pair_of_a_step_once(monkeypatch, batch_size):
-    steps, calls, tables = [], [], []
-    terms = training._terms
+    examples, texts = separable_ranking_examples(30, seed=5)
+    examples += examples[:10]  # the same ranking twice, as from two annotators
+    datasets = {"xx-yy": split_holdout(examples, holdout_size=0, seed=5)}
+    config = TrainingConfig(seed=1, epochs=2, batch_size=batch_size)
+    scorer = ToyScorer.from_texts(texts)
+
+    # each step's examples, from the oracle, which samples batches as train does
+    steps = []
+    batch_loss_terms = training.batch_loss_terms
+
+    def spied_terms(scorer, batch, config):
+        steps.append(list(batch))
+        return batch_loss_terms(scorer, batch, config)
+
+    with monkeypatch.context() as patches:
+        patches.setattr(training, "batch_loss_terms", spied_terms)
+        train_oracle(scorer, datasets, config=config, batched=True)
+
+    sizes, calls, tables = [], [], []
+    loss = training._loss
     compile_pairs, evaluate = ToyScorer._compile, ToyScorer._evaluate
 
-    def spied_step(examples, scores, config):
-        steps.append(list(examples))
-        return terms(examples, scores, config)
+    def spied_loss(scores, gradients, config):
+        sizes.append(len(scores))
+        return loss(scores, gradients, config)
 
     def spied_compile(self, pairs):
         table = compile_pairs(self, pairs)
@@ -400,17 +507,14 @@ def test_training_scores_each_distinct_pair_of_a_step_once(monkeypatch, batch_si
         calls.append(([pairs[row] for row in rows], with_gradients))
         return evaluate(self, table, rows, with_gradients)
 
-    monkeypatch.setattr(training, "_terms", spied_step)
+    monkeypatch.setattr(training, "_loss", spied_loss)
     monkeypatch.setattr(ToyScorer, "_compile", spied_compile)
     monkeypatch.setattr(ToyScorer, "_evaluate", spied_evaluate)
-    examples, texts = separable_ranking_examples(30, seed=5)
-    examples += examples[:10]  # the same ranking twice, as from two annotators
-    datasets = {"xx-yy": split_holdout(examples, holdout_size=0, seed=5)}
-    config = TrainingConfig(seed=1, epochs=2, batch_size=batch_size)
-    _, report = train(ToyScorer.from_texts(texts), datasets, config=config)
+    _, report = train(scorer, datasets, config=config)
 
     assert report.final_score_magnitude is None  # no validation, no probe
-    assert len(calls) == len(steps) == len(report.steps)
+    assert len(calls) == len(steps) == len(sizes) == len(report.steps)
+    assert sizes == [len(batch) for batch in steps]
     [(_, compiled)] = tables  # one table per train call, of every pair
     every_pair = {pair for e in examples for pair in _enabled_pairs(e, config)}
     assert len(every_pair) < 5 * len(examples)
