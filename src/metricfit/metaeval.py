@@ -34,7 +34,7 @@ from .corpus import (
     error_free_translations,
     mqm_score,
 )
-from .metrics import Metric, MetricScore, system_score
+from .metrics import Metric, MetricScore, fsum_mean, fsums, system_score
 
 SwapStatistic = Callable[
     [np.ndarray, np.ndarray, np.ndarray, Iterable[np.ndarray]],
@@ -393,9 +393,9 @@ def human_segment_scores(
         ratings = eval_set.ratings_for(system_id, seg_id)
         if not ratings:
             continue
-        scores[(system_id, seg_id)] = math.fsum(
-            mqm_score(rating, weights) for rating in ratings
-        ) / len(ratings)
+        scores[(system_id, seg_id)] = fsum_mean(
+            [mqm_score(rating, weights) for rating in ratings]
+        )
     return scores
 
 
@@ -977,20 +977,24 @@ def _system_level_accuracy(
     """Pairwise accuracy under both conditions with per-pair reference sets.
 
     Each system pair is decided as in :func:`pairwise_accuracy`, on the sums
-    of its segment scores, so both conditions leave out the same pairs.
+    of its segment scores (both systems' on one scale, :func:`fsums`), so
+    both conditions leave out the same pairs.
     """
     verdicts = {metric_id: ([], []) for metric_id in scores}  # std, mt
     for comparison in comparisons:
-        system_a, system_b = comparison.system_a, comparison.system_b
-        pair_segments = comparison.segments
-        human_a = -math.fsum(human_scores[(system_a, s)] for s in pair_segments)
-        human_b = -math.fsum(human_scores[(system_b, s)] for s in pair_segments)
+        systems = comparison.system_a, comparison.system_b
+        segments = comparison.segments
+        sums, _ = fsums(
+            [[human_scores[(system, s)] for s in segments] for system in systems]
+        )
+        human_a, human_b = (-total for total in sums)
         for metric_id, table in scores.items():
             for condition, pairs in zip(
                 verdicts[metric_id], (std_pairs, comparison.mt_pairs)
             ):
-                score_a = math.fsum(table[pairs[(system_a, s)]] for s in pair_segments)
-                score_b = math.fsum(table[pairs[(system_b, s)]] for s in pair_segments)
+                (score_a, score_b), _ = fsums(
+                    [[table[pairs[(system, s)]] for s in segments] for system in systems]
+                )
                 condition.append(_ordered_alike(score_a, score_b, human_a, human_b))
     return {
         metric_id: ConditionPair.of(_accuracy(std), _accuracy(mt))

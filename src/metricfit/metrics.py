@@ -75,12 +75,13 @@ class SequenceScorer(Protocol):
     all tokenize a scorer's input with it.
 
     ``score_batch(pairs, with_gradients)`` scores many (target, context)
-    pairs in one call: one ``(score, gradient)`` per pair, in order. The
-    score is the pair's sequence score, the mean base-2 log-probability of
-    its target tokens and the appended end-of-sequence token, so it is in
-    (-inf, 0]. The gradient is the mean of those tokens' d logprob / d
-    theta rows, or None unless asked for. Each distinct pair is scored once
-    per call.
+    pairs in one call and returns ``(scores, gradients)``: a float64 array
+    of one score per pair, in order, and an ``(n, 3)`` array of their
+    gradients, or None unless asked for. A pair's score is its sequence
+    score, the mean base-2 log-probability of its target tokens and the
+    appended end-of-sequence token, so it is in (-inf, 0]; its gradient is
+    the mean of those tokens' d logprob / d theta rows. Each distinct pair
+    is scored once per call.
     """
 
     lowercase: bool
@@ -89,7 +90,7 @@ class SequenceScorer(Protocol):
         self,
         pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
         with_gradients: bool,
-    ) -> list[tuple[float, np.ndarray | None]]: ...
+    ) -> tuple[np.ndarray, np.ndarray | None]: ...
 
 
 def sequence_score(
@@ -101,7 +102,7 @@ def sequence_score(
     is well-defined (it scores only the end token). An empty context means
     unconditional scoring. The result is in (-inf, 0].
     """
-    return scorer.score_batch([(target, context)], False)[0][0]
+    return float(scorer.score_batch([(target, context)], False)[0][0])
 
 
 def prism_score(
@@ -111,9 +112,9 @@ def prism_score(
 
     Symmetric in its two sequence arguments by construction.
     """
-    (forward, _), (backward, _) = scorer.score_batch(
+    forward, backward = scorer.score_batch(
         [(candidate, reference), (reference, candidate)], False
-    )
+    )[0].tolist()
     return 0.5 * forward + 0.5 * backward
 
 
@@ -196,23 +197,51 @@ def _is_key(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return keys[np.searchsorted(keys, needles)] == needles
 
 
+def fsums(groups: Sequence[Sequence[float]]) -> tuple[list[float], int]:
+    """``math.fsum`` of each group of floats, and 0; or, where one of those
+    sums overflows, the fsum of each group with every term scaled by 2**-k,
+    and k, which keeps each sum of finite terms finite. Either way the sums
+    share one power-of-two scale, so they keep the order of the exact sums
+    (where no scaled term falls below the normal range)."""
+    try:
+        return [math.fsum(group) for group in groups], 0
+    except OverflowError:
+        k = max(map(len, groups)).bit_length() + 1
+        return [math.fsum(math.ldexp(x, -k) for x in group) for group in groups], k
+
+
+def fsum_mean(values: Sequence[float]) -> float:
+    """``math.fsum(values) / len(values)``, bit for bit where the sum stays
+    in the float range; where it overflows, the same mean on the scale of
+    :func:`fsums`, so the mean of finite values is finite."""
+    (total,), k = fsums([values])
+    return math.ldexp(total / len(values), k)
+
+
 def _sequence_scores(
     logprobs: np.ndarray, gradients: np.ndarray | None, ends: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Each pair's score and gradient from its per-token results, pair i
     holding ``ends[i]:ends[i + 1]``: ``math.fsum`` of its log-probabilities
-    over their count and, unless ``gradients`` is None, the mean of its
-    gradient rows (summed in row order, as ``.mean(axis=0)`` sums them), one
-    row per pair."""
+    over their count (:func:`fsum_mean` where a sum overflows) and, unless
+    ``gradients`` is None, the mean of its gradient rows (summed in row
+    order, as ``.mean(axis=0)`` sums them), one row per pair."""
     values = logprobs.tolist()
     counts = np.diff(ends)
-    sums = (math.fsum(values[start:stop]) for start, stop in zip(ends, ends[1:]))
+    try:
+        sums = (math.fsum(values[start:stop]) for start, stop in zip(ends, ends[1:]))
+        scores = np.fromiter(sums, np.float64, len(counts)) / counts
+    except OverflowError:
+        scores = np.fromiter(
+            (fsum_mean(values[start:stop]) for start, stop in zip(ends, ends[1:])),
+            np.float64, len(counts),
+        )
     means = None
     if gradients is not None:
         pair = np.repeat(np.arange(len(counts)), counts)
         columns = [np.bincount(pair, column, len(counts)) for column in gradients.T]
         means = np.stack(columns, axis=1) / counts[:, None]
-    return np.fromiter(sums, np.float64, len(counts)) / counts, means
+    return scores, means
 
 
 class ToyScorer:
@@ -242,7 +271,8 @@ class ToyScorer:
     table of everything that does not depend on theta: token indices, each
     pair's context words, each position's copy and bigram flags and its
     C & S words. Evaluating (``_evaluate``) scores some of the table's
-    pairs under the current theta. Per call, W(vocabulary) is summed once,
+    pairs under the current theta, token by token, and ``_scores`` reduces
+    them to sequence scores. Per call, W(vocabulary) is summed once,
     W(C) once per pair, W(S) once per previous token and W(C & S) once per
     position; the expected features of the gradient split the same way.
     Each position scales these terms by its own shift, an upper bound on
@@ -339,22 +369,29 @@ class ToyScorer:
         self,
         pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
         with_gradients: bool,
-    ) -> list[tuple[float, np.ndarray | None]]:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """The sequence score of each (target, context) pair and, if asked
-        for, its gradient w.r.t. theta: one ``(score, gradient)`` per pair,
-        in order, as :class:`SequenceScorer` describes. Each distinct pair
-        is compiled and evaluated once; its results do not depend on the
-        rest of the call.
+        for, its gradient w.r.t. theta, as arrays in pair order (see
+        :class:`SequenceScorer`). Each distinct pair is compiled and
+        evaluated once; its results do not depend on the rest of the call.
         """
-        index: dict[tuple, int] = {}  # each distinct pair's position among them
-        order = [index.setdefault((tuple(t), tuple(c)), len(index)) for t, c in pairs]
-        scores, means = _sequence_scores(
-            *self._token_scores(list(index), with_gradients)
+        index: dict[tuple, int] = {}  # each distinct pair's row
+        rows = [index.setdefault((tuple(t), tuple(c)), len(index)) for t, c in pairs]
+        table = self._compile(list(index))
+        return self._scores(table, np.array(rows, np.intp), with_gradients)
+
+    def _scores(
+        self, table: _Table, rows: np.ndarray, with_gradients: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The sequence scores of the table's pairs ``rows``, an int array,
+        in its shape, and their gradients with a last axis of three, or None
+        unless asked for; each distinct row is evaluated once."""
+        distinct, order = np.unique(rows, return_inverse=True)
+        scores, gradients = _sequence_scores(
+            *self._evaluate(table, distinct, with_gradients)
         )
-        if means is None:
-            means = [None] * len(scores)
-        scored = list(zip(scores.tolist(), means))
-        return [scored[i] for i in order]
+        order = order.reshape(rows.shape)
+        return scores[order], None if gradients is None else gradients[order]
 
     def _token_scores(
         self,
@@ -427,6 +464,8 @@ class ToyScorer:
             cell_words=np.concatenate(cells),
         )
 
+    # an extreme weight overflows to +-inf or NaN, which callers check
+    @np.errstate(over="ignore", invalid="ignore")
     def _evaluate(
         self, table: _Table, rows: Sequence[int], with_gradients: bool
     ) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
@@ -595,7 +634,7 @@ class ToyScorer:
                 and isinstance(pair[1], str)
             ):
                 raise ValueError(f"bigram is not a pair of strings: {pair!r}")
-        lowercase = data.get("lowercase", False)
+        lowercase = data["lowercase"]
         if not isinstance(lowercase, bool):
             raise ValueError(f"lowercase must be true or false, got {lowercase!r}")
         theta = data["theta"]
@@ -868,7 +907,7 @@ def system_score(segment_scores: Sequence[float]) -> float:
     """System-level score: the arithmetic mean of segment scores."""
     if not segment_scores:
         raise ValueError("cannot average an empty list of segment scores")
-    return math.fsum(segment_scores) / len(segment_scores)
+    return fsum_mean(segment_scores)
 
 
 def score_magnitude(segment_scores: Sequence[float]) -> float:
@@ -948,11 +987,8 @@ class PrismMetric:
             for hypothesis, reference in pairs
             for first, second in ((hypothesis, reference), (reference, hypothesis))
         ]
-        scores = self.scorer.score_batch(directions, with_gradients=False)
-        return [
-            0.5 * forward + 0.5 * backward
-            for (forward, _), (backward, _) in zip(scores[::2], scores[1::2])
-        ]
+        scores, _ = self.scorer.score_batch(directions, with_gradients=False)
+        return (0.5 * scores[::2] + 0.5 * scores[1::2]).tolist()
 
     def segment_score(self, hypothesis: str, reference: str) -> float:
         return self.score_pairs([(hypothesis, reference)])[0]

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import EvaluationSet
-from .metrics import ToyScorer, _sequence_scores, _Table, score_magnitude, tokenize
+from .metrics import ToyScorer, _Table, score_magnitude, tokenize
 from .rankings import RankingDataset, RelativeRanking
 
 PROBE_LIMIT = 100
@@ -35,7 +35,7 @@ class TrainingError(Exception):
 
 
 class NumericError(TrainingError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss term or score magnitude."""
 
 
 @dataclass
@@ -145,7 +145,7 @@ def batch_loss_terms(
         return []
     tokens = _tokenized(examples, scorer.lowercase)
     pairs = [pair for e in examples for pair in _example_pairs(e, config, tokens)]
-    scores, gradients = zip(*scorer.score_batch(pairs, with_gradients=True))
+    scores, gradients = scorer.score_batch(pairs, with_gradients=True)
     shape = (len(examples), len(pairs) // len(examples), -1)
     loss = _loss(np.reshape(scores, shape[:2]), np.reshape(gradients, shape), config)
     return [LossTerms(*row[:4].tolist(), gradient=row[4:].copy()) for row in loss]
@@ -186,9 +186,8 @@ def ranking_accuracy(
     )
     tokens = _tokenized(examples, scorer.lowercase)
     pairs = [pair for e in examples for pair in _example_pairs(e, config, tokens)]
-    scores = [score for score, _ in scorer.score_batch(pairs, with_gradients=False)]
-    correct = sum(plus > minus for plus, minus in zip(scores[::2], scores[1::2]))
-    return correct / len(examples)
+    scores, _ = scorer.score_batch(pairs, with_gradients=False)
+    return np.count_nonzero(scores[::2] > scores[1::2]) / len(examples)
 
 
 @dataclass(frozen=True)
@@ -271,6 +270,8 @@ def _compile_examples(
     return scorer._compile(list(index)), example_rows
 
 
+# an overflow gives inf or NaN, which the loss and magnitude checks refuse
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     scorer: ToyScorer,
     datasets: Mapping[str, RankingDataset],
@@ -321,21 +322,14 @@ def train(
                 if not batch:
                     continue
 
-                # the step's distinct rows, each evaluated once
-                rows, order = np.unique(
-                    example_rows[lang_pair][batch], return_inverse=True
-                )
-                scores, gradients = _sequence_scores(
-                    *trained._evaluate(table, rows, True)
-                )
-                order = order.reshape(len(batch), -1)
-                loss = _loss(scores[order], gradients[order], config)
+                scored = trained._scores(table, example_rows[lang_pair][batch], True)
+                loss = _loss(*scored, config)
                 # summed over the examples in turn from 0.0, as += would sum
                 zero = np.zeros((1, loss.shape[1]))
                 mean = np.cumsum(np.vstack([zero, loss]), axis=0)[-1] / len(batch)
-                ce, forward, backward, total = mean[:4].tolist()
+                ce, forward, backward, total = terms = mean[:4].tolist()
                 step = len(report.steps)
-                if not math.isfinite(total):
+                if not all(map(math.isfinite, terms)):
                     raise NumericError(
                         f"non-finite loss at step {step} "
                         f"(epoch {epoch}, lang_pair {lang_pair})"
@@ -371,7 +365,8 @@ def train(
             (tokenize(reference, lowercase), tokenize(source, lowercase))
             for source, reference in probe
         ]
-        report.final_score_magnitude = score_magnitude(
-            [score for score, _ in trained.score_batch(probe_pairs, False)]
-        )
+        scores, _ = trained.score_batch(probe_pairs, False)
+        report.final_score_magnitude = score_magnitude(scores.tolist())
+        if not math.isfinite(report.final_score_magnitude):
+            raise NumericError("non-finite score magnitude of the trained scorer")
     return trained, report

@@ -305,8 +305,8 @@ class FlatScorer:
         self.logprob = logprob
 
     def score_batch(self, pairs, with_gradients):
-        gradient = np.zeros(3) if with_gradients else None  # weights unused
-        return [(self.logprob, gradient) for _ in pairs]
+        gradients = np.zeros((len(pairs), 3)) if with_gradients else None
+        return np.full(len(pairs), self.logprob), gradients  # weights unused
 
 
 class TableScorer:
@@ -321,11 +321,9 @@ class TableScorer:
         }
 
     def score_batch(self, pairs, with_gradients):
-        gradient = np.zeros(3) if with_gradients else None  # weights unused
-        return [
-            (self.table[(tuple(target), tuple(context))], gradient)
-            for target, context in pairs
-        ]
+        gradients = np.zeros((len(pairs), 3)) if with_gradients else None
+        scores = [self.table[(tuple(t), tuple(c))] for t, c in pairs]
+        return np.array(scores, np.float64), gradients  # weights unused
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +452,12 @@ class PerSequenceScorer:
         return self.scorer.lowercase
 
     def score_batch(self, pairs, with_gradients):
-        return [self.scorer.score_batch([pair], with_gradients)[0] for pair in pairs]
+        scored = [self.scorer.score_batch([pair], with_gradients) for pair in pairs]
+        scores = np.concatenate([np.zeros(0), *(score for score, _ in scored)])
+        if not with_gradients:
+            return scores, None
+        gradients = [gradient for _, gradient in scored]
+        return scores, np.concatenate([np.zeros((0, 3)), *gradients])
 
     def token_logprob_gradients(self, target, context):
         return self.scorer.token_logprob_gradients(target, context)
@@ -799,7 +802,9 @@ def train_oracle(scorer, datasets, corpus=None, config=None, batched=False):
     example's loss and gradient come from ``loss_terms_oracle``. With
     ``batched``, each step's loss terms come from one
     ``training.batch_loss_terms`` call instead, which tokenizes the step's
-    texts and scores its pairs in one ``score_batch`` call."""
+    texts and scores its pairs in one ``score_batch`` call. Like ``train``
+    it refuses a step with a non-finite mean loss term and a non-finite
+    score magnitude."""
     from metricfit.training import (
         EpochValidation,
         NumericError,
@@ -864,7 +869,8 @@ def train_oracle(scorer, datasets, corpus=None, config=None, batched=False):
                     total_sum += total
                 size = len(batch)
                 mean_total = total_sum / size
-                if not math.isfinite(mean_total):
+                sums = (total_sum, ce_sum, forward_sum, backward_sum)
+                if not all(math.isfinite(value / size) for value in sums):
                     raise NumericError(f"non-finite loss at step {step}")
                 trained.theta -= config.learning_rate * (batch_grad / size)
                 report.steps.append(
@@ -905,6 +911,8 @@ def train_oracle(scorer, datasets, corpus=None, config=None, batched=False):
                 for source, reference in probe
             ]
         )
+        if not math.isfinite(report.final_score_magnitude):
+            raise NumericError("non-finite score magnitude of the trained scorer")
     return trained, report
 
 

@@ -188,8 +188,6 @@ def test_train_writes_artifacts(tmp_path):
 
 
 def test_score_with_corrupt_scorer_exits_with_numeric_failure(tmp_path, capsys):
-    import numpy as np
-
     from metricfit.metrics import ToyScorer
 
     bundle = ingest(tmp_path, tiny_corpus_rows())
@@ -198,9 +196,8 @@ def test_score_with_corrupt_scorer_exits_with_numeric_failure(tmp_path, capsys):
     payload["theta"] = [float("nan"), 0.0, 0.0]
     poisoned = tmp_path / "poisoned.json"
     poisoned.write_text(json.dumps(payload))
-    with np.errstate(invalid="ignore"):
-        code = run("score", "--corpus", bundle, "--out", tmp_path / "s",
-                   "--metrics", "prism", "--scorer", poisoned)
+    code = run("score", "--corpus", bundle, "--out", tmp_path / "s",
+               "--metrics", "prism", "--scorer", poisoned)
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert f"{poisoned}: metric 'prism': non-finite score for ('sysA', 'seg1')" in err
@@ -313,9 +310,15 @@ def test_outputs_do_not_mutate_inputs(tmp_path):
 # -- malformed artefacts -----------------------------------------------------
 
 
+# weights whose token log-probabilities stay finite (about -1.4e308) on the
+# bundle's own words, though their sums do not
+EXTREME_THETA = [-1e308, 1.0, 1e308]
+
+
 @pytest.fixture(scope="module")
 def artefacts(tmp_path_factory):
-    """A bundle, its rankings, a scorer, a NaN-theta scorer and bleu scores."""
+    """A bundle, its rankings, a scorer, a NaN-theta scorer, bleu scores and
+    a scorer of the bundle's texts with ``EXTREME_THETA``."""
     from metricfit.metrics import ToyScorer
 
     tmp = tmp_path_factory.mktemp("artefacts")
@@ -330,12 +333,18 @@ def artefacts(tmp_path_factory):
     (tmp / "nan-scorer.json").write_text(json.dumps(payload), encoding="utf-8")
     assert run("score", "--corpus", bundle, "--out", tmp / "scores",
                "--metrics", "bleu") == EXIT_OK
+    corpus = load_corpus(CorpusPaths.in_directory(bundle))
+    texts = [segment.source_text for segment in corpus.segments.values()]
+    texts += [text.text for text in (*corpus.references.values(),
+                                     *corpus.translations.values())]
+    ToyScorer.from_texts(texts, theta=EXTREME_THETA).save(tmp / "extreme-scorer.json")
     return {
         "bundle": bundle,
         "rankings": rankings,
         "scorer": tmp / "scorer.json",
         "nan_scorer": tmp / "nan-scorer.json",
         "scores": tmp / "scores" / "scores.tsv",
+        "extreme_scorer": tmp / "extreme-scorer.json",
     }
 
 
@@ -445,9 +454,36 @@ def _nan_robustness(tmp, art):
     return argv, f"{art['nan_scorer']}:"
 
 
+def _extreme_scorer(tmp, art, command, *flags):
+    """``command`` with prism under the scorer of ``EXTREME_THETA``."""
+    scorer = ("--metrics", "prism,bleu", "--scorer", art["extreme_scorer"])
+    return _flags(tmp, art, command, *scorer, *flags)
+
+
+def _huge_scores(tmp, art):
+    """The bleu scores rewritten as distinct finite values near -1.5e308."""
+    scores = tmp / "scores.tsv"
+    header, *rows = art["scores"].read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for i, row in enumerate(rows):
+        fields = row.split("\t")
+        lines.append("\t".join([*fields[:-1], repr(-1.5e308 + i * 1e292)]))
+    scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return _flags(tmp, art, "correlate", "--scores", scores)
+
+
+def _huge_weights(tmp, art, command, *flags):
+    """``command`` with severity weights whose penalties overflow when summed."""
+    config = tmp / "config.json"
+    weights = {"severity_weights": {"major": 1e308, "minor": 1e308}}
+    config.write_text(json.dumps(weights), encoding="utf-8")
+    return _flags(tmp, art, command, "--config", config, *flags)
+
+
 # (id, make, exit code, message): make(tmp_path, artefacts) writes one broken
 # input and returns the command line plus the "path:line:" that stderr must
-# name (None where the problem has no file line).
+# name (None where the problem has no file line). The message is in stderr,
+# or for a run that succeeds in stdout.
 MALFORMED = [
     ("ingest-non-utf8", _non_utf8_segments, EXIT_DATA, "not valid UTF-8"),
     ("train-4-field-row",
@@ -627,6 +663,33 @@ MALFORMED = [
     ("score-scorer-unknown-keys",
      lambda t, a: _broken_scorer(t, a, lambda p: p.update(theta2=[], Theta=[])),
      EXIT_DATA, "not a scorer: unknown key(s): 'Theta', 'theta2'"),
+    ("score-scorer-no-lowercase",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.pop("lowercase")),
+     EXIT_DATA, "missing key 'lowercase'"),
+    # sums of finite values beyond the float range: means on a power-of-two
+    # scale, and a loss or magnitude that is not finite refused before writing
+    ("train-overflowing-logprob-sum",
+     lambda t, a: _flags(t, a, "train", "--learning-rate", 1e307, "--epochs", 2),
+     EXIT_NUMERIC, "non-finite loss at step 1 (epoch 0, lang_pair en-de)"),
+    ("train-overflowing-mean-term",
+     lambda t, a: _flags(t, a, "train", "--learning-rate", 6e306, "--epochs", 2),
+     EXIT_NUMERIC, "non-finite loss at step 1 (epoch 0, lang_pair en-de)"),
+    ("train-non-finite-score-magnitude",
+     lambda t, a: _flags(t, a, "train", "--learning-rate", 1e308,
+                         "--batch-size", 100000),
+     EXIT_NUMERIC, "non-finite score magnitude of the trained scorer"),
+    ("score-scorer-extreme-theta", lambda t, a: _extreme_scorer(t, a, "score"),
+     EXIT_OK, "metrics=2 scored_segments=80"),
+    ("robustness-scorer-extreme-theta",
+     lambda t, a: _extreme_scorer(t, a, "robustness", "--resamples", 50),
+     EXIT_OK, "system-level pairwise accuracy"),
+    ("correlate-huge-scores", _huge_scores, EXIT_OK, "contexts=1 metrics=1"),
+    ("correlate-huge-severity-weights",
+     lambda t, a: _huge_weights(t, a, "correlate", "--scores", a["scores"]),
+     EXIT_OK, "contexts=1 metrics=1"),
+    ("robustness-huge-severity-weights",
+     lambda t, a: _huge_weights(t, a, "robustness", "--resamples", 50),
+     EXIT_OK, "system-level pairwise accuracy"),
 ]
 
 
@@ -638,19 +701,22 @@ MALFORMED = [
 def test_malformed_artefact_exit_code_and_location(
     artefacts, tmp_path, capsys, make, expected, message
 ):
-    import numpy as np
-
     argv, where = make(tmp_path, artefacts)
-    with np.errstate(invalid="ignore"):
-        code = run(*argv)
-    err = capsys.readouterr().err
+    code = run(*argv)
+    captured = capsys.readouterr()
+    err = captured.err
     assert code == expected, err
-    assert message in err
+    assert message in (captured.out if expected == EXIT_OK else err)
     if where is not None:
         assert where in err
-    assert "Traceback" not in err
-    if expected == EXIT_USAGE:  # settings are checked before --out is made
-        assert not Path(argv[argv.index("--out") + 1]).exists()
+    assert "Traceback" not in err and "Warning" not in err
+    out = Path(argv[argv.index("--out") + 1])
+    if expected == EXIT_OK:
+        assert not err
+    elif expected == EXIT_USAGE:  # settings are checked before --out is made
+        assert not out.exists()
+    else:  # a failed command writes nothing
+        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["score", "robustness"])
@@ -678,18 +744,15 @@ def test_non_finite_theta_exits_numeric_naming_scorer_and_unit(
 
 
 def test_train_exits_numeric_when_scores_overflow(artefacts, tmp_path, capsys):
-    import numpy as np
-
     # train starts from theta = 0; one step this large leaves a weight near
     # 1e308, whose products with the features overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run("train", "--corpus", artefacts["bundle"], "--rankings",
-                   artefacts["rankings"], "--seed", 1, "--learning-rate", 1e308,
-                   "--out", tmp_path / "out")
+    code = run("train", "--corpus", artefacts["bundle"], "--rankings",
+               artefacts["rankings"], "--seed", 1, "--learning-rate", 1e308,
+               "--out", tmp_path / "out")
     err = capsys.readouterr().err
     assert code == EXIT_NUMERIC, err
     assert "non-finite loss at step 1" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 # setting -> the command that reads it; seed has no lower bound

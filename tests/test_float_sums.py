@@ -5,17 +5,25 @@ errors, so output bytes would depend on the interpreter. Each case below
 is one where the sequential and the compensated sum differ (``math.fsum``
 stands in for the compensated one), so each would fail under 3.12 with
 ``sum()``.
+
+The compensated sums of the metrics (``metrics.fsum_mean`` and ``fsums``)
+keep ``math.fsum``'s bits, and where a sum of finite terms overflows they
+give its exactly rounded value on a power-of-two scale.
 """
 
 import ast
 import math
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from metricfit import cli
 from metricfit.corpus import MqmError, MqmRating, SeverityWeights, mqm_score
-from metricfit.metrics import _segment_bleu_score
+from metricfit.metrics import _segment_bleu_score, fsum_mean, fsums
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "metricfit"
 
@@ -63,6 +71,75 @@ def test_segment_bleu_adds_log_precisions_in_order(hyp_len, ref_len, matches):
     assert _segment_bleu_score(hyp_len, ref_len, matches).hex() == expected.hex()
 
 
+def _overflows(values):
+    try:
+        math.fsum(values)
+    except OverflowError:
+        return True
+    return False
+
+
+def _round53(value: Fraction) -> Fraction:
+    """``value`` rounded to 53 significant bits, half to even, with no
+    exponent limit."""
+    if not value:
+        return value
+    exponent = abs(value.numerator).bit_length() - value.denominator.bit_length()
+    if abs(value) < Fraction(2) ** exponent:
+        exponent -= 1  # now 2**exponent <= |value| < 2**(exponent + 1)
+    scale = Fraction(2) ** (exponent - 52)
+    return round(value / scale) * scale
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# signed magnitudes of 1 and more, many near the top of the float range, so
+# that every term keeps its bits on the scale of fsums
+_LARGE = st.builds(
+    math.copysign,
+    st.one_of(st.floats(2.0**1000, sys.float_info.max), st.floats(1.0, 2.0**1000)),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@settings(max_examples=300)
+@given(values=st.lists(_FINITE, min_size=1, max_size=30))
+@example(values=[0.1, 0.2, 0.3])
+@example(values=[-0.0])
+def test_fsum_mean_is_fsum_over_count_where_the_sum_is_finite(values):
+    assume(not _overflows(values))
+    assert fsum_mean(values).hex() == (math.fsum(values) / len(values)).hex()
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.filter_too_much])
+@given(values=st.lists(_LARGE, min_size=2, max_size=30))
+@example(values=[sys.float_info.max] * 3)
+@example(values=[1e308, 1e308, -1e308, -1e308, 1.0])
+def test_fsum_mean_of_an_overflowing_sum_is_the_rounded_mean_on_a_scale(values):
+    """fsum then divide, as in a float format with a wider exponent: the
+    exact sum rounded to 53 bits, over the count, rounded again."""
+    assume(_overflows(values))
+    exact = _round53(_round53(sum(map(Fraction, values))) / len(values))
+    assert fsum_mean(values).hex() == float(exact).hex()
+
+
+@settings(max_examples=300)
+@given(groups=st.lists(st.lists(_LARGE, max_size=20), min_size=2, max_size=2))
+@example(groups=[[1e308, 1e308], [1e308, 1e308, -1.0]])
+def test_fsums_order_the_sums_as_their_exact_sums(groups):
+    """Both sums of a comparison on one scale: each finite, with the order
+    of the exact sums, and ``math.fsum`` itself where nothing overflows."""
+    sums, k = fsums(groups)
+    exact = [sum(map(Fraction, group)) for group in groups]
+    assert all(map(math.isfinite, sums))
+    assert [Fraction(total) for total in sums] == [
+        _round53(total / 2**k) for total in exact
+    ]
+    if exact[0] < exact[1]:
+        assert sums[0] <= sums[1]
+    if not any(map(_overflows, groups)):
+        assert k == 0 and sums == [math.fsum(group) for group in groups]
+
+
 # Builtin sum() calls that add integers (counts, lengths, booleans), by
 # (module, innermost function).
 INTEGER_SUMS = {
@@ -70,7 +147,6 @@ INTEGER_SUMS = {
     ("metrics", "__init__"),
     ("metrics", "_chunks"),
     ("metrics", "bleu"),
-    ("training", "ranking_accuracy"),
 }
 
 

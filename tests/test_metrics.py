@@ -343,14 +343,15 @@ def _assert_sequence_scores(scorer, pairs, tokens=_token_views):
     over their count, and its gradient those of the mean of its per-token
     gradient rows, both from ``tokens(scorer, pair)``."""
     with np.errstate(invalid="ignore", over="ignore"):
-        without = scorer.score_batch(pairs, with_gradients=False)
-        with_grad = scorer.score_batch(pairs, with_gradients=True)
+        scores, none = scorer.score_batch(pairs, with_gradients=False)
+        grad_scores, grads = scorer.score_batch(pairs, with_gradients=True)
         expected = [tokens(scorer, pair) for pair in pairs]
-    assert len(without) == len(with_grad) == len(pairs)
-    for (score, none), (grad_score, gradient), (logprobs, gradients) in zip(
-        without, with_grad, expected
+    assert scores.shape == grad_scores.shape == (len(pairs),)
+    assert grads.shape == (len(pairs), 3)
+    assert none is None
+    for score, grad_score, gradient, (logprobs, gradients) in zip(
+        scores, grad_scores, grads, expected
     ):
-        assert none is None
         assert score.hex() == grad_score.hex()
         assert score.hex() == (math.fsum(logprobs) / len(logprobs)).hex()
         assert _hexes(gradient) == _hexes(gradients.mean(axis=0))
@@ -470,7 +471,10 @@ def test_score_batch_reduces_each_pair_to_the_mean_of_its_tokens(theta):
 
 
 def test_score_batch_of_nothing_is_empty():
-    assert _small_scorer().score_batch([], with_gradients=True) == []
+    scores, gradients = _small_scorer().score_batch([], with_gradients=True)
+    assert scores.shape == (0,) and gradients.shape == (0, 3)
+    scores, none = _small_scorer().score_batch([], with_gradients=False)
+    assert scores.shape == (0,) and none is None
     assert _token_batch(_small_scorer(), [], with_gradients=True) == []
 
 
@@ -492,7 +496,8 @@ def test_evaluate_of_compiled_rows_matches_score_batch(
 ):
     """A table compiled once scores any subset, permutation or repetition
     of its rows with the bits of ``score_batch`` on those pairs, in blocks
-    of any size."""
+    of any size, token by token (``_evaluate``) and pair by pair
+    (``_scores``)."""
     scorer = _batch_scorer(n_vocab).with_theta(theta)
     words = st.one_of(
         st.integers(0, n_vocab - 3).map("v{:04d}".format),
@@ -521,14 +526,17 @@ def test_evaluate_of_compiled_rows_matches_score_batch(
             table = scorer._compile(pool)
             logprobs, gradients, ends = scorer._evaluate(table, rows, True)
             alone, none, ends_alone = scorer._evaluate(table, rows, False)
+            reduced = scorer._scores(table, np.array(rows, np.intp), True)
     assert none is None and ends == ends_alone
     assert _hexes(logprobs) == _hexes(alone)
     assert len(ends) == len(rows) + 1
     scores, means = _sequence_scores(logprobs, gradients, ends)
     assert scores.shape == (len(rows),) and means.shape == (len(rows), 3)
+    assert _hexes(reduced[0]) == _hexes(scores) == _hexes(expected[0])
+    assert _hexes(reduced[1]) == _hexes(means)
     for i, (start, stop) in enumerate(itertools.pairwise(ends)):
-        assert scores[i].hex() == expected[i][0].hex()
-        assert _hexes(means[i]) == _hexes(expected[i][1])
+        assert scores[i].hex() == expected[0][i].hex()
+        assert _hexes(means[i]) == _hexes(expected[1][i])
         assert _hexes(logprobs[start:stop]) == _hexes(tokens[i][0])
         assert _hexes(gradients[start:stop]) == _hexes(tokens[i][1])
 
@@ -709,22 +717,24 @@ def test_prism_scores_all_pairs_in_one_call_tokenizing_each_text_once(monkeypatc
     pairs = [(a, b) for a in texts for b in texts] + [(texts[0], texts[1])]
     calls, scored, tokenized = [], [], []
     score_batch, tokenize_text = scorer.score_batch, metrics_module.tokenize
-    token_scores = scorer._token_scores
+    compile_pairs = scorer._compile
 
     def counted_batch(batch, with_gradients):
         calls.append(len(batch))
-        return score_batch(batch, with_gradients)
+        scores, none = score_batch(batch, with_gradients)
+        assert scores.shape == (len(batch),) and none is None
+        return scores, none
 
-    def counted_tokens(batch, with_gradients):
+    def counted_compile(batch):
         scored.extend(batch)
-        return token_scores(batch, with_gradients)
+        return compile_pairs(batch)
 
     def counted_tokenize(text, lowercase=False):
         tokenized.append(text)
         return tokenize_text(text, lowercase)
 
     monkeypatch.setattr(scorer, "score_batch", counted_batch)
-    monkeypatch.setattr(scorer, "_token_scores", counted_tokens)
+    monkeypatch.setattr(scorer, "_compile", counted_compile)
     monkeypatch.setattr(metrics_module, "tokenize", counted_tokenize)
     values = PrismMetric(scorer).score_pairs(pairs)
     assert calls == [2 * len(pairs)]

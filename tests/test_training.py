@@ -378,7 +378,8 @@ class _GradientTableScorer(TableScorer):
 
     def score_batch(self, pairs, with_gradients):
         keys = [(tuple(target), tuple(context)) for target, context in pairs]
-        return [(self.table[key], self.gradients[key]) for key in keys]
+        scores = np.array([self.table[key] for key in keys], np.float64)
+        return scores, np.reshape([self.gradients[key] for key in keys], (-1, 3))
 
 
 def _hex_terms(values, grad):
@@ -427,7 +428,7 @@ def test_batch_loss_terms_match_the_scalar_oracle_on_special_scores(ablation):
     for example, term in zip(examples, terms):
         scored = scorer.score_batch(_enabled_pairs(example, config), True)
         with np.errstate(invalid="ignore", over="ignore"):
-            values, grad = scored_loss_terms_oracle(scored, config)
+            values, grad = scored_loss_terms_oracle(zip(*scored), config)
         fields = (term.ce, term.forward, term.backward, term.total)
         assert all(type(value) is float for value in fields)
         assert _hex_terms(fields, term.gradient) == _hex_terms(values, grad)
@@ -443,7 +444,7 @@ def test_batch_loss_terms_match_the_scalar_oracle_on_special_scores(ablation):
                 )
                 kept = scorer.score_batch(_enabled_pairs(example, rest), True)
                 with np.errstate(invalid="ignore", over="ignore"):
-                    _, without = scored_loss_terms_oracle(kept, rest)
+                    _, without = scored_loss_terms_oracle(zip(*kept), rest)
                 assert _hex_terms((), term.gradient) == _hex_terms((), without)
             elif not hinge:
                 assert math.copysign(1.0, hinge) == 1.0  # never -0.0
