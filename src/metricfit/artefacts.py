@@ -36,8 +36,8 @@ def _not_utf8(path: Path | str) -> ArtefactError:
 
 def read_tsv(
     path: Path | str, columns: Sequence[str]
-) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield ``(line, row)`` per non-blank data line, ``row`` keyed by column."""
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, fields)`` per non-blank data line, fields in column order."""
     try:
         with open(path, encoding="utf-8") as handle:  # universal newlines
             header = handle.readline()
@@ -56,7 +56,7 @@ def read_tsv(
                     raise ArtefactError(
                         path, line, f"expected {len(columns)} fields, got {len(fields)}"
                     )
-                yield line, dict(zip(columns, fields))
+                yield line, fields
     except FileNotFoundError:
         raise ArtefactError(path, None, "missing file") from None
     except UnicodeDecodeError:

@@ -27,6 +27,7 @@ from .corpus import (
     CorpusPaths,
     EvaluationSet,
     SeverityWeights,
+    group_mismatch,
     load_corpus,
     write_corpus,
 )
@@ -403,9 +404,14 @@ def cmd_correlate(args) -> int:
     scores_path = Path(_require(args, "scores"))
     out = _out_dir(args)
     all_scores = []
-    for line, score in metric_score_rows(scores_path):
+    for line, group, score in metric_score_rows(scores_path):
         if (score.system_id, score.seg_id) not in eval_set.translations:
             raise ArtefactError(scores_path, line, f"{score} is not in the corpus")
+        segment = eval_set.segments[score.seg_id]
+        if group != (segment.lang_pair, segment.domain):
+            raise ArtefactError(scores_path, line, group_mismatch(
+                "score", score.seg_id, group, (segment.lang_pair, segment.domain)
+            ))
         all_scores.append(score)
 
     contexts = []

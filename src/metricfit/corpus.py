@@ -56,7 +56,10 @@ CorpusFormatError = ArtefactError
 
 
 class IntegrityError(CorpusError):
-    """Cross-references between files do not hold; names the offending key."""
+    """Cross-references between files do not hold; names file, line and key."""
+
+    def __init__(self, path: Path | str, line: int, message: str):
+        super().__init__(f"{path}:{line}: {message}")
 
 
 class UnknownSeverityError(CorpusError):
@@ -289,10 +292,8 @@ class CorpusPaths:
         )
 
 
-def _parse_span(
-    row: dict[str, str], path: Path, line: int
-) -> tuple[int, int] | None:
-    start, end = row["span_start"].strip(), row["span_end"].strip()
+def _parse_span(start: str, end: str, path: Path, line: int) -> tuple[int, int] | None:
+    start, end = start.strip(), end.strip()
     if not start and not end:
         return None
     if not start or not end:
@@ -306,119 +307,111 @@ def _parse_span(
     return span
 
 
+def group_mismatch(what: str, seg_id: str, group: tuple, known: tuple | None) -> str:
+    """Why a ``what`` row of ``group`` cannot name ``seg_id`` (of group ``known``)."""
+    if known is None:
+        return f"{what} references unknown seg_id: {seg_id!r}"
+    return f"{what} for seg_id {seg_id!r} disagrees on group: {group!r} vs {known!r}"
+
+
 def load_corpus(paths: CorpusPaths) -> EvaluationSet:
     """Load and cross-link the four TSV files into an EvaluationSet.
 
     All text fields are NFC-normalized. Rows referencing unknown segments or
     systems are rejected with an :class:`IntegrityError` naming the offending
-    key; malformed rows raise :class:`CorpusFormatError` with a line number,
-    and a missing file an :class:`ArtefactError` naming it.
+    key; malformed rows raise :class:`CorpusFormatError`. Both name the file
+    and line, and a missing file raises an :class:`ArtefactError` naming it.
     """
     segments: dict[str, Segment] = {}
-    for line, row in read_tsv(paths.segments, _SEGMENTS_COLUMNS):
-        seg_id = row["seg_id"].strip()
-        source_text = nfc(row["source_text"])
+    groups: dict[str, tuple[str, str]] = {}  # seg_id -> (lang_pair, domain)
+    path = paths.segments
+    for line, (lang_pair, domain, doc_id, seg_id, source_text) in read_tsv(
+        path, _SEGMENTS_COLUMNS
+    ):
+        seg_id, source_text = seg_id.strip(), nfc(source_text)
         if not seg_id:
-            raise CorpusFormatError(paths.segments, line, "empty seg_id")
+            raise CorpusFormatError(path, line, "empty seg_id")
         if not source_text:
-            raise CorpusFormatError(paths.segments, line, "empty source_text")
+            raise CorpusFormatError(path, line, "empty source_text")
         if seg_id in segments:
-            raise IntegrityError(f"duplicate seg_id: {seg_id!r}")
-        segments[seg_id] = Segment(
-            lang_pair=row["lang_pair"],
-            domain=row["domain"],
-            doc_id=row["doc_id"],
-            seg_id=seg_id,
-            source_text=source_text,
-        )
-
-    def check_segment(seg_id: str, lang_pair: str, domain: str, what: str) -> None:
-        segment = segments.get(seg_id)
-        if segment is None:
-            raise IntegrityError(f"{what} references unknown seg_id: {seg_id!r}")
-        if (segment.lang_pair, segment.domain) != (lang_pair, domain):
-            raise IntegrityError(
-                f"{what} for seg_id {seg_id!r} disagrees on group: "
-                f"({lang_pair!r}, {domain!r}) vs "
-                f"({segment.lang_pair!r}, {segment.domain!r})"
-            )
+            raise IntegrityError(path, line, f"duplicate seg_id: {seg_id!r}")
+        segments[seg_id] = Segment(lang_pair, domain, doc_id, seg_id, source_text)
+        groups[seg_id] = (lang_pair, domain)
 
     translations: dict[tuple[str, str], SystemTranslation] = {}
-    for line, row in read_tsv(paths.system_outputs, _OUTPUTS_COLUMNS):
-        key = (row["system_id"], row["seg_id"])
-        check_segment(row["seg_id"], row["lang_pair"], row["domain"], "system output")
+    path = paths.system_outputs
+    for line, (lang_pair, domain, system_id, seg_id, is_human, text) in read_tsv(
+        path, _OUTPUTS_COLUMNS
+    ):
+        if groups.get(seg_id) != (lang_pair, domain):
+            raise IntegrityError(path, line, group_mismatch(
+                "system output", seg_id, (lang_pair, domain), groups.get(seg_id)
+            ))
+        key = (system_id, seg_id)
         if key in translations:
-            raise IntegrityError(f"duplicate (system_id, seg_id): {key!r}")
-        if row["is_human"] not in ("0", "1"):
+            raise IntegrityError(path, line, f"duplicate (system_id, seg_id): {key!r}")
+        if is_human not in ("0", "1"):
             raise CorpusFormatError(
-                paths.system_outputs, line, f"is_human must be 0 or 1, got {row['is_human']!r}"
+                path, line, f"is_human must be 0 or 1, got {is_human!r}"
             )
         translations[key] = SystemTranslation(
-            system_id=row["system_id"],
-            seg_id=row["seg_id"],
-            text=nfc(row["text"]),
-            is_human=row["is_human"] == "1",
+            system_id, seg_id, nfc(text), is_human == "1"
         )
 
     references: dict[tuple[str, str], ReferenceTranslation] = {}
-    for line, row in read_tsv(paths.references, _REFERENCES_COLUMNS):
-        key = (row["ref_id"], row["seg_id"])
-        check_segment(row["seg_id"], row["lang_pair"], row["domain"], "reference")
+    path = paths.references
+    for line, (lang_pair, domain, ref_id, seg_id, text) in read_tsv(
+        path, _REFERENCES_COLUMNS
+    ):
+        if groups.get(seg_id) != (lang_pair, domain):
+            raise IntegrityError(path, line, group_mismatch(
+                "reference", seg_id, (lang_pair, domain), groups.get(seg_id)
+            ))
+        key = (ref_id, seg_id)
         if key in references:
-            raise IntegrityError(f"duplicate (ref_id, seg_id): {key!r}")
-        references[key] = ReferenceTranslation(
-            ref_id=row["ref_id"],
-            seg_id=row["seg_id"],
-            text=nfc(row["text"]),
-            origin=ORIGIN_HUMAN,
-        )
+            raise IntegrityError(path, line, f"duplicate (ref_id, seg_id): {key!r}")
+        references[key] = ReferenceTranslation(ref_id, seg_id, nfc(text), ORIGIN_HUMAN)
 
     # One rating per (annotator, system, segment); error rows accumulate and
     # a single no-error row stands for a zero-error rating.
     rating_errors: dict[tuple[str, str, str], list[MqmError]] = {}
-    for line, row in read_tsv(paths.ratings, _RATINGS_COLUMNS):
-        check_segment(row["seg_id"], row["lang_pair"], row["domain"], "rating")
-        translation_key = (row["system_id"], row["seg_id"])
-        if translation_key not in translations:
+    path = paths.ratings
+    for line, (
+        lang_pair, domain, system_id, seg_id, annotator_id, category, label,
+        span_start, span_end,
+    ) in read_tsv(path, _RATINGS_COLUMNS):
+        if groups.get(seg_id) != (lang_pair, domain):
+            raise IntegrityError(path, line, group_mismatch(
+                "rating", seg_id, (lang_pair, domain), groups.get(seg_id)
+            ))
+        translation = translations.get((system_id, seg_id))
+        if translation is None:
             raise IntegrityError(
-                f"rating references unknown (system_id, seg_id): {translation_key!r}"
+                path, line, "rating references unknown (system_id, seg_id): "
+                f"{(system_id, seg_id)!r}"
             )
-        severity = row["severity"].strip().lower()
+        severity = label.strip().lower()
         if severity not in (SEVERITY_MAJOR, SEVERITY_MINOR, SEVERITY_NO_ERROR):
-            raise CorpusFormatError(
-                paths.ratings, line, f"unknown severity: {row['severity']!r}"
-            )
-        key = (row["annotator_id"], row["system_id"], row["seg_id"])
-        errors = rating_errors.setdefault(key, [])
+            raise CorpusFormatError(path, line, f"unknown severity: {label!r}")
+        errors = rating_errors.setdefault((annotator_id, system_id, seg_id), [])
         if severity == SEVERITY_NO_ERROR:
             continue
-        span = _parse_span(row, paths.ratings, line)
-        if span is not None and span[1] > len(translations[translation_key].text):
-            raise CorpusFormatError(
-                paths.ratings, line, f"span {span} exceeds translation length"
-            )
-        errors.append(MqmError(category=nfc(row["category"]), severity=severity, span=span))
+        span = _parse_span(span_start, span_end, path, line)
+        if span is not None and span[1] > len(translation.text):
+            raise CorpusFormatError(path, line, f"span {span} exceeds translation length")
+        errors.append(MqmError(category=nfc(category), severity=severity, span=span))
 
     ratings = tuple(
-        MqmRating(
-            annotator_id=annotator_id,
-            system_id=system_id,
-            seg_id=seg_id,
-            errors=tuple(errors),
-        )
-        for (annotator_id, system_id, seg_id), errors in sorted(rating_errors.items())
+        MqmRating(*key, tuple(errors)) for key, errors in sorted(rating_errors.items())
     )
 
+    segment_order = operator.attrgetter("lang_pair", "domain", "doc_id", "seg_id")
     return EvaluationSet(
-        segments=dict(sorted(segments.items(), key=lambda kv: _segment_sort_key(kv[1]))),
+        segments={s.seg_id: s for s in sorted(segments.values(), key=segment_order)},
         translations=dict(sorted(translations.items())),
         references=dict(sorted(references.items())),
         ratings=ratings,
     )
-
-
-def _segment_sort_key(segment: Segment) -> tuple[str, str, str, str]:
-    return (segment.lang_pair, segment.domain, segment.doc_id, segment.seg_id)
 
 
 def write_corpus(eval_set: EvaluationSet, directory: Path | str) -> CorpusPaths:

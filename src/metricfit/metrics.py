@@ -625,15 +625,6 @@ class ToyScorer:
         unknown = sorted(set(data) - set(cls.KEYS))
         if unknown:
             raise ValueError(f"unknown key(s): {', '.join(map(repr, unknown))}")
-        bigrams = data["bigrams"]
-        for pair in bigrams:
-            if not (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and isinstance(pair[0], str)
-                and isinstance(pair[1], str)
-            ):
-                raise ValueError(f"bigram is not a pair of strings: {pair!r}")
         lowercase = data["lowercase"]
         if not isinstance(lowercase, bool):
             raise ValueError(f"lowercase must be true or false, got {lowercase!r}")
@@ -657,11 +648,22 @@ class ToyScorer:
                 f"feature_names must be {list(cls.FEATURE_NAMES)}, "
                 f"got {data['feature_names']!r}"
             )
-        if data["vocabulary"] != sorted(set(counts) | {EOS_TOKEN, UNK_TOKEN}):
+        vocabulary = set(counts) | {EOS_TOKEN, UNK_TOKEN}
+        if data["vocabulary"] != sorted(vocabulary):
             raise ValueError(
                 "vocabulary is not the unigram_counts tokens plus "
                 f"{EOS_TOKEN!r} and {UNK_TOKEN!r}"
             )
+        bigrams = data["bigrams"]
+        if not isinstance(bigrams, list):
+            raise ValueError(f"bigrams must be a list, got {type(bigrams).__name__}")
+        previous_tokens = vocabulary | {BOS_TOKEN}
+        for pair in bigrams:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(token, str) for token in pair)):
+                raise ValueError(f"bigram is not a pair of strings: {pair!r}")
+            if pair[0] not in previous_tokens or pair[1] not in vocabulary:
+                raise ValueError(f"bigram outside the vocabulary: {pair!r}")
         return cls(
             unigram_counts=counts,
             bigrams=[tuple(pair) for pair in bigrams],
@@ -1015,12 +1017,15 @@ def write_metric_scores(
     )
 
 
-def metric_score_rows(path: Path | str) -> Iterator[tuple[int, MetricScore]]:
-    """Yield ``(line, score)``; rejects non-finite values and repeated keys."""
+def metric_score_rows(path: Path | str) -> Iterator[tuple[int, tuple, MetricScore]]:
+    """Yield ``(line, group, score)``; rejects non-finite values and repeated keys."""
     seen: set[tuple[str, str, str]] = set()
-    for line, row in read_tsv(path, _SCORES_COLUMNS):
-        key = (row["metric_id"], row["system_id"], row["seg_id"])
+    for line, (metric_id, lang_pair, domain, system_id, seg_id, value) in read_tsv(
+        path, _SCORES_COLUMNS
+    ):
+        key = (metric_id, system_id, seg_id)
         if key in seen:
             raise ArtefactError(path, line, f"duplicate score for {key!r}")
         seen.add(key)
-        yield line, MetricScore(*key, parse_float(path, line, "value", row["value"]))
+        score = MetricScore(*key, parse_float(path, line, "value", value))
+        yield line, (lang_pair, domain), score

@@ -17,7 +17,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .artefacts import parse_float, read_tsv, write_tsv
+from .artefacts import ArtefactError, parse_float, read_tsv, write_tsv
 from .corpus import (
     DEFAULT_WEIGHTS,
     EvaluationSet,
@@ -209,16 +209,10 @@ def write_rankings(rankings: Iterable[RelativeRanking], path: Path | str) -> Non
 
 def read_rankings(path: Path | str) -> list[RelativeRanking]:
     """Read rankings back from the TSV written by :func:`write_rankings`."""
-    return [
-        RelativeRanking(
-            lang_pair=row["lang_pair"],
-            seg_id=row["seg_id"],
-            annotator_id=row["annotator_id"],
-            src=row["src"],
-            ref=row["ref"],
-            sys_plus=row["sys_plus"],
-            sys_minus=row["sys_minus"],
-            score_delta=parse_float(path, line, "score_delta", row["score_delta"]),
-        )
-        for line, row in read_tsv(path, _RANKINGS_COLUMNS)
-    ]
+    rankings = []
+    for line, (*texts, delta) in read_tsv(path, _RANKINGS_COLUMNS):
+        score_delta = parse_float(path, line, "score_delta", delta)
+        if score_delta <= 0:
+            raise ArtefactError(path, line, f"score_delta must be positive, got {delta}")
+        rankings.append(RelativeRanking(*texts, score_delta))
+    return rankings

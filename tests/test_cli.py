@@ -364,6 +364,12 @@ def _broken_train(tmp, art, text):
     return argv, f"{rankings / 'train.tsv'}:{line}:"
 
 
+def _train_delta(tmp, art, delta):
+    """train with a ranking whose score_delta is ``delta`` appended."""
+    fields = ["en-de", "seg1", "ann1", "s", "r", "p", "m", delta]
+    return _broken_train(tmp, art, "\t".join(fields) + "\n")
+
+
 def _broken_scorer(tmp, art, edit):
     payload = json.loads(art["scorer"].read_text(encoding="utf-8"))
     edit(payload)
@@ -413,6 +419,14 @@ def _ingest(tmp, *flags):
             "--references", paths.references, "--ratings", paths.ratings,
             "--out", tmp / "bundle", *flags]
     return argv, paths
+
+
+def _ingest_appended(tmp, file, row):
+    """ingest with ``row`` appended to one of the tiny corpus's files."""
+    argv, paths = _ingest(tmp)
+    path = getattr(paths, file)
+    line = _append(path, "\t".join(row) + "\n")
+    return argv, f"{path}:{line}:"
 
 
 def _non_utf8_segments(tmp, art):
@@ -486,13 +500,23 @@ def _huge_weights(tmp, art, command, *flags):
 # or for a run that succeeds in stdout.
 MALFORMED = [
     ("ingest-non-utf8", _non_utf8_segments, EXIT_DATA, "not valid UTF-8"),
+    ("ingest-unknown-seg-id",
+     lambda t, a: _ingest_appended(
+         t, "system_outputs", ["en-de", "news", "sysA", "segX", "0", "etwas"]),
+     EXIT_DATA, "system output references unknown seg_id: 'segX'"),
+    ("ingest-duplicate-reference",
+     lambda t, a: _ingest_appended(
+         t, "references", ["en-de", "news", "refA", "seg1", "etwas"]),
+     EXIT_DATA, "duplicate (ref_id, seg_id): ('refA', 'seg1')"),
     ("train-4-field-row",
      lambda t, a: _broken_train(t, a, "en-de\tseg1\tann1\tsource\n"),
      EXIT_DATA, "expected 8 fields, got 4"),
-    ("train-bad-delta",
-     lambda t, a: _broken_train(t, a, "\t".join(["en-de", "seg1", "ann1", "s", "r",
-                                                 "p", "m", "big"]) + "\n"),
+    ("train-bad-delta", lambda t, a: _train_delta(t, a, "big"),
      EXIT_DATA, "score_delta is not a finite number"),
+    ("train-negative-delta", lambda t, a: _train_delta(t, a, "-5"),
+     EXIT_DATA, "score_delta must be positive, got -5"),
+    ("train-zero-delta", lambda t, a: _train_delta(t, a, "0"),
+     EXIT_DATA, "score_delta must be positive, got 0"),
     ("score-scorer-no-unigram-counts",
      lambda t, a: _broken_scorer(t, a, lambda p: p.pop("unigram_counts")),
      EXIT_DATA, "missing key 'unigram_counts'"),
@@ -526,6 +550,15 @@ MALFORMED = [
     ("score-scorer-bad-bigram",
      lambda t, a: _broken_scorer(t, a, lambda p: p["bigrams"].append(["ein", 3])),
      EXIT_DATA, "bigram is not a pair of strings: ['ein', 3]"),
+    ("score-scorer-bigrams-object",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(bigrams={"a": 1})),
+     EXIT_DATA, "not a scorer: bigrams must be a list, got dict"),
+    ("score-scorer-bigram-unknown-token",
+     lambda t, a: _broken_scorer(t, a, lambda p: p["bigrams"].append(["ein", "nosuch"])),
+     EXIT_DATA, "not a scorer: bigram outside the vocabulary: ['ein', 'nosuch']"),
+    ("score-scorer-bigram-unknown-previous",
+     lambda t, a: _broken_scorer(t, a, lambda p: p["bigrams"].append(["nosuch", "ein"])),
+     EXIT_DATA, "not a scorer: bigram outside the vocabulary: ['nosuch', 'ein']"),
     ("correlate-short-row",
      lambda t, a: _broken_scores(t, a, row=lambda r: r[:4]),
      EXIT_DATA, "expected 6 fields, got 4"),
@@ -537,6 +570,10 @@ MALFORMED = [
     ("correlate-unknown-translation",
      lambda t, a: _broken_scores(t, a, row=lambda r: r[:3] + ["sysZ"] + r[4:]),
      EXIT_DATA, "is not in the corpus"),
+    ("correlate-group-mismatch",
+     lambda t, a: _broken_scores(t, a, row=lambda r: ["chrf", "zz-yy", "bogus"] + r[3:]),
+     EXIT_DATA, "score for seg_id 'seg000' disagrees on group: ('zz-yy', 'bogus') vs "
+     "('en-de', 'news')"),
     ("correlate-non-utf8",
      lambda t, a: _broken_scores(t, a, data=b"bleu\ten-de\tnews\tsys\xff\tx\t1.0\n"),
      EXIT_DATA, "not valid UTF-8"),

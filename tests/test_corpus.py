@@ -293,3 +293,104 @@ def test_missing_file_reported(tmp_path):
         load_corpus(paths)
     assert raised.value.path == str(paths.segments)
     assert str(raised.value) == f"{paths.segments}: missing file"
+
+
+_FILES = ("segments", "system_outputs", "references", "ratings")
+
+
+def _rating(seg_id="seg2", system_id="sysA", group=("en-de", "news"),
+            severity="minor", span=("", "")):
+    return [*group, system_id, seg_id, "ann3", "accuracy", severity, *span]
+
+
+# (id, file, change, exception, message): the tiny corpus with ``change``
+# made to one of its files, as rows appended to it, a function of its bytes,
+# or None to delete it; ``{path}`` in the message stands for that file.
+LOAD_REFUSALS = [
+    ("missing-file", "ratings", None, ArtefactError, "{path}: missing file"),
+    ("empty-file", "references", lambda data: b"", ArtefactError,
+     "{path}:1: empty file, expected a header row"),
+    ("bad-header", "system_outputs",
+     lambda data: data.replace(b"is_human", b"human", 1), ArtefactError,
+     "{path}:1: bad header ['lang_pair', 'domain', 'system_id', 'seg_id', "
+     "'human', 'text'], expected ['lang_pair', 'domain', 'system_id', 'seg_id', "
+     "'is_human', 'text']"),
+    ("wrong-field-count", "segments", [["en-de", "news", "doc9"]], ArtefactError,
+     "{path}:5: expected 5 fields, got 3"),
+    ("non-utf8", "system_outputs",
+     lambda data: data.replace(b"es regnet", b"es r\xe4gnet"), ArtefactError,
+     "{path}:3: not valid UTF-8"),
+    ("segment-empty-seg-id", "segments", [["en-de", "news", "doc9", " ", "hi"]],
+     ArtefactError, "{path}:5: empty seg_id"),
+    ("segment-empty-source", "segments", [["en-de", "news", "doc9", "seg9", ""]],
+     ArtefactError, "{path}:5: empty source_text"),
+    ("segment-duplicate", "segments", [["en-de", "news", "doc9", "seg1", "again"]],
+     IntegrityError, "{path}:5: duplicate seg_id: 'seg1'"),
+    ("output-unknown-seg-id", "system_outputs",
+     [["en-de", "news", "sysA", "segX", "0", "etwas"]], IntegrityError,
+     "{path}:11: system output references unknown seg_id: 'segX'"),
+    ("output-group-mismatch", "system_outputs",
+     [["en-de", "ted", "sysC", "seg1", "0", "etwas"]], IntegrityError,
+     "{path}:11: system output for seg_id 'seg1' disagrees on group: ('en-de', 'ted') vs "
+     "('en-de', 'news')"),
+    ("output-duplicate", "system_outputs",
+     [["en-de", "news", "sysA", "seg1", "0", "etwas"]], IntegrityError,
+     "{path}:11: duplicate (system_id, seg_id): ('sysA', 'seg1')"),
+    ("output-is-human-not-0-or-1", "system_outputs",
+     [["en-de", "news", "sysC", "seg1", "yes", "etwas"]], ArtefactError,
+     "{path}:11: is_human must be 0 or 1, got 'yes'"),
+    ("reference-unknown-seg-id", "references",
+     [["en-de", "news", "refB", "segX", "etwas"]], IntegrityError,
+     "{path}:5: reference references unknown seg_id: 'segX'"),
+    ("reference-group-mismatch", "references",
+     [["de-en", "news", "refB", "seg2", "etwas"]], IntegrityError,
+     "{path}:5: reference for seg_id 'seg2' disagrees on group: ('de-en', 'news') vs "
+     "('en-de', 'news')"),
+    ("reference-duplicate", "references",
+     [["en-de", "news", "refA", "seg1", "etwas"]], IntegrityError,
+     "{path}:5: duplicate (ref_id, seg_id): ('refA', 'seg1')"),
+    ("rating-unknown-seg-id", "ratings", [_rating(seg_id="segX")], IntegrityError,
+     "{path}:10: rating references unknown seg_id: 'segX'"),
+    ("rating-group-mismatch", "ratings", [_rating(group=("en-de", "ted"))],
+     IntegrityError,
+     "{path}:10: rating for seg_id 'seg2' disagrees on group: ('en-de', 'ted') vs "
+     "('en-de', 'news')"),
+    ("rating-unknown-translation", "ratings", [_rating(system_id="sysZ")],
+     IntegrityError,
+     "{path}:10: rating references unknown (system_id, seg_id): ('sysZ', 'seg2')"),
+    ("rating-unknown-severity", "ratings", [_rating(severity=" Catastrophic")],
+     ArtefactError, "{path}:10: unknown severity: ' Catastrophic'"),
+    ("rating-half-span", "ratings", [_rating(span=("3", " "))], ArtefactError,
+     "{path}:10: span_start/span_end must both be set"),
+    ("rating-non-integer-span", "ratings", [_rating(span=("0", "x9"))],
+     ArtefactError, "{path}:10: non-integer span: '0'..'x9'"),
+    ("rating-reversed-span", "ratings", [_rating(span=("5", "2"))], ArtefactError,
+     "{path}:10: invalid span range: (5, 2)"),
+    ("rating-span-past-text", "ratings", [_rating(span=("0", "16"))],
+     ArtefactError, "{path}:10: span (0, 16) exceeds translation length"),
+    # the first bad row wins, though the second fails a check made earlier
+    ("first-of-two-bad-rows", "ratings",
+     [_rating(span=("5", "2")), _rating(seg_id="segX")], ArtefactError,
+     "{path}:10: invalid span range: (5, 2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "file, change, exception, message",
+    [case[1:] for case in LOAD_REFUSALS],
+    ids=[case[0] for case in LOAD_REFUSALS],
+)
+def test_load_corpus_refusal(tmp_path, file, change, exception, message):
+    rows = dict(zip(_FILES, tiny_corpus_rows()))
+    if isinstance(change, list):
+        rows[file] += change
+    paths = write_corpus_files(tmp_path / "bad", *rows.values())
+    path = getattr(paths, file)
+    if change is None:
+        path.unlink()
+    elif callable(change):
+        path.write_bytes(change(path.read_bytes()))
+    with pytest.raises(exception) as raised:
+        load_corpus(paths)
+    assert type(raised.value) is exception
+    assert str(raised.value) == message.format(path=path)

@@ -1074,4 +1074,6 @@ def test_metric_scores_tsv_round_trip(tmp_path):
     ]
     path = tmp_path / "scores.tsv"
     write_metric_scores(scores, eval_set, path)
-    assert [score for _, score in metric_score_rows(path)] == scores
+    assert [(group, score) for _, group, score in metric_score_rows(path)] == [
+        (("en-de", "news"), score) for score in scores
+    ]
