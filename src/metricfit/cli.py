@@ -345,10 +345,10 @@ def cmd_train(args) -> int:
     train_path = rankings_dir / "train.tsv"
     validation_path = rankings_dir / "validation.tsv"
     train_by_lp: dict[str, list] = defaultdict(list)
-    for ranking in read_rankings(train_path):
+    for ranking in read_rankings(train_path, eval_set.segments):
         train_by_lp[ranking.lang_pair].append(ranking)
     validation_by_lp: dict[str, list] = defaultdict(list)
-    for ranking in read_rankings(validation_path):
+    for ranking in read_rankings(validation_path, eval_set.segments):
         validation_by_lp[ranking.lang_pair].append(ranking)
     if not train_by_lp:
         raise DataError(f"no training rankings in {train_path}")

@@ -307,8 +307,11 @@ def _parse_span(start: str, end: str, path: Path, line: int) -> tuple[int, int] 
     return span
 
 
-def group_mismatch(what: str, seg_id: str, group: tuple, known: tuple | None) -> str:
-    """Why a ``what`` row of ``group`` cannot name ``seg_id`` (of group ``known``)."""
+def group_mismatch(
+    what: str, seg_id: str, group: tuple | str, known: tuple | str | None
+) -> str:
+    """Why a ``what`` row of ``group`` cannot name ``seg_id`` (of group
+    ``known``, or None for an unknown seg_id)."""
     if known is None:
         return f"{what} references unknown seg_id: {seg_id!r}"
     return f"{what} for seg_id {seg_id!r} disagrees on group: {group!r} vs {known!r}"
@@ -317,10 +320,12 @@ def group_mismatch(what: str, seg_id: str, group: tuple, known: tuple | None) ->
 def load_corpus(paths: CorpusPaths) -> EvaluationSet:
     """Load and cross-link the four TSV files into an EvaluationSet.
 
-    All text fields are NFC-normalized. Rows referencing unknown segments or
-    systems are rejected with an :class:`IntegrityError` naming the offending
-    key; malformed rows raise :class:`CorpusFormatError`. Both name the file
-    and line, and a missing file raises an :class:`ArtefactError` naming it.
+    All text fields are NFC-normalized; ids are taken verbatim, and a
+    ``seg_id`` that is blank or has surrounding whitespace is refused. Rows
+    referencing unknown segments or systems are rejected with an
+    :class:`IntegrityError` naming the offending key; malformed rows raise
+    :class:`CorpusFormatError`. Both name the file and line, and a missing
+    file raises an :class:`ArtefactError` naming it.
     """
     segments: dict[str, Segment] = {}
     groups: dict[str, tuple[str, str]] = {}  # seg_id -> (lang_pair, domain)
@@ -328,9 +333,13 @@ def load_corpus(paths: CorpusPaths) -> EvaluationSet:
     for line, (lang_pair, domain, doc_id, seg_id, source_text) in read_tsv(
         path, _SEGMENTS_COLUMNS
     ):
-        seg_id, source_text = seg_id.strip(), nfc(source_text)
-        if not seg_id:
+        source_text = nfc(source_text)
+        if not seg_id.strip():
             raise CorpusFormatError(path, line, "empty seg_id")
+        if seg_id != seg_id.strip():
+            raise CorpusFormatError(
+                path, line, f"seg_id has surrounding whitespace: {seg_id!r}"
+            )
         if not source_text:
             raise CorpusFormatError(path, line, "empty source_text")
         if seg_id in segments:

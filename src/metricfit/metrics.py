@@ -118,36 +118,6 @@ def prism_score(
     return 0.5 * forward + 0.5 * backward
 
 
-class _Softmax:
-    """The parts of ToyScorer's sparse softmax that depend on theta alone:
-    with s = theta_1 u, top = max s, weights w = e^(s - top) and moments
-    w u, their sums over the vocabulary and over the successors of each
-    previous-token row of the bigram index, and per copy and bigram weight
-    its positive part (lift) and (e^theta - 1) / e^lift (excess), which
-    lies in (-1, 1) for every finite theta."""
-
-    def __init__(
-        self, theta: np.ndarray, unigram: np.ndarray, bigram_keys: np.ndarray
-    ):
-        self.theta0, theta1, self.theta2 = theta.tolist()
-        self.lift0, self.lift2 = max(self.theta0, 0.0), max(self.theta2, 0.0)
-        self.excess0, self.excess2 = (
-            -math.expm1(-value) if value >= 0 else math.expm1(value)
-            for value in (self.theta0, self.theta2)
-        )
-        self.unigram = unigram
-        self.scaled = theta1 * unigram
-        self.top = self.scaled.max()
-        self.weights = np.exp(self.scaled - self.top)
-        self.moments = self.weights * unigram
-        self.w_all, self.y_all = self.weights.sum(), self.moments.sum()
-        # W(S) and Y(S) of each row, summed over its successors in key order
-        n_vocab = len(unigram)
-        rows, successors = np.divmod(bigram_keys[:-1], n_vocab)
-        self.w_successors = np.bincount(rows, self.weights[successors], n_vocab + 1)
-        self.y_successors = np.bincount(rows, self.moments[successors], n_vocab + 1)
-
-
 @dataclass(frozen=True)
 class _Table:
     """The theta-independent part of scoring a list of (target, context)
@@ -267,12 +237,14 @@ class ToyScorer:
         Z e^-m = W(vocabulary) + (e^theta_0 - 1) W(C) + (e^theta_2 - 1) W(S)
                  + (e^theta_0 - 1) (e^theta_2 - 1) W(C & S).
 
-    Scoring has two parts. Compiling (``_compile``) turns pairs into a
+    Scoring has three parts. Compiling (``_compile``) turns pairs into a
     table of everything that does not depend on theta: token indices, each
     pair's context words, each position's copy and bigram flags and its
     C & S words. Evaluating (``_evaluate``) scores some of the table's
-    pairs under the current theta, token by token, and ``_scores`` reduces
-    them to sequence scores. Per call, W(vocabulary) is summed once,
+    pairs under the current theta, token by token, in one function: it
+    sums the terms of theta alone once per call, then scores the positions
+    block by block. ``_scores`` reduces the tokens' results to sequence
+    scores. Per call, W(vocabulary) is summed once,
     W(C) once per pair, W(S) once per previous token and W(C & S) once per
     position; the expected features of the gradient split the same way.
     Each position scales these terms by its own shift, an upper bound on
@@ -393,14 +365,6 @@ class ToyScorer:
         order = order.reshape(rows.shape)
         return scores[order], None if gradients is None else gradients[order]
 
-    def _token_scores(
-        self,
-        pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
-        with_gradients: bool,
-    ) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
-        """``_evaluate`` of every pair of the pairs' own table."""
-        return self._evaluate(self._compile(pairs), range(len(pairs)), with_gradients)
-
     def _compile(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> _Table:
         """The theta-independent table of the pairs, in order; the C & S
         words are gathered in blocks of at most ``_BLOCK_CELLS`` cells."""
@@ -472,7 +436,15 @@ class ToyScorer:
         """Per-token log-probabilities of the table's pairs ``rows``, end to
         end, their gradients w.r.t. theta (one row per token, or None unless
         asked for), and the bounds: the tokens of ``rows[i]``, end token
-        included, are ``ends[i]:ends[i + 1]``."""
+        included, are ``ends[i]:ends[i + 1]``.
+
+        The terms that depend on theta alone are summed once per call: with
+        s = theta_1 u, top = max s, weights w = e^(s - top) and moments
+        w u, their sums over the vocabulary and over the successors of each
+        previous-token row of the bigram index, and per copy and bigram
+        weight its positive part (lift) and (e^theta - 1) / e^lift
+        (excess), which lies in (-1, 1) for every finite theta. The
+        positions are then scored block by block."""
         rows = np.asarray(rows, np.intp)
         starts = table.ends[rows]
         lengths = table.ends[rows + 1] - starts
@@ -482,119 +454,115 @@ class ToyScorer:
         if not np.isfinite(self.theta).all():
             return logprobs, gradients, ends
 
-        softmax = _Softmax(self.theta, self._unigram_feature, self._bigram_keys)
-        # W(C) and Y(C) of each row, over its sorted context words
+        n_vocab, unigram = len(self.vocab), self._unigram_feature
+        theta0, theta1, theta2 = self.theta.tolist()
+        lift0, lift2 = max(theta0, 0.0), max(theta2, 0.0)
+        excess0, excess2 = (
+            -math.expm1(-value) if value >= 0 else math.expm1(value)
+            for value in (theta0, theta2)
+        )
+        scaled = theta1 * unigram
+        top = scaled.max()
+        weights = np.exp(scaled - top)
+        moments = weights * unigram
+        w_all, y_all = weights.sum(), moments.sum()
+        # W(S) and Y(S) of each bigram-index row, over its successors in key
+        # order; the per-bigram arrays are freed so the blocks do not hold them
+        key_rows, successors = np.divmod(self._bigram_keys[:-1], n_vocab)
+        w_rows = np.bincount(key_rows, weights[successors], n_vocab + 1)
+        y_rows = np.bincount(key_rows, moments[successors], n_vocab + 1)
+        del key_rows, successors
+        # W(C) and Y(C) of each pair, over its sorted context words
         context_starts = table.context_ends[rows]
         context_lengths = table.context_ends[rows + 1] - context_starts
         words = table.context_words[_ranges(context_starts, context_lengths)]
         owner = np.repeat(np.arange(len(rows)), context_lengths)
-        w_context = np.bincount(owner, softmax.weights[words], len(rows))
-        y_context = np.bincount(owner, softmax.moments[words], len(rows))
+        w_pairs = np.bincount(owner, weights[words], len(rows))
+        y_pairs = np.bincount(owner, moments[words], len(rows))
         positions = _ranges(starts, lengths)
         seq = np.repeat(np.arange(len(rows)), lengths)
         for block in _blocks(context_lengths[seq]):
             at = seq[block]
-            self._score_block(
-                softmax, table, positions[block], rows[at], context_lengths[at],
-                w_context[at], y_context[at], logprobs[block],
-                None if gradients is None else gradients[block],
+            position = positions[block]
+            size = len(position)
+            target, prev = table.targets[position], table.previous[position]
+            copied, followed = table.copied[position], table.followed[position]
+            w_context, y_context = w_pairs[at], y_pairs[at]
+            # W(S) of each position's previous token, and W(C & S) over its cells
+            w_successors, y_successors = w_rows[prev], y_rows[prev]
+            successor_starts = self._successor_starts[prev]
+            successor_counts = self._successor_starts[prev + 1] - successor_starts
+            cell_starts = table.cell_ends[position]
+            cell_counts = table.cell_ends[position + 1] - cell_starts
+            both = table.cell_words[_ranges(cell_starts, cell_counts)]
+            cell_owner = np.repeat(np.arange(size), cell_counts)
+            w_both = np.bincount(cell_owner, weights[both], size)
+            y_both = np.bincount(cell_owner, moments[both], size)
+            logits = copied * theta0 + scaled[target] + followed * theta2
+            # The shift above `top`, lift_c + lift_s: the largest sum of
+            # positive weights that lifts a present group of words (the
+            # context, the successors or both), kept in its two parts so that
+            # every exponent below cancels exactly where it should.
+            has_c, has_s = context_lengths[at] > 0, successor_counts > 0
+            has_both = cell_counts > 0
+            lift_c = np.where(has_both | has_c & ~(has_s & (lift2 > lift0)), lift0, 0.0)
+            lift_s = np.where(has_both | has_s & ~(has_c & (lift0 >= lift2)), lift2, 0.0)
+
+            def scale(exponent0, exponent2):  # e^(exponent0 - lift_c + exponent2 - lift_s)
+                return np.exp(np.minimum((exponent0 - lift_c) + (exponent2 - lift_s), 0.0))
+
+            k_all = scale(0.0, 0.0)
+            k_context = scale(lift0, 0.0) * excess0
+            k_successors = scale(0.0, lift2) * excess2
+            k_both = scale(lift0, lift2) * (excess0 * excess2)
+            z = k_all * w_all + k_context * w_context + k_successors * w_successors
+            z += k_both * w_both
+            total = k_all * w_all + abs(k_context) * w_context
+            total += abs(k_successors) * w_successors + abs(k_both) * w_both
+            # the mass of C and of S, for the expected copy and bigram features
+            c_own = scale(theta0, 0.0) * w_context
+            c_both = scale(theta0, lift2) * excess2 * w_both
+            s_own = scale(0.0, theta2) * w_successors
+            s_both = scale(lift0, theta2) * excess0 * w_both
+            mass_c, mass_s = c_own + c_both, s_own + s_both
+            moment = k_all * y_all + k_context * y_context
+            moment += k_successors * y_successors + k_both * y_both
+            shift = top + lift_c + lift_s
+            kept = (
+                (z >= _TINY)
+                & (total <= _CANCELLATION * z)
+                & (c_own + abs(c_both) <= _CANCELLATION * z)
+                & (s_own + abs(s_both) <= _CANCELLATION * z)
             )
+            for i in np.flatnonzero(~kept):  # a dense softmax row
+                row_logits = scaled.copy()
+                own = table.context_words[
+                    table.context_ends[rows[at[i]]] : table.context_ends[rows[at[i]] + 1]
+                ]
+                row_logits[own] += theta0
+                follow = self._bigram_keys[
+                    successor_starts[i] : successor_starts[i] + successor_counts[i]
+                ] % n_vocab
+                row_logits[follow] += theta2
+                shift[i] = row_logits.max()
+                exps = np.exp(row_logits - shift[i])
+                z[i], mass_c[i], mass_s[i] = exps.sum(), exps[own].sum(), exps[follow].sum()
+                moment[i] = exps @ unigram
+
+            log_z = np.array(list(map(math.log, z.tolist())))
+            logprobs[block] = (logits - (shift + log_z)) / LN2
+            if gradients is not None:
+                gradients[block, 0] = (copied - mass_c / z) / LN2
+                gradients[block, 1] = (unigram[target] - moment / z) / LN2
+                gradients[block, 2] = (followed - mass_s / z) / LN2
         return logprobs, gradients, ends
-
-    def _score_block(
-        self, softmax, table, positions, rows, context_lengths, w_context, y_context,
-        logprobs, gradients,
-    ) -> None:
-        """Fill ``logprobs`` (and ``gradients``, unless None), views of
-        ``_evaluate``'s results, at the table's ``positions``; the rest are
-        each position's row, and that row's context length, W(C) and Y(C)."""
-        n_vocab = len(self.vocab)
-        theta0, theta2 = softmax.theta0, softmax.theta2
-        lift0, lift2 = softmax.lift0, softmax.lift2
-        excess0, excess2 = softmax.excess0, softmax.excess2
-        weights, moments = softmax.weights, softmax.moments
-        size = len(positions)
-        target = table.targets[positions]
-        prev = table.previous[positions]
-        copied = table.copied[positions]
-        followed = table.followed[positions]
-
-        # W(S) of each position's previous token, and W(C & S) over its cells
-        w_successors = softmax.w_successors[prev]
-        y_successors = softmax.y_successors[prev]
-        successor_starts = self._successor_starts[prev]
-        successor_counts = self._successor_starts[prev + 1] - successor_starts
-        cell_starts = table.cell_ends[positions]
-        cell_counts = table.cell_ends[positions + 1] - cell_starts
-        both = table.cell_words[_ranges(cell_starts, cell_counts)]
-        at = np.repeat(np.arange(size), cell_counts)
-        w_both = np.bincount(at, weights[both], size)
-        y_both = np.bincount(at, moments[both], size)
-
-        logits = copied * theta0 + softmax.scaled[target] + followed * theta2
-        # The shift above `top`, lift_c + lift_s: the largest sum of positive
-        # weights that lifts a present group of words (the context, the
-        # successors or both), kept in its two parts so that every exponent
-        # below cancels exactly where it should.
-        has_c, has_s = context_lengths > 0, successor_counts > 0
-        has_both = cell_counts > 0
-        lift_c = np.where(has_both | has_c & ~(has_s & (lift2 > lift0)), lift0, 0.0)
-        lift_s = np.where(has_both | has_s & ~(has_c & (lift0 >= lift2)), lift2, 0.0)
-
-        def scale(exponent0, exponent2):  # e^(exponent0 - lift_c + exponent2 - lift_s)
-            return np.exp(np.minimum((exponent0 - lift_c) + (exponent2 - lift_s), 0.0))
-
-        k_all = scale(0.0, 0.0)
-        k_context = scale(lift0, 0.0) * excess0
-        k_successors = scale(0.0, lift2) * excess2
-        k_both = scale(lift0, lift2) * (excess0 * excess2)
-        z = k_all * softmax.w_all + k_context * w_context + k_successors * w_successors
-        z += k_both * w_both
-        total = k_all * softmax.w_all + abs(k_context) * w_context
-        total += abs(k_successors) * w_successors + abs(k_both) * w_both
-        # the mass of C and of S, for the expected copy and bigram features
-        c_own = scale(theta0, 0.0) * w_context
-        c_both = scale(theta0, lift2) * excess2 * w_both
-        s_own = scale(0.0, theta2) * w_successors
-        s_both = scale(lift0, theta2) * excess0 * w_both
-        mass_c, mass_s = c_own + c_both, s_own + s_both
-        moment = k_all * softmax.y_all + k_context * y_context
-        moment += k_successors * y_successors + k_both * y_both
-        shift = softmax.top + lift_c + lift_s
-        kept = (
-            (z >= _TINY)
-            & (total <= _CANCELLATION * z)
-            & (c_own + abs(c_both) <= _CANCELLATION * z)
-            & (s_own + abs(s_both) <= _CANCELLATION * z)
-        )
-        for i in np.flatnonzero(~kept):  # a dense softmax row
-            row_logits = softmax.scaled.copy()
-            own = table.context_words[
-                table.context_ends[rows[i]] : table.context_ends[rows[i] + 1]
-            ]
-            row_logits[own] += theta0
-            follow = self._bigram_keys[
-                successor_starts[i] : successor_starts[i] + successor_counts[i]
-            ] % n_vocab
-            row_logits[follow] += theta2
-            shift[i] = row_logits.max()
-            exps = np.exp(row_logits - shift[i])
-            z[i], mass_c[i], mass_s[i] = exps.sum(), exps[own].sum(), exps[follow].sum()
-            moment[i] = exps @ softmax.unigram
-
-        log_z = np.array(list(map(math.log, z.tolist())))
-        logprobs[:] = (logits - (shift + log_z)) / LN2
-        if gradients is not None:
-            gradients[:, 0] = (copied - mass_c / z) / LN2
-            gradients[:, 1] = (softmax.unigram[target] - moment / z) / LN2
-            gradients[:, 2] = (followed - mass_s / z) / LN2
 
     def token_logprobs(
         self, target: Sequence[str], context: Sequence[str]
     ) -> list[float]:
         """One base-2 log-probability per target token plus one for the
         appended end token; their mean is the pair's sequence score."""
-        return self._token_scores([(target, context)], False)[0].tolist()
+        return self._evaluate(self._compile([(target, context)]), [0], False)[0].tolist()
 
     def token_logprob_gradients(
         self, target: Sequence[str], context: Sequence[str]
@@ -603,7 +571,8 @@ class ToyScorer:
 
         The gradient array has one row per scored token (end token included).
         """
-        logprobs, gradients, _ = self._token_scores([(target, context)], True)
+        table = self._compile([(target, context)])
+        logprobs, gradients, _ = self._evaluate(table, [0], True)
         return logprobs.tolist(), gradients
 
     def to_dict(self) -> dict:

@@ -15,13 +15,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .artefacts import ArtefactError, parse_float, read_tsv, write_tsv
 from .corpus import (
     DEFAULT_WEIGHTS,
     EvaluationSet,
+    Segment,
     SeverityWeights,
+    group_mismatch,
     mqm_score,
 )
 
@@ -207,12 +209,22 @@ def write_rankings(rankings: Iterable[RelativeRanking], path: Path | str) -> Non
     )
 
 
-def read_rankings(path: Path | str) -> list[RelativeRanking]:
-    """Read rankings back from the TSV written by :func:`write_rankings`."""
+def read_rankings(
+    path: Path | str, segments: Mapping[str, Segment]
+) -> list[RelativeRanking]:
+    """Read rankings back from the TSV written by :func:`write_rankings`;
+    each row must name a seg_id of ``segments`` with that segment's
+    lang_pair."""
     rankings = []
-    for line, (*texts, delta) in read_tsv(path, _RANKINGS_COLUMNS):
+    for line, (lang_pair, seg_id, *texts, delta) in read_tsv(path, _RANKINGS_COLUMNS):
         score_delta = parse_float(path, line, "score_delta", delta)
         if score_delta <= 0:
             raise ArtefactError(path, line, f"score_delta must be positive, got {delta}")
-        rankings.append(RelativeRanking(*texts, score_delta))
+        segment = segments.get(seg_id)
+        known = None if segment is None else segment.lang_pair
+        if lang_pair != known:
+            raise ArtefactError(
+                path, line, group_mismatch("ranking", seg_id, lang_pair, known)
+            )
+        rankings.append(RelativeRanking(lang_pair, seg_id, *texts, score_delta))
     return rankings

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as scipy_stats
 
+from metricfit import metrics
 from metricfit.corpus import (
     CorpusPaths,
     EvaluationSet,
@@ -504,6 +505,156 @@ def toy_dense_score_oracle(scorer, target, context, with_gradients):
             gradients[position] = (features[token_index] - expected) / LN2
         previous = token
     return logprobs, gradients
+
+
+class _EvaluateSoftmax:
+    """The parts of ToyScorer's sparse softmax that depend on theta alone:
+    with s = theta_1 u, top = max s, weights w = e^(s - top) and moments
+    w u, their sums over the vocabulary and over the successors of each
+    previous-token row of the bigram index, and per copy and bigram weight
+    its positive part (lift) and (e^theta - 1) / e^lift (excess), which
+    lies in (-1, 1) for every finite theta."""
+
+    def __init__(
+        self, theta: np.ndarray, unigram: np.ndarray, bigram_keys: np.ndarray
+    ):
+        self.theta0, theta1, self.theta2 = theta.tolist()
+        self.lift0, self.lift2 = max(self.theta0, 0.0), max(self.theta2, 0.0)
+        self.excess0, self.excess2 = (
+            -math.expm1(-value) if value >= 0 else math.expm1(value)
+            for value in (self.theta0, self.theta2)
+        )
+        self.unigram = unigram
+        self.scaled = theta1 * unigram
+        self.top = self.scaled.max()
+        self.weights = np.exp(self.scaled - self.top)
+        self.moments = self.weights * unigram
+        self.w_all, self.y_all = self.weights.sum(), self.moments.sum()
+        # W(S) and Y(S) of each row, summed over its successors in key order
+        n_vocab = len(unigram)
+        rows, successors = np.divmod(bigram_keys[:-1], n_vocab)
+        self.w_successors = np.bincount(rows, self.weights[successors], n_vocab + 1)
+        self.y_successors = np.bincount(rows, self.moments[successors], n_vocab + 1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def toy_evaluate_oracle(scorer, table, rows, with_gradients):
+    """``ToyScorer._evaluate`` as it was written with a theta-only parameter
+    class and a per-block method, operation for operation: the same
+    expressions, in the same order and with the same association, so its
+    results must match ``_evaluate``'s bit for bit. It reads the module's
+    ``_BLOCK_CELLS``, ``_CANCELLATION`` and ``_TINY`` when called."""
+    rows = np.asarray(rows, np.intp)
+    starts = table.ends[rows]
+    lengths = table.ends[rows + 1] - starts
+    ends = [0, *np.cumsum(lengths).tolist()]
+    logprobs = np.full(ends[-1], math.nan)
+    gradients = np.full((ends[-1], 3), math.nan) if with_gradients else None
+    if not np.isfinite(scorer.theta).all():
+        return logprobs, gradients, ends
+
+    softmax = _EvaluateSoftmax(scorer.theta, scorer._unigram_feature, scorer._bigram_keys)
+    # W(C) and Y(C) of each row, over its sorted context words
+    context_starts = table.context_ends[rows]
+    context_lengths = table.context_ends[rows + 1] - context_starts
+    words = table.context_words[metrics._ranges(context_starts, context_lengths)]
+    owner = np.repeat(np.arange(len(rows)), context_lengths)
+    w_context = np.bincount(owner, softmax.weights[words], len(rows))
+    y_context = np.bincount(owner, softmax.moments[words], len(rows))
+    positions = metrics._ranges(starts, lengths)
+    seq = np.repeat(np.arange(len(rows)), lengths)
+    for block in metrics._blocks(context_lengths[seq]):
+        at = seq[block]
+        _evaluate_block_oracle(
+            scorer, softmax, table, positions[block], rows[at], context_lengths[at],
+            w_context[at], y_context[at], logprobs[block],
+            None if gradients is None else gradients[block],
+        )
+    return logprobs, gradients, ends
+
+
+def _evaluate_block_oracle(
+    scorer, softmax, table, positions, rows, context_lengths, w_context, y_context,
+    logprobs, gradients,
+) -> None:
+    """One block of :func:`toy_evaluate_oracle`: fill ``logprobs`` (and
+    ``gradients``, unless None) at the table's ``positions``; the rest are
+    each position's row, and that row's context length, W(C) and Y(C)."""
+    n_vocab = len(scorer.vocab)
+    theta0, theta2 = softmax.theta0, softmax.theta2
+    lift0, lift2 = softmax.lift0, softmax.lift2
+    excess0, excess2 = softmax.excess0, softmax.excess2
+    weights, moments = softmax.weights, softmax.moments
+    size = len(positions)
+    target = table.targets[positions]
+    prev = table.previous[positions]
+    copied = table.copied[positions]
+    followed = table.followed[positions]
+
+    # W(S) of each position's previous token, and W(C & S) over its cells
+    w_successors = softmax.w_successors[prev]
+    y_successors = softmax.y_successors[prev]
+    successor_starts = scorer._successor_starts[prev]
+    successor_counts = scorer._successor_starts[prev + 1] - successor_starts
+    cell_starts = table.cell_ends[positions]
+    cell_counts = table.cell_ends[positions + 1] - cell_starts
+    both = table.cell_words[metrics._ranges(cell_starts, cell_counts)]
+    at = np.repeat(np.arange(size), cell_counts)
+    w_both = np.bincount(at, weights[both], size)
+    y_both = np.bincount(at, moments[both], size)
+
+    logits = copied * theta0 + softmax.scaled[target] + followed * theta2
+    has_c, has_s = context_lengths > 0, successor_counts > 0
+    has_both = cell_counts > 0
+    lift_c = np.where(has_both | has_c & ~(has_s & (lift2 > lift0)), lift0, 0.0)
+    lift_s = np.where(has_both | has_s & ~(has_c & (lift0 >= lift2)), lift2, 0.0)
+
+    def scale(exponent0, exponent2):  # e^(exponent0 - lift_c + exponent2 - lift_s)
+        return np.exp(np.minimum((exponent0 - lift_c) + (exponent2 - lift_s), 0.0))
+
+    k_all = scale(0.0, 0.0)
+    k_context = scale(lift0, 0.0) * excess0
+    k_successors = scale(0.0, lift2) * excess2
+    k_both = scale(lift0, lift2) * (excess0 * excess2)
+    z = k_all * softmax.w_all + k_context * w_context + k_successors * w_successors
+    z += k_both * w_both
+    total = k_all * softmax.w_all + abs(k_context) * w_context
+    total += abs(k_successors) * w_successors + abs(k_both) * w_both
+    c_own = scale(theta0, 0.0) * w_context
+    c_both = scale(theta0, lift2) * excess2 * w_both
+    s_own = scale(0.0, theta2) * w_successors
+    s_both = scale(lift0, theta2) * excess0 * w_both
+    mass_c, mass_s = c_own + c_both, s_own + s_both
+    moment = k_all * softmax.y_all + k_context * y_context
+    moment += k_successors * y_successors + k_both * y_both
+    shift = softmax.top + lift_c + lift_s
+    kept = (
+        (z >= metrics._TINY)
+        & (total <= metrics._CANCELLATION * z)
+        & (c_own + abs(c_both) <= metrics._CANCELLATION * z)
+        & (s_own + abs(s_both) <= metrics._CANCELLATION * z)
+    )
+    for i in np.flatnonzero(~kept):  # a dense softmax row
+        row_logits = softmax.scaled.copy()
+        own = table.context_words[
+            table.context_ends[rows[i]] : table.context_ends[rows[i] + 1]
+        ]
+        row_logits[own] += theta0
+        follow = scorer._bigram_keys[
+            successor_starts[i] : successor_starts[i] + successor_counts[i]
+        ] % n_vocab
+        row_logits[follow] += theta2
+        shift[i] = row_logits.max()
+        exps = np.exp(row_logits - shift[i])
+        z[i], mass_c[i], mass_s[i] = exps.sum(), exps[own].sum(), exps[follow].sum()
+        moment[i] = exps @ softmax.unigram
+
+    log_z = np.array(list(map(math.log, z.tolist())))
+    logprobs[:] = (logits - (shift + log_z)) / LN2
+    if gradients is not None:
+        gradients[:, 0] = (copied - mass_c / z) / LN2
+        gradients[:, 1] = (softmax.unigram[target] - moment / z) / LN2
+        gradients[:, 2] = (followed - mass_s / z) / LN2
 
 
 def kendall_tau_scipy_oracle(metric_scores, human_penalties) -> float | None:

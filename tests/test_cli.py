@@ -355,19 +355,25 @@ def _append(path: Path, text: str) -> int:
     return content.count("\n") + 1
 
 
-def _broken_train(tmp, art, text):
+def _broken_train(tmp, art, text, file="train.tsv"):
     rankings = tmp / "rankings"
     shutil.copytree(art["rankings"], rankings)
-    line = _append(rankings / "train.tsv", text)
+    line = _append(rankings / file, text)
     argv = ["train", "--corpus", art["bundle"], "--rankings", rankings,
             "--out", tmp / "model", "--seed", 1]
-    return argv, f"{rankings / 'train.tsv'}:{line}:"
+    return argv, f"{rankings / file}:{line}:"
 
 
 def _train_delta(tmp, art, delta):
     """train with a ranking whose score_delta is ``delta`` appended."""
     fields = ["en-de", "seg1", "ann1", "s", "r", "p", "m", delta]
     return _broken_train(tmp, art, "\t".join(fields) + "\n")
+
+
+def _train_segment(tmp, art, lang_pair, seg_id, file="train.tsv"):
+    """train with a ranking of ``lang_pair`` and ``seg_id`` appended to ``file``."""
+    fields = [lang_pair, seg_id, "ann1", "s", "r", "p", "m", "5"]
+    return _broken_train(tmp, art, "\t".join(fields) + "\n", file)
 
 
 def _broken_scorer(tmp, art, edit):
@@ -517,6 +523,13 @@ MALFORMED = [
      EXIT_DATA, "score_delta must be positive, got -5"),
     ("train-zero-delta", lambda t, a: _train_delta(t, a, "0"),
      EXIT_DATA, "score_delta must be positive, got 0"),
+    ("train-unknown-seg-id", lambda t, a: _train_segment(t, a, "en-de", "nosuch"),
+     EXIT_DATA, "ranking references unknown seg_id: 'nosuch'"),
+    ("train-lang-pair-mismatch", lambda t, a: _train_segment(t, a, "xx-yy", "seg003"),
+     EXIT_DATA, "ranking for seg_id 'seg003' disagrees on group: 'xx-yy' vs 'en-de'"),
+    ("train-validation-unknown-seg-id",
+     lambda t, a: _train_segment(t, a, "en-de", "seg003 ", "validation.tsv"),
+     EXIT_DATA, "ranking references unknown seg_id: 'seg003 '"),
     ("score-scorer-no-unigram-counts",
      lambda t, a: _broken_scorer(t, a, lambda p: p.pop("unigram_counts")),
      EXIT_DATA, "missing key 'unigram_counts'"),
@@ -875,7 +888,8 @@ def test_quotes_round_trip_through_ingest_rankings_score(tmp_path):
     rankings_dir = tmp_path / "r"
     assert run("rankings", "--corpus", bundle, "--out", rankings_dir,
                "--seed", 1, "--holdout", 1) == EXIT_OK
-    loaded = read_rankings(rankings_dir / "rankings.tsv")
+    segments = load_corpus(CorpusPaths.in_directory(bundle)).segments
+    loaded = read_rankings(rankings_dir / "rankings.tsv", segments)
     assert any(r.src == 'the "cat" sat on the mat' for r in loaded)
     assert any(r.ref == 'die Katze sass auf der "Matte"' for r in loaded)
 

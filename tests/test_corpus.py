@@ -322,6 +322,13 @@ LOAD_REFUSALS = [
      "{path}:3: not valid UTF-8"),
     ("segment-empty-seg-id", "segments", [["en-de", "news", "doc9", " ", "hi"]],
      ArtefactError, "{path}:5: empty seg_id"),
+    ("segment-no-seg-id", "segments", [["en-de", "news", "doc9", "", "hi"]],
+     ArtefactError, "{path}:5: empty seg_id"),
+    ("segment-padded-seg-id", "segments", [["en-de", "news", "doc9", "seg9 ", "hi"]],
+     ArtefactError, "{path}:5: seg_id has surrounding whitespace: 'seg9 '"),
+    ("segment-leading-space-seg-id", "segments",
+     [["en-de", "news", "doc9", " seg9", "hi"]], ArtefactError,
+     "{path}:5: seg_id has surrounding whitespace: ' seg9'"),
     ("segment-empty-source", "segments", [["en-de", "news", "doc9", "seg9", ""]],
      ArtefactError, "{path}:5: empty source_text"),
     ("segment-duplicate", "segments", [["en-de", "news", "doc9", "seg1", "again"]],

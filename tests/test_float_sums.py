@@ -172,3 +172,29 @@ def test_builtin_sum_adds_only_integers():
         for function in _sum_calls(ast.parse(path.read_text(), str(path)))
     }
     assert calls == INTEGER_SUMS
+
+
+def test_every_private_definition_is_used():
+    """Every private function, method and class under ``src/metricfit``
+    (a leading underscore, not a dunder) is named somewhere besides its own
+    definition, so code that nothing calls fails the suite."""
+    nodes = [
+        node
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    ]
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = {
+        node.name
+        for node in nodes
+        if isinstance(node, definitions)
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    named = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+        for node in nodes
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert "_evaluate" in defined
+    assert sorted(defined - named) == []

@@ -28,7 +28,9 @@ from conftest import (
     separable_ranking_examples,
     load_robustness_corpus,
     load_tiny_corpus,
+    robustness_corpus_rows,
     toy_dense_score_oracle,
+    toy_evaluate_oracle,
     toy_logprob_oracle,
     toy_score_oracle,
 )
@@ -319,9 +321,11 @@ def _key(pair):
 
 
 def _token_batch(scorer, pairs, with_gradients):
-    """``ToyScorer._token_scores`` on ``pairs``: one ``(logprobs,
-    gradients)`` per pair, gradients None unless asked for."""
-    logprobs, gradients, ends = scorer._token_scores(pairs, with_gradients)
+    """``ToyScorer._evaluate`` of every pair of the pairs' own table: one
+    ``(logprobs, gradients)`` per pair, gradients None unless asked for."""
+    logprobs, gradients, ends = scorer._evaluate(
+        scorer._compile(pairs), range(len(pairs)), with_gradients
+    )
     return [
         (
             logprobs[start:stop].tolist(),
@@ -358,7 +362,7 @@ def _assert_sequence_scores(scorer, pairs, tokens=_token_views):
 
 
 def _assert_batch_matches_oracles(scorer, pairs):
-    """``ToyScorer._token_scores`` on ``pairs``, with and without
+    """:func:`_token_batch` on ``pairs``, with and without
     gradients: bit for bit the results of scoring each pair in a call of its
     own, and within tolerance of the dense and the blocked oracle (whose
     gradients may also be off by their own matmul's rounding);
@@ -609,6 +613,73 @@ def test_cancelling_terms_fall_back_to_a_dense_row(monkeypatch):
     monkeypatch.setattr(metrics_module, "_CANCELLATION", math.inf)
     with pytest.raises(AssertionError):
         _assert_close(scorer.token_logprobs(*pair), expected)
+
+
+# The weights of the exact-order test. The two of _ORDER_DENSE_WEIGHTS send
+# many of its positions onto the dense softmax row. With a negative copy
+# weight and a moderate bigram weight, as in (-0.8, 0.5, -1.3) and (-0.6,
+# 1.1, 0.9), the C & S part of the copy mass is scaled by neither 0 nor 1,
+# so only those two catch a reassociated product there, such as
+# scale(theta0, lift2) * (excess2 * w_both).
+_ORDER_DENSE_WEIGHTS = [(-50.0, 10.0, -50.0), (30.0, -5.0, -40.0)]
+_ORDER_WEIGHTS = [
+    (0.0, 0.0, 0.0), (2.0, 1.0, 1.0), (0.3, -0.7, 1.2), (-0.8, 0.5, -1.3),
+    (-0.6, 1.1, 0.9), *_ORDER_DENSE_WEIGHTS, (-1e308, 1.0, 1e308),
+    (math.nan, 1.0, 1.0),
+]
+
+
+@functools.cache
+def _order_table_pairs():
+    """A scorer of every other text of a synthetic corpus, and 300 seeded
+    (target, context) pairs drawn from all its texts and the empty one."""
+    segments, outputs, references, _ = robustness_corpus_rows(6, 40, seed=3)
+    texts = [row[-1] for row in (*segments, *outputs, *references)]
+    rng = random.Random(3)
+    pool = [*texts, ""]
+    pairs = [
+        (tokenize(rng.choice(pool)), tokenize(rng.choice(pool))) for _ in range(300)
+    ]
+    return ToyScorer.from_texts(texts[::2]), pairs
+
+
+def _evaluate_order_table(theta, with_gradients, evaluate):
+    """``evaluate(scorer, table, rows, with_gradients)`` of a permutation of
+    the :func:`_order_table_pairs` table's rows, in blocks of 64 cells, as
+    hex strings."""
+    scorer, pairs = _order_table_pairs()
+    scorer = scorer.with_theta(theta)
+    rows = random.Random(5).sample(range(len(pairs)), len(pairs))
+    with unittest.mock.patch.object(metrics_module, "_BLOCK_CELLS", 64):
+        table = scorer._compile(pairs)
+        seq = np.repeat(np.arange(len(pairs)), np.diff(table.ends))
+        costs = np.diff(table.context_ends)[seq]
+        assert len(list(metrics_module._blocks(costs))) > 10
+        logprobs, gradients, ends = evaluate(scorer, table, rows, with_gradients)
+    return _hexes(logprobs), None if gradients is None else _hexes(gradients), ends
+
+
+@pytest.mark.parametrize("with_gradients", [False, True])
+@pytest.mark.parametrize("theta", _ORDER_WEIGHTS, ids=repr)
+def test_evaluate_keeps_the_operation_order_of_the_oracle(theta, with_gradients):
+    """``_evaluate`` gives the bits of :func:`toy_evaluate_oracle`, which
+    pins each expression's operands, order and association: a change that
+    reassociates one product changes bits that tolerance tests cannot see."""
+    assert _evaluate_order_table(theta, with_gradients, ToyScorer._evaluate) == (
+        _evaluate_order_table(theta, with_gradients, toy_evaluate_oracle)
+    )
+
+
+@pytest.mark.parametrize("theta", _ORDER_DENSE_WEIGHTS, ids=repr)
+def test_exact_order_weights_reach_the_dense_rows(theta, monkeypatch):
+    """Without the dense row, the two dense weights of the exact-order test
+    give over a thousand other values, so that test covers the dense rows'
+    arithmetic too."""
+    dense = _evaluate_order_table(theta, True, ToyScorer._evaluate)
+    monkeypatch.setattr(metrics_module, "_CANCELLATION", math.inf)
+    sparse = _evaluate_order_table(theta, True, ToyScorer._evaluate)
+    changed = sum(a != b for a, b in zip(dense[0] + dense[1], sparse[0] + sparse[1]))
+    assert changed > 1000
 
 
 def test_nan_theta_gives_nan_scores_and_stops_prism_and_training(tmp_path):

@@ -195,7 +195,7 @@ def test_rankings_tsv_round_trip(tmp_path):
     rankings = derive_rankings(eval_set).rankings
     path = tmp_path / "rankings.tsv"
     write_rankings(rankings, path)
-    loaded = read_rankings(path)
+    loaded = read_rankings(path, eval_set.segments)
     assert len(loaded) == len(rankings)
     for original, read_back in zip(rankings, loaded):
         assert read_back.lang_pair == original.lang_pair
