@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .artefacts import ArtefactError, read_tsv, write_tsv
 
@@ -71,8 +71,7 @@ def nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One source segment within a (lang_pair, domain) group."""
 
     lang_pair: str
@@ -82,8 +81,7 @@ class Segment:
     source_text: str
 
 
-@dataclass(frozen=True)
-class SystemTranslation:
+class SystemTranslation(NamedTuple):
     """Output of one system (or human 'system') for one segment."""
 
     system_id: str
@@ -92,8 +90,7 @@ class SystemTranslation:
     is_human: bool = False
 
 
-@dataclass(frozen=True)
-class ReferenceTranslation:
+class ReferenceTranslation(NamedTuple):
     """A reference for one segment.
 
     ``origin`` is either ``human`` (loaded from the references file) or
@@ -109,8 +106,7 @@ class ReferenceTranslation:
     source_system: str | None = None
 
 
-@dataclass(frozen=True)
-class MqmError:
+class MqmError(NamedTuple):
     """A single annotated error: category, severity, optional char span."""
 
     category: str
@@ -118,8 +114,7 @@ class MqmError:
     span: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class MqmRating:
+class MqmRating(NamedTuple):
     """All errors one annotator assigned to one system translation.
 
     An empty ``errors`` tuple is meaningful: the annotator judged the
@@ -317,16 +312,36 @@ def group_mismatch(
     return f"{what} for seg_id {seg_id!r} disagrees on group: {group!r} vs {known!r}"
 
 
+def _check_id(path: Path, line: int, column: str, value: str) -> None:
+    """Refuse an id that is blank or has surrounding whitespace."""
+    if not value.strip():
+        raise CorpusFormatError(path, line, f"empty {column}")
+    if value != value.strip():
+        raise CorpusFormatError(
+            path, line, f"{column} has surrounding whitespace: {value!r}"
+        )
+
+
 def load_corpus(paths: CorpusPaths) -> EvaluationSet:
     """Load and cross-link the four TSV files into an EvaluationSet.
 
     All text fields are NFC-normalized; ids are taken verbatim, and a
-    ``seg_id`` that is blank or has surrounding whitespace is refused. Rows
-    referencing unknown segments or systems are rejected with an
-    :class:`IntegrityError` naming the offending key; malformed rows raise
-    :class:`CorpusFormatError`. Both name the file and line, and a missing
-    file raises an :class:`ArtefactError` naming it.
+    ``seg_id``, ``system_id``, ``ref_id`` or ``annotator_id`` that is blank
+    or has surrounding whitespace is refused. Rows referencing unknown
+    segments or systems are rejected with an :class:`IntegrityError` naming
+    the offending key; malformed rows raise :class:`CorpusFormatError`. Both
+    name the file and line, and a missing file raises an
+    :class:`ArtefactError` naming it.
+
+    Each distinct segment, system, reference and annotator id and error
+    category is stored once, however many rows repeat it, and each severity
+    is one of the ``SEVERITY_*`` constants.
     """
+    share = {}.setdefault  # share(value, value): the first equal string
+    severities = {label: label for label in (
+        SEVERITY_MAJOR, SEVERITY_MINOR, SEVERITY_NO_ERROR
+    )}
+
     segments: dict[str, Segment] = {}
     groups: dict[str, tuple[str, str]] = {}  # seg_id -> (lang_pair, domain)
     path = paths.segments
@@ -334,16 +349,12 @@ def load_corpus(paths: CorpusPaths) -> EvaluationSet:
         path, _SEGMENTS_COLUMNS
     ):
         source_text = nfc(source_text)
-        if not seg_id.strip():
-            raise CorpusFormatError(path, line, "empty seg_id")
-        if seg_id != seg_id.strip():
-            raise CorpusFormatError(
-                path, line, f"seg_id has surrounding whitespace: {seg_id!r}"
-            )
+        _check_id(path, line, "seg_id", seg_id)
         if not source_text:
             raise CorpusFormatError(path, line, "empty source_text")
         if seg_id in segments:
             raise IntegrityError(path, line, f"duplicate seg_id: {seg_id!r}")
+        seg_id = share(seg_id, seg_id)
         segments[seg_id] = Segment(lang_pair, domain, doc_id, seg_id, source_text)
         groups[seg_id] = (lang_pair, domain)
 
@@ -352,34 +363,34 @@ def load_corpus(paths: CorpusPaths) -> EvaluationSet:
     for line, (lang_pair, domain, system_id, seg_id, is_human, text) in read_tsv(
         path, _OUTPUTS_COLUMNS
     ):
+        _check_id(path, line, "system_id", system_id)
         if groups.get(seg_id) != (lang_pair, domain):
             raise IntegrityError(path, line, group_mismatch(
                 "system output", seg_id, (lang_pair, domain), groups.get(seg_id)
             ))
-        key = (system_id, seg_id)
+        key = (share(system_id, system_id), share(seg_id, seg_id))
         if key in translations:
             raise IntegrityError(path, line, f"duplicate (system_id, seg_id): {key!r}")
         if is_human not in ("0", "1"):
             raise CorpusFormatError(
                 path, line, f"is_human must be 0 or 1, got {is_human!r}"
             )
-        translations[key] = SystemTranslation(
-            system_id, seg_id, nfc(text), is_human == "1"
-        )
+        translations[key] = SystemTranslation(*key, nfc(text), is_human == "1")
 
     references: dict[tuple[str, str], ReferenceTranslation] = {}
     path = paths.references
     for line, (lang_pair, domain, ref_id, seg_id, text) in read_tsv(
         path, _REFERENCES_COLUMNS
     ):
+        _check_id(path, line, "ref_id", ref_id)
         if groups.get(seg_id) != (lang_pair, domain):
             raise IntegrityError(path, line, group_mismatch(
                 "reference", seg_id, (lang_pair, domain), groups.get(seg_id)
             ))
-        key = (ref_id, seg_id)
+        key = (share(ref_id, ref_id), share(seg_id, seg_id))
         if key in references:
             raise IntegrityError(path, line, f"duplicate (ref_id, seg_id): {key!r}")
-        references[key] = ReferenceTranslation(ref_id, seg_id, nfc(text), ORIGIN_HUMAN)
+        references[key] = ReferenceTranslation(*key, nfc(text), ORIGIN_HUMAN)
 
     # One rating per (annotator, system, segment); error rows accumulate and
     # a single no-error row stands for a zero-error rating.
@@ -389,6 +400,7 @@ def load_corpus(paths: CorpusPaths) -> EvaluationSet:
         lang_pair, domain, system_id, seg_id, annotator_id, category, label,
         span_start, span_end,
     ) in read_tsv(path, _RATINGS_COLUMNS):
+        _check_id(path, line, "annotator_id", annotator_id)
         if groups.get(seg_id) != (lang_pair, domain):
             raise IntegrityError(path, line, group_mismatch(
                 "rating", seg_id, (lang_pair, domain), groups.get(seg_id)
@@ -399,16 +411,20 @@ def load_corpus(paths: CorpusPaths) -> EvaluationSet:
                 path, line, "rating references unknown (system_id, seg_id): "
                 f"{(system_id, seg_id)!r}"
             )
-        severity = label.strip().lower()
-        if severity not in (SEVERITY_MAJOR, SEVERITY_MINOR, SEVERITY_NO_ERROR):
+        severity = severities.get(label.strip().lower())
+        if severity is None:
             raise CorpusFormatError(path, line, f"unknown severity: {label!r}")
-        errors = rating_errors.setdefault((annotator_id, system_id, seg_id), [])
+        annotator_id = share(annotator_id, annotator_id)
+        errors = rating_errors.setdefault(
+            (annotator_id, translation.system_id, translation.seg_id), []
+        )
         if severity == SEVERITY_NO_ERROR:
             continue
         span = _parse_span(span_start, span_end, path, line)
         if span is not None and span[1] > len(translation.text):
             raise CorpusFormatError(path, line, f"span {span} exceeds translation length")
-        errors.append(MqmError(category=nfc(category), severity=severity, span=span))
+        category = nfc(category)
+        errors.append(MqmError(share(category, category), severity, span))
 
     ratings = tuple(
         MqmRating(*key, tuple(errors)) for key, errors in sorted(rating_errors.items())

@@ -22,7 +22,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import (
+    Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence,
+)
 
 import numpy as np
 
@@ -888,8 +890,7 @@ def score_magnitude(segment_scores: Sequence[float]) -> float:
     return math.fsum(2.0**score for score in segment_scores) / len(segment_scores)
 
 
-@dataclass(frozen=True)
-class MetricScore:
+class MetricScore(NamedTuple):
     """One metric value for one system translation; higher is better."""
 
     metric_id: str
@@ -987,14 +988,17 @@ def write_metric_scores(
 
 
 def metric_score_rows(path: Path | str) -> Iterator[tuple[int, tuple, MetricScore]]:
-    """Yield ``(line, group, score)``; rejects non-finite values and repeated keys."""
+    """Yield ``(line, group, score)``; rejects non-finite values and repeated
+    keys. Each distinct id is stored once, however many scores repeat it."""
     seen: set[tuple[str, str, str]] = set()
+    share = {}.setdefault  # share(value, value): the first equal string
     for line, (metric_id, lang_pair, domain, system_id, seg_id, value) in read_tsv(
         path, _SCORES_COLUMNS
     ):
         key = (metric_id, system_id, seg_id)
         if key in seen:
             raise ArtefactError(path, line, f"duplicate score for {key!r}")
+        key = tuple(map(share, key, key))
         seen.add(key)
         score = MetricScore(*key, parse_float(path, line, "value", value))
         yield line, (lang_pair, domain), score

@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .artefacts import ArtefactError, parse_float, read_tsv, write_tsv
 from .corpus import (
@@ -49,8 +49,7 @@ _RANKINGS_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class RelativeRanking:
+class RelativeRanking(NamedTuple):
     """One preference pair: the same annotator judged sys_plus better.
 
     ``score_delta`` is penalty(sys_minus) - penalty(sys_plus) and is always
@@ -131,20 +130,12 @@ def derive_rankings(
             if abs(delta) <= threshold + THRESHOLD_TOLERANCE:
                 continue
             plus_id, minus_id = (sys_a, sys_b) if delta > 0 else (sys_b, sys_a)
-            rankings.append(
-                RelativeRanking(
-                    lang_pair=segment.lang_pair,
-                    seg_id=seg_id,
-                    annotator_id=annotator_id,
-                    src=segment.source_text,
-                    ref=reference.text,
-                    sys_plus=eval_set.translation(plus_id, seg_id).text,
-                    sys_minus=eval_set.translation(minus_id, seg_id).text,
-                    score_delta=abs(delta),
-                    sys_plus_id=plus_id,
-                    sys_minus_id=minus_id,
-                )
-            )
+            rankings.append(RelativeRanking(
+                segment.lang_pair, seg_id, annotator_id, segment.source_text,
+                reference.text, eval_set.translation(plus_id, seg_id).text,
+                eval_set.translation(minus_id, seg_id).text, abs(delta), plus_id,
+                minus_id,
+            ))
 
     if skipped:
         logger.warning(
@@ -214,7 +205,9 @@ def read_rankings(
 ) -> list[RelativeRanking]:
     """Read rankings back from the TSV written by :func:`write_rankings`;
     each row must name a seg_id of ``segments`` with that segment's
-    lang_pair."""
+    lang_pair. Each distinct string of the id and text columns is stored
+    once, however many rankings repeat it."""
+    share = {}.setdefault  # share(value, value): the first equal string
     rankings = []
     for line, (lang_pair, seg_id, *texts, delta) in read_tsv(path, _RANKINGS_COLUMNS):
         score_delta = parse_float(path, line, "score_delta", delta)
@@ -226,5 +219,8 @@ def read_rankings(
             raise ArtefactError(
                 path, line, group_mismatch("ranking", seg_id, lang_pair, known)
             )
-        rankings.append(RelativeRanking(lang_pair, seg_id, *texts, score_delta))
+        rankings.append(RelativeRanking(
+            share(lang_pair, lang_pair), share(seg_id, seg_id),
+            *map(share, texts, texts), score_delta,
+        ))
     return rankings

@@ -187,7 +187,7 @@ def ranking_accuracy(
     tokens = _tokenized(examples, scorer.lowercase)
     pairs = [pair for e in examples for pair in _example_pairs(e, config, tokens)]
     scores, _ = scorer.score_batch(pairs, with_gradients=False)
-    return np.count_nonzero(scores[::2] > scores[1::2]) / len(examples)
+    return int(np.count_nonzero(scores[::2] > scores[1::2])) / len(examples)
 
 
 @dataclass(frozen=True)

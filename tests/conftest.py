@@ -7,6 +7,7 @@ import math
 import random
 import unicodedata
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from metricfit import metrics
 from metricfit.corpus import (
     CorpusPaths,
     EvaluationSet,
+    ORIGIN_HUMAN,
     MqmError,
     MqmRating,
     ReferenceTranslation,
@@ -28,6 +30,7 @@ from metricfit.metrics import (
     EOS_TOKEN,
     LN2,
     UNK_TOKEN,
+    MetricScore,
     score_magnitude,
     sequence_score,
     tokenize,
@@ -325,6 +328,122 @@ class TableScorer:
         gradients = np.zeros((len(pairs), 3)) if with_gradients else None
         scores = [self.table[(tuple(t), tuple(c))] for t, c in pairs]
         return np.array(scores, np.float64), gradients  # weights unused
+
+
+# ---------------------------------------------------------------------------
+# Record oracles: the seven row records as the frozen dataclasses they once
+# were (same fields, defaults and docstrings). Each is named as its record,
+# so the two reprs compare whole.
+
+
+@dataclass(frozen=True)
+class SegmentOracle:
+    """One source segment within a (lang_pair, domain) group."""
+
+    __qualname__ = "Segment"
+    lang_pair: str
+    domain: str
+    doc_id: str
+    seg_id: str
+    source_text: str
+
+
+@dataclass(frozen=True)
+class SystemTranslationOracle:
+    """Output of one system (or human 'system') for one segment."""
+
+    __qualname__ = "SystemTranslation"
+    system_id: str
+    seg_id: str
+    text: str
+    is_human: bool = False
+
+
+@dataclass(frozen=True)
+class ReferenceTranslationOracle:
+    """A reference for one segment.
+
+    ``origin`` is either ``human`` (loaded from the references file) or
+    ``machine`` (constructed at evaluation time from an error-free system
+    translation, in which case ``source_system`` records the producing
+    system).
+    """
+
+    __qualname__ = "ReferenceTranslation"
+    ref_id: str
+    seg_id: str
+    text: str
+    origin: str = ORIGIN_HUMAN
+    source_system: str | None = None
+
+
+@dataclass(frozen=True)
+class MqmErrorOracle:
+    """A single annotated error: category, severity, optional char span."""
+
+    __qualname__ = "MqmError"
+    category: str
+    severity: str
+    span: tuple[int, int] | None = None
+
+
+@dataclass(frozen=True)
+class MqmRatingOracle:
+    """All errors one annotator assigned to one system translation.
+
+    An empty ``errors`` tuple is meaningful: the annotator judged the
+    translation error-free.
+    """
+
+    __qualname__ = "MqmRating"
+    annotator_id: str
+    system_id: str
+    seg_id: str
+    errors: tuple[MqmErrorOracle, ...] = ()
+
+
+@dataclass(frozen=True)
+class RelativeRankingOracle:
+    """One preference pair: the same annotator judged sys_plus better.
+
+    ``score_delta`` is penalty(sys_minus) - penalty(sys_plus) and is always
+    strictly greater than the derivation threshold. The producing system ids
+    are kept for diagnostics but are not part of the serialized format.
+    """
+
+    __qualname__ = "RelativeRanking"
+    lang_pair: str
+    seg_id: str
+    annotator_id: str
+    src: str
+    ref: str
+    sys_plus: str
+    sys_minus: str
+    score_delta: float
+    sys_plus_id: str | None = None
+    sys_minus_id: str | None = None
+
+
+@dataclass(frozen=True)
+class MetricScoreOracle:
+    """One metric value for one system translation; higher is better."""
+
+    __qualname__ = "MetricScore"
+    metric_id: str
+    system_id: str
+    seg_id: str
+    value: float
+
+
+RECORD_ORACLES = {
+    Segment: SegmentOracle,
+    SystemTranslation: SystemTranslationOracle,
+    ReferenceTranslation: ReferenceTranslationOracle,
+    MqmError: MqmErrorOracle,
+    MqmRating: MqmRatingOracle,
+    RelativeRanking: RelativeRankingOracle,
+    MetricScore: MetricScoreOracle,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -875,6 +875,52 @@ def test_train_builds_and_records_a_lowercasing_scorer(artefacts, tmp_path):
         assert saved["lowercase"] is lowercase
 
 
+_JSON_NATIVE = (dict, list, str, int, float, bool, type(None))
+
+
+def _assert_json_native(node, where):
+    assert type(node) in _JSON_NATIVE, f"{where}: {type(node).__name__}"
+    if type(node) is dict:
+        for key, value in node.items():
+            assert type(key) is str, f"{where}: key {key!r}"
+            _assert_json_native(value, f"{where}.{key}")
+    elif type(node) is list:
+        for index, item in enumerate(node):
+            _assert_json_native(item, f"{where}[{index}]")
+
+
+def test_json_artefacts_are_built_from_json_types_only(tmp_path, monkeypatch):
+    """A record (a tuple) or other object in a JSON payload would be written
+    as a list or fail late; every payload holds JSON's own types only."""
+    from metricfit import artefacts, cli, metrics
+
+    written = []
+
+    def checked_write_json(path, payload):
+        _assert_json_native(payload, Path(path).name)
+        written.append(Path(path).name)
+        artefacts.write_json(path, payload)
+
+    for module in (cli, metrics):
+        monkeypatch.setattr(module, "write_json", checked_write_json)
+    bundle, rankings_dir = _prepared_pipeline(tmp_path)
+    model = tmp_path / "model"
+    assert run("train", "--corpus", bundle, "--rankings", rankings_dir,
+               "--out", model, "--seed", 1) == EXIT_OK
+    metric_flags = ("--metrics", "bleu,chrf,prism", "--scorer", model / "scorer.json")
+    assert run("score", "--corpus", bundle, "--out", tmp_path / "s",
+               *metric_flags) == EXIT_OK
+    assert run("correlate", "--corpus", bundle, "--scores",
+               tmp_path / "s" / "scores.tsv", "--out", tmp_path / "c") == EXIT_OK
+    assert run("robustness", "--corpus", bundle, "--out", tmp_path / "r",
+               "--seed", 2, "--resamples", 20, *metric_flags) == EXIT_OK
+    assert sorted(written) == sorted(
+        path.name
+        for directory in (bundle, rankings_dir, model, tmp_path / "c", tmp_path / "r")
+        for path in directory.glob("*.json")
+    )
+
+
 def test_quotes_round_trip_through_ingest_rankings_score(tmp_path):
     from metricfit.rankings import read_rankings
 

@@ -18,6 +18,8 @@ from metricfit.corpus import (
     IntegrityError,
     MqmError,
     MqmRating,
+    SEVERITY_MAJOR,
+    SEVERITY_MINOR,
     SeverityWeights,
     UnknownSeverityError,
     error_free_translations,
@@ -35,6 +37,21 @@ def test_identity_load(tmp_path):
     assert eval_set.group_keys() == [("en-de", "news")]
     assert eval_set.system_ids() == ["human-A", "sysA", "sysB"]
     assert eval_set.system_ids(include_human=False) == ["sysA", "sysB"]
+
+
+def test_load_stores_each_repeated_value_once(tmp_path):
+    """Ratings of one segment share its seg_id object, and every severity is
+    a ``SEVERITY_*`` constant: the corpus holds each repeated value once."""
+    eval_set = load_tiny_corpus(tmp_path)
+    ratings = [rating for rating in eval_set.ratings if rating.seg_id == "seg1"]
+    assert len(ratings) == 4
+    assert all(rating.seg_id is eval_set.segments["seg1"].seg_id for rating in ratings)
+    severities = [error.severity for r in eval_set.ratings for error in r.errors]
+    assert len(severities) == 4
+    assert all(
+        severity is SEVERITY_MAJOR or severity is SEVERITY_MINOR
+        for severity in severities
+    )
 
 
 def test_unknown_seg_id_rejected(tmp_path):
@@ -299,8 +316,8 @@ _FILES = ("segments", "system_outputs", "references", "ratings")
 
 
 def _rating(seg_id="seg2", system_id="sysA", group=("en-de", "news"),
-            severity="minor", span=("", "")):
-    return [*group, system_id, seg_id, "ann3", "accuracy", severity, *span]
+            severity="minor", span=("", ""), annotator_id="ann3"):
+    return [*group, system_id, seg_id, annotator_id, "accuracy", severity, *span]
 
 
 # (id, file, change, exception, message): the tiny corpus with ``change``
@@ -346,6 +363,18 @@ LOAD_REFUSALS = [
     ("output-is-human-not-0-or-1", "system_outputs",
      [["en-de", "news", "sysC", "seg1", "yes", "etwas"]], ArtefactError,
      "{path}:11: is_human must be 0 or 1, got 'yes'"),
+    ("output-no-system-id", "system_outputs",
+     [["en-de", "news", "", "seg1", "0", "etwas"]], ArtefactError,
+     "{path}:11: empty system_id"),
+    ("output-padded-system-id", "system_outputs",
+     [["en-de", "news", " sys1", "seg1", "0", "etwas"]], ArtefactError,
+     "{path}:11: system_id has surrounding whitespace: ' sys1'"),
+    ("reference-no-ref-id", "references",
+     [["en-de", "news", "", "seg1", "etwas"]], ArtefactError,
+     "{path}:5: empty ref_id"),
+    ("reference-padded-ref-id", "references",
+     [["en-de", "news", " refA", "seg1", "etwas"]], ArtefactError,
+     "{path}:5: ref_id has surrounding whitespace: ' refA'"),
     ("reference-unknown-seg-id", "references",
      [["en-de", "news", "refB", "segX", "etwas"]], IntegrityError,
      "{path}:5: reference references unknown seg_id: 'segX'"),
@@ -365,6 +394,10 @@ LOAD_REFUSALS = [
     ("rating-unknown-translation", "ratings", [_rating(system_id="sysZ")],
      IntegrityError,
      "{path}:10: rating references unknown (system_id, seg_id): ('sysZ', 'seg2')"),
+    ("rating-no-annotator-id", "ratings", [_rating(annotator_id="")],
+     ArtefactError, "{path}:10: empty annotator_id"),
+    ("rating-padded-annotator-id", "ratings", [_rating(annotator_id="ann3 ")],
+     ArtefactError, "{path}:10: annotator_id has surrounding whitespace: 'ann3 '"),
     ("rating-unknown-severity", "ratings", [_rating(severity=" Catastrophic")],
      ArtefactError, "{path}:10: unknown severity: ' Catastrophic'"),
     ("rating-half-span", "ratings", [_rating(span=("3", " "))], ArtefactError,

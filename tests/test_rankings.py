@@ -208,6 +208,20 @@ def test_rankings_tsv_round_trip(tmp_path):
         assert read_back.score_delta == original.score_delta
 
 
+def test_read_rankings_stores_each_repeated_text_once(tmp_path):
+    eval_set = _single_segment_set(
+        {"sysA": [], "sysB": [("fluency/grammar", "minor")],
+         "sysC": [("accuracy/mistranslation", "major")]}
+    )
+    path = tmp_path / "rankings.tsv"
+    write_rankings(derive_rankings(eval_set).rankings, path)
+    first, *others = read_rankings(path, eval_set.segments)
+    assert len(others) == 2
+    for other in others:
+        assert other.ref is first.ref
+        assert other.seg_id is first.seg_id
+
+
 def test_negative_threshold_rejected():
     eval_set = _single_segment_set({"sysA": []})
     with pytest.raises(ValueError):

@@ -571,8 +571,8 @@ def test_training_is_seed_deterministic():
 def _two_lang_pair_datasets():
     """A large and a small language pair, so the small one is upsampled."""
     examples, texts = separable_ranking_examples(137, seed=6)
-    large = [dataclasses.replace(e, lang_pair="aa-bb") for e in examples[:100]]
-    small = [dataclasses.replace(e, lang_pair="cc-dd") for e in examples[100:137]]
+    large = [e._replace(lang_pair="aa-bb") for e in examples[:100]]
+    small = [e._replace(lang_pair="cc-dd") for e in examples[100:137]]
     datasets = {
         "aa-bb": split_holdout(large, holdout_size=0, seed=1),
         "cc-dd": split_holdout(small, holdout_size=0, seed=1),
@@ -597,9 +597,7 @@ def _mixed_case_dataset(n_examples=40, holdout=10, seed=5, lowercase=False):
     """Separable examples, some of their words capitalised, with repeats."""
     examples, texts = separable_ranking_examples(n_examples, seed=seed)
     examples = [
-        dataclasses.replace(
-            e, ref=e.ref.capitalize(), sys_minus=e.sys_minus.upper()
-        )
+        e._replace(ref=e.ref.capitalize(), sys_minus=e.sys_minus.upper())
         if i % 3 == 0
         else e
         for i, e in enumerate(examples)
@@ -674,8 +672,8 @@ def test_training_tokenizes_as_the_scorer_does():
 
     def lowered(examples):
         return tuple(
-            dataclasses.replace(
-                e, src=e.src.lower(), ref=e.ref.lower(),
+            e._replace(
+                src=e.src.lower(), ref=e.ref.lower(),
                 sys_plus=e.sys_plus.lower(), sys_minus=e.sys_minus.lower(),
             )
             for e in examples
