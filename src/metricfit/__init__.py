@@ -10,6 +10,7 @@ from .corpus import (
     IntegrityError,
     MqmError,
     MqmRating,
+    PenaltyOverflowError,
     ReferenceTranslation,
     Segment,
     SeverityWeights,

@@ -26,6 +26,7 @@ from .corpus import (
     CorpusError,
     CorpusPaths,
     EvaluationSet,
+    PenaltyOverflowError,
     SeverityWeights,
     group_mismatch,
     load_corpus,
@@ -582,7 +583,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericError as err:
+    except (NumericError, PenaltyOverflowError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except FloatingPointError as err:  # a non-finite score: only a scorer yields one

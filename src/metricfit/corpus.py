@@ -66,6 +66,10 @@ class UnknownSeverityError(CorpusError):
     """An MQM error carries a severity label outside the weight table."""
 
 
+class PenaltyOverflowError(ArithmeticError):
+    """A rating's MQM penalty overflows the float range under the weights."""
+
+
 def nfc(text: str) -> str:
     """NFC-normalize a piece of text. All corpus text goes through this."""
     return unicodedata.normalize("NFC", text)
@@ -163,9 +167,17 @@ def mqm_score(rating: MqmRating, weights: SeverityWeights = DEFAULT_WEIGHTS) -> 
     """Total penalty of a rating: the sum of per-error severity weights.
 
     Zero errors yield 0.0. Lower is better. The weights are added left to
-    right from 0.0, on every Python: ``sum()`` compensates from 3.12 on.
+    right from 0.0, on every Python: ``sum()`` compensates from 3.12 on. A
+    sum beyond the float range raises :class:`PenaltyOverflowError` naming
+    the rating's (annotator, system, segment).
     """
-    return reduce(operator.add, map(weights.weight, rating.errors), 0.0)
+    penalty = reduce(operator.add, map(weights.weight, rating.errors), 0.0)
+    if not math.isfinite(penalty):
+        raise PenaltyOverflowError(
+            f"MQM penalty of (annotator, system, segment) {rating[:3]!r} "
+            f"overflows: {penalty}"
+        )
+    return penalty
 
 
 @dataclass(frozen=True)
@@ -328,8 +340,9 @@ def load_corpus(paths: CorpusPaths) -> EvaluationSet:
     All text fields are NFC-normalized; ids are taken verbatim, and a
     ``seg_id``, ``system_id``, ``ref_id`` or ``annotator_id`` that is blank
     or has surrounding whitespace is refused. Rows referencing unknown
-    segments or systems are rejected with an :class:`IntegrityError` naming
-    the offending key; malformed rows raise :class:`CorpusFormatError`. Both
+    segments or systems, or giving a system another ``is_human`` than its
+    first row, are rejected with an :class:`IntegrityError` naming the
+    offending key; malformed rows raise :class:`CorpusFormatError`. Both
     name the file and line, and a missing file raises an
     :class:`ArtefactError` naming it.
 
@@ -359,6 +372,7 @@ def load_corpus(paths: CorpusPaths) -> EvaluationSet:
         groups[seg_id] = (lang_pair, domain)
 
     translations: dict[tuple[str, str], SystemTranslation] = {}
+    first_rows: dict[str, tuple[str, int]] = {}  # system_id -> (is_human, line)
     path = paths.system_outputs
     for line, (lang_pair, domain, system_id, seg_id, is_human, text) in read_tsv(
         path, _OUTPUTS_COLUMNS
@@ -374,6 +388,11 @@ def load_corpus(paths: CorpusPaths) -> EvaluationSet:
         if is_human not in ("0", "1"):
             raise CorpusFormatError(
                 path, line, f"is_human must be 0 or 1, got {is_human!r}"
+            )
+        first, first_line = first_rows.setdefault(key[0], (is_human, line))
+        if is_human != first:
+            raise IntegrityError(
+                path, line, f"is_human of {system_id!r} disagrees with line {first_line}"
             )
         translations[key] = SystemTranslation(*key, nfc(text), is_human == "1")
 

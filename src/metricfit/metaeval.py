@@ -788,8 +788,18 @@ def robustness_report(
     (system, segment) units over the comparable subset, with one sampled
     reference assignment per evaluated system; system-level pairwise accuracy
     draws a fresh assignment per system pair, excluding both systems of the
-    pair. Both conditions always use identical units. Perm-both significance
-    of segment-level gaps is annotated per metric pair and condition.
+    pair, and compares the pair on the segments where the sampled reference,
+    the standard reference and both systems' judgments all exist (a pair with
+    no such segment is skipped). Both conditions always use identical units.
+    Perm-both significance of segment-level gaps is annotated per metric
+    pair and condition.
+
+    A context's statistics read slices of one list of (hypothesis,
+    reference) pairs: the segment-level units under the standard and then
+    the sampled references, then each compared system pair's units under
+    both. Each metric scores the distinct pairs once, in order of first use:
+    every standard pair of the context in corpus order, then the sampled
+    ones in list order, so a non-finite score names the first unit using it.
     """
     report = RobustnessReport(seed=seed, alpha=alpha)
 
@@ -821,9 +831,6 @@ def robustness_report(
             if (system, seg_id) in human_scores
         ]
         human_vector = [human_scores[unit] for unit in units]
-
-        segment_scores_std: dict[str, list[float]] = {}
-        segment_scores_mt: dict[str, list[float]] = {}
         context_report = ContextReport(
             lang_pair=lang_pair,
             domain=domain,
@@ -833,50 +840,75 @@ def robustness_report(
             skipped_system_pairs=0,
         )
 
-        # Every pair the context's statistics read, scored once per metric in
-        # one call: under the standard references, under each system's
-        # segment-level assignment, and under each system pair's.
         std_pairs = _standard_pairs(group)
-        mt_pairs = {
-            (system, seg_id): (
-                group.translation(system, seg_id).text,
-                assignments[system].choices[seg_id].text,
-            )
-            for system, seg_id in units
-        }
-        comparisons, context_report.skipped_system_pairs = _system_pair_comparisons(
-            group, systems, human_scores, error_free, seed
-        )
-        users = _first_users(
-            chain(
-                std_pairs.items(),
-                mt_pairs.items(),
-                *(comparison.mt_pairs.items() for comparison in comparisons),
-            )
-        )
-        scores = {metric.metric_id: _score_pairs(metric, users) for metric in metrics}
+        users = _first_users(std_pairs.items())
+        pairs: list[TextPair] = []
 
-        for metric_id, table in scores.items():
-            std_scores = [table[std_pairs[unit]] for unit in units]
-            mt_scores = [table[mt_pairs[unit]] for unit in units]
-            segment_scores_std[metric_id] = std_scores
-            segment_scores_mt[metric_id] = mt_scores
-            tau_std = kendall_tau(std_scores, human_vector) if len(units) >= 2 else None
-            tau_mt = kendall_tau(mt_scores, human_vector) if len(units) >= 2 else None
-            context_report.segment_level[metric_id] = ConditionPair.of(tau_std, tau_mt)
+        def listed(new_pairs: list[TextPair]) -> slice:
+            pairs.extend(new_pairs)
+            return slice(len(pairs) - len(new_pairs), len(pairs))
 
-        context_report.system_level = _system_level_accuracy(
-            comparisons, human_scores, std_pairs, scores
+        def sampled(
+            unit: tuple[str, str], choices: Mapping[str, ReferenceTranslation]
+        ) -> TextPair:
+            pair = (group.translation(*unit).text, choices[unit[1]].text)
+            users.setdefault(pair, unit)
+            return pair
+
+        segment_level = (  # standard, sampled
+            listed([std_pairs[unit] for unit in units]),
+            listed([sampled(unit, assignments[unit[0]].choices) for unit in units]),
         )
+        # per condition, each compared system pair's negated human penalty
+        # sums (on one scale, :func:`fsums`) and the slices of its systems
+        system_level: tuple[list, list] = ([], [])
+        for system_a, system_b in combinations(systems, 2):
+            choices = sample_refs_system_pair(
+                group, system_a, system_b, seed, error_free
+            ).choices
+            segments = sorted(
+                seg_id
+                for seg_id in choices
+                if group.standard_reference(seg_id) is not None
+                and (system_a, seg_id) in human_scores
+                and (system_b, seg_id) in human_scores
+            )
+            if not segments:
+                context_report.skipped_system_pairs += 1
+                continue
+            by_system = [[(system, s) for s in segments] for system in (system_a, system_b)]
+            sums, _ = fsums([[human_scores[u] for u in us] for us in by_system])
+            human_a, human_b = (-total for total in sums)
+            std = [listed([std_pairs[u] for u in us]) for us in by_system]
+            mt = [listed([sampled(u, choices) for u in us]) for us in by_system]
+            system_level[0].append((human_a, human_b, *std))
+            system_level[1].append((human_a, human_b, *mt))
+
+        segment_scores: tuple[dict, dict] = ({}, {})  # metric id -> unit scores
+        for metric in metrics:
+            table = _score_pairs(metric, users)
+            values = [table[pair] for pair in pairs]
+            for by_metric, part in zip(segment_scores, segment_level):
+                by_metric[metric.metric_id] = values[part]
+            context_report.segment_level[metric.metric_id] = ConditionPair.of(*(
+                kendall_tau(values[part], human_vector) if len(units) >= 2 else None
+                for part in segment_level
+            ))
+            # each system pair decided as in pairwise_accuracy, on the sums
+            # of its segment scores, so both conditions leave out the same pairs
+            context_report.system_level[metric.metric_id] = ConditionPair.of(*(
+                _accuracy(
+                    _ordered_alike(*fsums([values[a], values[b]])[0], human_a, human_b)
+                    for human_a, human_b, a, b in compared
+                )
+                for compared in system_level
+            ))
 
         context_id = f"{lang_pair}|{domain}"
         for metric_a, metric_b in combinations(
             sorted(m.metric_id for m in metrics), 2
         ):
-            for condition, scores in (
-                ("ref_std", segment_scores_std),
-                ("ref_mt", segment_scores_mt),
-            ):
+            for condition, scores in zip(("ref_std", "ref_mt"), segment_scores):
                 entry_seed = _hash_seed(
                     seed, "perm", context_id, condition, f"{metric_a}|{metric_b}"
                 )
@@ -912,91 +944,3 @@ def robustness_report(
         [context.system_level for context in report.contexts]
     )
     return report
-
-
-@dataclass(frozen=True)
-class _Comparison:
-    """One system pair of the system-level statistic: the segments where it
-    is compared, and the (hypothesis, sampled reference) texts of each of
-    its units there."""
-
-    system_a: str
-    system_b: str
-    segments: list[str]
-    mt_pairs: dict[tuple[str, str], TextPair]
-
-
-def _system_pair_comparisons(
-    group: EvaluationSet,
-    systems: list[str],
-    human_scores: Mapping[tuple[str, str], float],
-    error_free: ErrorFreeIndex,
-    seed: int,
-) -> tuple[list[_Comparison], int]:
-    """The compared system pairs, and the number of pairs skipped.
-
-    For each unordered system pair, references are sampled excluding both
-    systems; the pair is compared on the segments where the sampled reference,
-    the standard reference and both systems' judgments all exist. A pair with
-    no such segment is skipped.
-    """
-    comparisons = []
-    skipped_pairs = 0
-    for system_a, system_b in combinations(systems, 2):
-        assignment = sample_refs_system_pair(
-            group, system_a, system_b, seed, error_free
-        )
-        pair_segments = sorted(
-            seg_id
-            for seg_id in assignment.choices
-            if group.standard_reference(seg_id) is not None
-            and (system_a, seg_id) in human_scores
-            and (system_b, seg_id) in human_scores
-        )
-        if not pair_segments:
-            skipped_pairs += 1
-            continue
-        mt_pairs = {
-            (system, seg_id): (
-                group.translation(system, seg_id).text,
-                assignment.choices[seg_id].text,
-            )
-            for system in (system_a, system_b)
-            for seg_id in pair_segments
-        }
-        comparisons.append(_Comparison(system_a, system_b, pair_segments, mt_pairs))
-    return comparisons, skipped_pairs
-
-
-def _system_level_accuracy(
-    comparisons: Sequence[_Comparison],
-    human_scores: Mapping[tuple[str, str], float],
-    std_pairs: Mapping[tuple[str, str], TextPair],
-    scores: Mapping[str, Mapping[TextPair, float]],
-) -> dict[str, ConditionPair]:
-    """Pairwise accuracy under both conditions with per-pair reference sets.
-
-    Each system pair is decided as in :func:`pairwise_accuracy`, on the sums
-    of its segment scores (both systems' on one scale, :func:`fsums`), so
-    both conditions leave out the same pairs.
-    """
-    verdicts = {metric_id: ([], []) for metric_id in scores}  # std, mt
-    for comparison in comparisons:
-        systems = comparison.system_a, comparison.system_b
-        segments = comparison.segments
-        sums, _ = fsums(
-            [[human_scores[(system, s)] for s in segments] for system in systems]
-        )
-        human_a, human_b = (-total for total in sums)
-        for metric_id, table in scores.items():
-            for condition, pairs in zip(
-                verdicts[metric_id], (std_pairs, comparison.mt_pairs)
-            ):
-                (score_a, score_b), _ = fsums(
-                    [[table[pairs[(system, s)]] for s in segments] for system in systems]
-                )
-                condition.append(_ordered_alike(score_a, score_b, human_a, human_b))
-    return {
-        metric_id: ConditionPair.of(_accuracy(std), _accuracy(mt))
-        for metric_id, (std, mt) in verdicts.items()
-    }

@@ -263,6 +263,55 @@ def test_robustness_report_command(tmp_path):
     assert (out / "robustness.txt").read_text().startswith("==")
 
 
+def _no_references(rows):
+    segments, outputs, _, ratings = rows
+    return segments, outputs, [], ratings
+
+
+def _no_ratings(rows):
+    return (*rows[:3], [])
+
+
+def _second_context_unrated(rows):
+    """seg008 and seg009 relabelled de-en, with their ratings dropped."""
+    de_en = ("seg008", "seg009")
+    for row in (row for table in rows for row in table):
+        if row[3] in de_en:  # seg_id is the fourth field of every file
+            row[0] = "de-en"
+    return (*rows[:3], [row for row in rows[3] if row[3] not in de_en])
+
+
+def _no_error_free(rows):
+    """Every no-error row a minor error instead."""
+    ratings = [
+        row[:5] + ["accuracy/mistranslation", "minor"] + row[7:]
+        if row[6] == "no-error" else row
+        for row in rows[3]
+    ]
+    return (*rows[:3], ratings)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_no_references, "no comparable segments with a standard reference in context "
+                     "en-de/news"),
+    (_no_ratings, "no annotated systems in context en-de/news"),
+    (_second_context_unrated, "no annotated systems in context de-en/news"),
+    (_no_error_free, "no comparable segments for context(s): "
+                     "['segment-level|sys1', 'segment-level|sys2', "
+                     "'segment-level|sys3', 'segment-level|sys4']"),
+], ids=["no-references", "no-ratings", "second-context-unrated", "no-error-free"])
+def test_robustness_refuses_a_context_it_cannot_compare(tmp_path, capsys, edit, message):
+    bundle = ingest(tmp_path, edit(robustness_corpus_rows(4, 10, 3)))
+    capsys.readouterr()
+    out = tmp_path / "rob"
+    code = run("robustness", "--corpus", bundle, "--out", out, "--seed", 1,
+               "--resamples", 5)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA, err
+    assert err == f"data error: {message}\n"
+    assert not any(out.iterdir())
+
+
 def test_robustness_requires_seed(tmp_path, capsys):
     bundle = ingest(tmp_path, tiny_corpus_rows())
     code = run("robustness", "--corpus", bundle, "--out", tmp_path / "rob")
@@ -492,12 +541,19 @@ def _huge_scores(tmp, art):
     return _flags(tmp, art, "correlate", "--scores", scores)
 
 
-def _huge_weights(tmp, art, command, *flags):
-    """``command`` with severity weights whose penalties overflow when summed."""
+def _huge_weights(tmp, art, command, *flags, major=1e308, minor=1e308):
+    """``command`` with these major and minor severity weights: by default
+    the penalty of a rating with two such errors overflows."""
     config = tmp / "config.json"
-    weights = {"severity_weights": {"major": 1e308, "minor": 1e308}}
+    weights = {"severity_weights": {"major": major, "minor": minor}}
     config.write_text(json.dumps(weights), encoding="utf-8")
     return _flags(tmp, art, command, "--config", config, *flags)
+
+
+PENALTY_OVERFLOW = (
+    "MQM penalty of (annotator, system, segment) ('ann1', 'sys1', 'seg002') "
+    "overflows: inf"
+)
 
 
 # (id, make, exit code, message): make(tmp_path, artefacts) writes one broken
@@ -734,11 +790,24 @@ MALFORMED = [
      lambda t, a: _extreme_scorer(t, a, "robustness", "--resamples", 50),
      EXIT_OK, "system-level pairwise accuracy"),
     ("correlate-huge-scores", _huge_scores, EXIT_OK, "contexts=1 metrics=1"),
+    # a rating's penalty beyond the float range is refused before writing
+    ("rankings-huge-severity-weights", lambda t, a: _huge_weights(t, a, "rankings"),
+     EXIT_NUMERIC, PENALTY_OVERFLOW),
     ("correlate-huge-severity-weights",
      lambda t, a: _huge_weights(t, a, "correlate", "--scores", a["scores"]),
-     EXIT_OK, "contexts=1 metrics=1"),
+     EXIT_NUMERIC, PENALTY_OVERFLOW),
     ("robustness-huge-severity-weights",
      lambda t, a: _huge_weights(t, a, "robustness", "--resamples", 50),
+     EXIT_NUMERIC, PENALTY_OVERFLOW),
+    # finite penalties (at most two majors a rating) whose means and system
+    # sums overflow
+    ("correlate-large-severity-weights",
+     lambda t, a: _huge_weights(t, a, "correlate", "--scores", a["scores"],
+                                major=8e307, minor=0),
+     EXIT_OK, "contexts=1 metrics=1"),
+    ("robustness-large-severity-weights",
+     lambda t, a: _huge_weights(t, a, "robustness", "--resamples", 50,
+                                major=8e307, minor=0),
      EXIT_OK, "system-level pairwise accuracy"),
 ]
 

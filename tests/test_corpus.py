@@ -363,6 +363,9 @@ LOAD_REFUSALS = [
     ("output-is-human-not-0-or-1", "system_outputs",
      [["en-de", "news", "sysC", "seg1", "yes", "etwas"]], ArtefactError,
      "{path}:11: is_human must be 0 or 1, got 'yes'"),
+    ("output-is-human-disagrees", "system_outputs",
+     lambda data: data.replace(b"sysA\tseg2\t0", b"sysA\tseg2\t1"), IntegrityError,
+     "{path}:3: is_human of 'sysA' disagrees with line 2"),
     ("output-no-system-id", "system_outputs",
      [["en-de", "news", "", "seg1", "0", "etwas"]], ArtefactError,
      "{path}:11: empty system_id"),

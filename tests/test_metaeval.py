@@ -19,10 +19,12 @@ from conftest import (
     pearson,
     perm_both_oracle,
     robustness_report_oracle,
+    robustness_corpus_rows,
     rowwise,
+    write_corpus_files,
 )
 from metricfit import metaeval
-from metricfit.corpus import error_free_translations
+from metricfit.corpus import error_free_translations, load_corpus
 from metricfit.metaeval import (
     JudgmentTable,
     _hash_seed,
@@ -690,6 +692,51 @@ def test_robustness_report_matches_rescoring_oracle(tmp_path, seed):
     )
     metrics = [BleuMetric(), ChrfMetric(), PrismMetric(scorer)]
     report = robustness_report(eval_set, metrics, seed=seed, n_resamples=40)
+    assert report.to_dict() == robustness_report_oracle(
+        eval_set, metrics, seed=seed, n_resamples=40
+    )
+
+
+def _two_context_corpus(tmp_path):
+    """``robustness_corpus_rows(6, 30, 11)`` with seg000-seg014 relabelled
+    de-en, the references of seg003 and seg020 and sys2's ratings of seg004
+    and seg021 dropped, and in de-en sys5 rated only on seg001, where it is
+    the one error-free translation: segments without a standard reference
+    or a rating, and five skipped system pairs."""
+    segments, outputs, references, ratings = robustness_corpus_rows(6, 30, 11)
+    de_en = {f"seg{i:03d}" for i in range(15)}
+    for row in (*segments, *outputs, *references, *ratings):
+        if row[3] in de_en:  # seg_id is the fourth field of every file
+            row[0] = "de-en"
+    references = [row for row in references if row[3] not in ("seg003", "seg020")]
+    ratings = [
+        row for row in ratings
+        if not (row[2] == "sys2" and row[3] in ("seg004", "seg021"))
+        and not (row[2] == "sys5" and row[0] == "de-en")
+    ]
+    ratings.append(["de-en", "news", "sys5", "seg001", "ann1", "", "no-error", "", ""])
+    ratings += [
+        ["de-en", "news", system, "seg001", "ann1", "accuracy/mistranslation",
+         "major", "", ""]
+        for system in ("sys1", "sys2", "sys3", "sys4", "sys6")
+    ]
+    paths = write_corpus_files(tmp_path / "two", segments, outputs, references, ratings)
+    return load_corpus(paths)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_robustness_report_matches_oracle_with_skipped_units_and_pairs(
+    tmp_path, seed
+):
+    eval_set = _two_context_corpus(tmp_path)
+    scorer = ToyScorer.from_texts(
+        [tr.text for tr in eval_set.translations.values()], theta=(2.0, 1.0, 1.0)
+    )
+    metrics = [BleuMetric(), ChrfMetric(), PrismMetric(scorer)]
+    report = robustness_report(eval_set, metrics, seed=seed, n_resamples=40)
+    assert [(c.lang_pair, c.segments_comparable, c.segments_total)
+            for c in report.contexts] == [("de-en", 10, 15), ("en-de", 5, 15)]
+    assert report.contexts[0].skipped_system_pairs > 0
     assert report.to_dict() == robustness_report_oracle(
         eval_set, metrics, seed=seed, n_resamples=40
     )
