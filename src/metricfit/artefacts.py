@@ -4,13 +4,20 @@ TSV: UTF-8, an exact header row, tab-separated fields without quoting (a
 ``"`` is a literal character) and no tab, CR or LF inside a field. Blank
 lines are skipped and CRLF line ends read like LF; lines are written with LF.
 JSON: two-space indent, sorted keys, a final newline, and never NaN or
-infinity, which are not JSON.
+infinity, which are not JSON. ``write_json`` writes the bytes of
+``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)`` plus the
+newline, which is its test oracle, but renders a list of strings, integers
+or finite floats, a list of equal-length lists of such scalars (the scorer's
+bigrams) and a string-keyed object of such values (its unigram counts) in a
+few C-level passes instead of item by item; anything else is rendered by
+``json.dumps`` itself.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -104,9 +111,72 @@ def read_json(path: Path | str) -> Any:
         raise ArtefactError(path, None, f"not JSON: {err}") from None
 
 
+_quote = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _scalars(items: Sequence) -> Iterator[str] | None:
+    """The items rendered, if all are strings, all integers (not booleans)
+    or all finite floats; else None."""
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        return map(_quote, items)
+    if kinds == {int}:
+        return map(int.__repr__, items)
+    if kinds == {float} and all(map(math.isfinite, items)):
+        return map(float.__repr__, items)
+    return None
+
+
+def _items(items: Sequence, indent: str) -> Iterable[str]:
+    """Each item rendered at ``indent``: scalars of one kind in one pass,
+    anything else one by one."""
+    rendered = _scalars(items)
+    return [_render(item, indent) for item in items] if rendered is None else rendered
+
+
+def _list(items: Sequence, indent: str) -> str:
+    """The (non-empty) items rendered at ``indent`` and joined as
+    ``json.dumps`` joins them; equal-length lists of scalars of one kind are
+    quoted in one pass and joined row by row."""
+    widths = set(map(len, items)) if set(map(type, items)) == {list} else ()
+    flat = _scalars(list(chain.from_iterable(items))) if len(widths) == 1 else None
+    if flat is None:
+        return (",\n" + indent).join(_items(items, indent))
+    inner = "\n" + indent + "  "
+    # zip takes each row's scalars in turn from the one flat iterator
+    rows = map(("," + inner).join, zip(*[flat] * widths.pop()))
+    between = "\n" + indent + "],\n" + indent + "[" + inner
+    return "[" + inner + between.join(rows) + "\n" + indent + "]"
+
+
+def _render(value: Any, indent: str) -> str:
+    """``value`` as ``json.dumps`` renders it (see the module docstring) at
+    nesting ``indent``; it raises what that raises."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    inner = indent + "  "
+    if (kind is list or kind is tuple) and value:
+        return "[\n" + inner + _list(value, inner) + "\n" + indent + "]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        keys = sorted(value)
+        values = _items(list(map(value.__getitem__, keys)), inner)
+        items = map(": ".join, zip(map(_quote, keys), values))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    return text.replace("\n", "\n" + indent)  # a JSON string holds no raw newline
+
+
 def write_json(path: Path | str, payload: Any) -> None:
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = _render(payload, "")
     except ValueError as err:  # NaN or infinity
         raise ArtefactError(path, None, f"cannot write: {err}") from None
     Path(path).write_text(text + "\n", encoding="utf-8")

@@ -191,10 +191,10 @@ def _require(args, name: str):
     return value
 
 
-def _out_dir(args) -> Path:
-    out = Path(_require(args, "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_path(args) -> Path:
+    """The --out directory, made only just before a command first writes to
+    it, so a command that fails leaves none behind."""
+    return Path(_require(args, "out"))
 
 
 def _load_bundle(args) -> EvaluationSet:
@@ -222,9 +222,9 @@ def cmd_ingest(args) -> int:
         references=Path(_require(args, "references")),
         ratings=Path(_require(args, "ratings")),
     )
-    out = _out_dir(args)
+    out = _out_path(args)
     eval_set = load_corpus(paths)
-    write_corpus(eval_set, out)
+    write_corpus(eval_set, out)  # makes --out
 
     groups = []
     for lang_pair, domain in eval_set.group_keys():
@@ -269,7 +269,7 @@ def cmd_rankings(args) -> int:
     if not eval_set.segments:
         raise DataError("corpus is empty: no segments")
     seed = _require(args, "seed")
-    out = _out_dir(args)
+    out = _out_path(args)
 
     derivation = derive_rankings(
         eval_set, threshold=args.threshold, weights=args.severity_weights,
@@ -297,6 +297,7 @@ def cmd_rankings(args) -> int:
             "validation": len(dataset.validation),
         }
 
+    out.mkdir(parents=True, exist_ok=True)
     write_rankings(derivation.rankings, out / "rankings.tsv")
     write_rankings(train_split, out / "train.tsv")
     write_rankings(validation_split, out / "validation.tsv")
@@ -341,7 +342,7 @@ def cmd_train(args) -> int:
         if getattr(args, f"disable_{term}") is not None:
             given[f"enable_{term}"] = not getattr(args, f"disable_{term}")
     training_config = TrainingConfig(seed=seed, **given)
-    out = _out_dir(args)
+    out = _out_path(args)
 
     train_path = rankings_dir / "train.tsv"
     validation_path = rankings_dir / "validation.tsv"
@@ -365,6 +366,7 @@ def cmd_train(args) -> int:
     texts = _scorer_training_texts(eval_set)
     scorer = ToyScorer.from_texts(texts, lowercase=args.lowercase)
     trained, report = train(scorer, datasets, corpus=eval_set, config=training_config)
+    out.mkdir(parents=True, exist_ok=True)
     trained.save(out / "scorer.json")
     write_json(out / "training_report.json", report.to_dict())
     last_validation = report.validation[-1] if report.validation else None
@@ -380,7 +382,7 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     eval_set = _load_bundle(args)
     metrics = _build_metrics(args.metrics, args.scorer)
-    out = _out_dir(args)
+    out = _out_path(args)
 
     scores = [
         MetricScore(metric.metric_id, system_id, seg_id, value)
@@ -389,6 +391,7 @@ def cmd_score(args) -> int:
             eval_set, metric
         ).items()
     ]
+    out.mkdir(parents=True, exist_ok=True)
     write_metric_scores(scores, eval_set, out / "scores.tsv")
     print(f"metrics={len(metrics)} scored_segments={len(scores)}")
     return EXIT_OK
@@ -403,7 +406,7 @@ def _mean(values: list[float] | None) -> float | None:
 def cmd_correlate(args) -> int:
     eval_set = _load_bundle(args)
     scores_path = Path(_require(args, "scores"))
-    out = _out_dir(args)
+    out = _out_path(args)
     all_scores = []
     for line, group, score in metric_score_rows(scores_path):
         if (score.system_id, score.seg_id) not in eval_set.translations:
@@ -450,6 +453,7 @@ def cmd_correlate(args) -> int:
         }
         for metric_id in sorted(set(per_metric_taus) | set(per_metric_accuracies))
     }
+    out.mkdir(parents=True, exist_ok=True)
     write_json(
         out / "correlations.json", {"contexts": contexts, "averages": averages}
     )
@@ -461,7 +465,7 @@ def cmd_robustness(args) -> int:
     eval_set = _load_bundle(args)
     seed = _require(args, "seed")
     metrics = _build_metrics(args.metrics, args.scorer)
-    out = _out_dir(args)
+    out = _out_path(args)
 
     report = robustness_report(
         eval_set,
@@ -471,6 +475,7 @@ def cmd_robustness(args) -> int:
         n_resamples=args.resamples,
         alpha=args.alpha_level,
     )
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "robustness.json", report.to_dict())
     table = report.format_table()
     (out / "robustness.txt").write_text(table, encoding="utf-8")

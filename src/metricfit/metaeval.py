@@ -815,8 +815,13 @@ def robustness_report(
             system: sample_refs_segment_level(group, system, seed, error_free)
             for system in systems
         }
-        subset = comparable_subset(group, assignments.values())
-        subset = {s for s in subset if group.standard_reference(s) is not None}
+        # the segments with a standard reference: the comparable subset and
+        # every system pair keep only these
+        standard = {
+            seg_id for seg_id in group.segments
+            if group.standard_reference(seg_id) is not None
+        }
+        subset = comparable_subset(group, assignments.values()) & standard
         if not subset:
             raise MetaEvalError(
                 f"no comparable segments with a standard reference in context "
@@ -869,7 +874,7 @@ def robustness_report(
             segments = sorted(
                 seg_id
                 for seg_id in choices
-                if group.standard_reference(seg_id) is not None
+                if seg_id in standard
                 and (system_a, seg_id) in human_scores
                 and (system_b, seg_id) in human_scores
             )

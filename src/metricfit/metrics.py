@@ -14,6 +14,7 @@ scale.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 import operator
@@ -21,6 +22,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, repeat
 from pathlib import Path
 from typing import (
     Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence,
@@ -280,10 +282,10 @@ class ToyScorer:
         lowercase: bool = False,
     ):
         self.unigram_counts = dict(unigram_counts)
-        self.bigrams = frozenset(tuple(b) for b in bigrams)
+        self.bigrams = frozenset(map(tuple, bigrams))
         self.lowercase = lowercase
         self.vocab = tuple(sorted(set(self.unigram_counts) | {EOS_TOKEN, UNK_TOKEN}))
-        self._index = {token: i for i, token in enumerate(self.vocab)}
+        self._index = dict(zip(self.vocab, range(len(self.vocab))))
         if theta is None:
             theta = np.zeros(len(self.FEATURE_NAMES))
         self.theta = np.asarray(theta, dtype=np.float64).copy()
@@ -292,8 +294,7 @@ class ToyScorer:
 
         total = sum(self.unigram_counts.values())
         counts = np.array(
-            [self.unigram_counts.get(token, 0) for token in self.vocab],
-            dtype=np.float64,
+            list(map(self.unigram_counts.get, self.vocab, repeat(0))), np.float64
         )
         self._unigram_feature = np.log2((counts + 1.0) / (total + len(self.vocab)))
         # The bigram index: one key row * V + successor per bigram that can
@@ -304,12 +305,14 @@ class ToyScorer:
         n_vocab = len(self.vocab)
         self._start_row = self._index.get(BOS_TOKEN, n_vocab)
         rows = {**self._index, BOS_TOKEN: self._start_row}
-        keys = {
-            rows[previous] * n_vocab + self._index[token]
-            for previous, token in self.bigrams
-            if previous in rows and token in self._index
-        }
-        self._bigram_keys = np.array([*sorted(keys), (n_vocab + 2) * n_vocab], np.int64)
+        previous, following = tuple(zip(*self.bigrams)) or ((), ())
+        key_rows, successors = (  # -1 for a token outside rows or the vocabulary
+            np.fromiter(map(lookup.get, tokens, repeat(-1)), np.int64, len(tokens))
+            for lookup, tokens in ((rows, previous), (self._index, following))
+        )
+        indexed = (key_rows >= 0) & (successors >= 0)
+        keys = np.sort(key_rows[indexed] * n_vocab + successors[indexed])  # distinct
+        self._bigram_keys = np.append(keys, (n_vocab + 2) * n_vocab)
         self._successor_starts = np.searchsorted(
             self._bigram_keys, np.arange(n_vocab + 2) * n_vocab
         )
@@ -322,15 +325,11 @@ class ToyScorer:
         lowercase: bool = False,
     ) -> "ToyScorer":
         """Collect unigram/bigram statistics from training texts."""
-        unigram_counts: Counter[str] = Counter()
-        bigrams: set[tuple[str, str]] = set()
-        for text in texts:
-            tokens = list(tokenize(text, lowercase)) + [EOS_TOKEN]
-            unigram_counts.update(tokens)
-            previous = BOS_TOKEN
-            for token in tokens:
-                bigrams.add((previous, token))
-                previous = token
+        sequences = [(*tokenize(text, lowercase), EOS_TOKEN) for text in texts]
+        unigram_counts = Counter(chain.from_iterable(sequences))
+        bigrams = set(chain.from_iterable(
+            zip((BOS_TOKEN, *tokens), tokens) for tokens in sequences
+        ))
         return cls(unigram_counts, bigrams, theta=theta, lowercase=lowercase)
 
     def with_theta(self, theta: Sequence[float]) -> "ToyScorer":
@@ -585,8 +584,29 @@ class ToyScorer:
             "lowercase": self.lowercase,
             "vocabulary": list(self.vocab),
             "unigram_counts": dict(sorted(self.unigram_counts.items())),
-            "bigrams": sorted(list(pair) for pair in self.bigrams),
+            "bigrams": self._sorted_bigrams(),
         }
+
+    def _sorted_bigrams(self) -> list[list[str]]:
+        """``sorted(list(pair) for pair in self.bigrams)``, read off the
+        bigram index: its keys are in string order but for the start
+        token's row, which moves to its place among the words."""
+        starts = self._successor_starts
+        start, end = starts[self._start_row], starts[self._start_row + 1]
+        cut = starts[bisect.bisect_left(self.vocab, BOS_TOKEN)]
+        keys = self._bigram_keys[:-1]
+        keys = np.concatenate(
+            (keys[:cut], keys[start:end], keys[cut:start], keys[end:])
+        )
+        words = np.array([*self.vocab, BOS_TOKEN], object)  # row V is <s>
+        rows, successors = np.divmod(keys, len(self.vocab))
+        bigrams = list(map(list, zip(words[rows].tolist(), words[successors].tolist())))
+        if len(bigrams) < len(self.bigrams):  # outside the index, only built directly
+            previous = {*self.vocab, BOS_TOKEN}
+            for pair in self.bigrams:
+                if pair[0] not in previous or pair[1] not in self._index:
+                    bisect.insort(bigrams, list(pair))
+        return bigrams
 
     @classmethod
     def from_dict(cls, data: dict) -> "ToyScorer":
@@ -629,17 +649,17 @@ class ToyScorer:
         if not isinstance(bigrams, list):
             raise ValueError(f"bigrams must be a list, got {type(bigrams).__name__}")
         previous_tokens = vocabulary | {BOS_TOKEN}
-        for pair in bigrams:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(token, str) for token in pair)):
-                raise ValueError(f"bigram is not a pair of strings: {pair!r}")
-            if pair[0] not in previous_tokens or pair[1] not in vocabulary:
-                raise ValueError(f"bigram outside the vocabulary: {pair!r}")
+        # whole columns are checked at once; only a bad one is read pair by
+        # pair, to name its first bad pair
+        if not _bigram_columns_valid(bigrams, previous_tokens, vocabulary):
+            for pair in bigrams:
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and all(isinstance(token, str) for token in pair)):
+                    raise ValueError(f"bigram is not a pair of strings: {pair!r}")
+                if pair[0] not in previous_tokens or pair[1] not in vocabulary:
+                    raise ValueError(f"bigram outside the vocabulary: {pair!r}")
         return cls(
-            unigram_counts=counts,
-            bigrams=[tuple(pair) for pair in bigrams],
-            theta=theta,
-            lowercase=lowercase,
+            unigram_counts=counts, bigrams=bigrams, theta=theta, lowercase=lowercase
         )
 
     def save(self, path: Path | str) -> None:
@@ -657,6 +677,19 @@ class ToyScorer:
         except (AttributeError, TypeError, ValueError, OverflowError) as err:
             # not a scorer object, or an integer in theta too large for a float
             raise ArtefactError(path, None, f"not a scorer: {err}") from None
+
+
+def _bigram_columns_valid(
+    bigrams: list, previous_tokens: set[str], vocabulary: set[str]
+) -> bool:
+    """Whether every bigram is a list of two strings, the first among
+    ``previous_tokens`` and the second in ``vocabulary``."""
+    if set(map(type, bigrams)) - {list} or set(map(len, bigrams)) - {2}:
+        return False
+    previous, following = tuple(zip(*bigrams)) or ((), ())
+    if set(map(type, chain(previous, following))) - {str}:
+        return False
+    return previous_tokens.issuperset(previous) and vocabulary.issuperset(following)
 
 
 def _chrf_units(text: str) -> np.ndarray:
@@ -684,6 +717,10 @@ def _ngram_matches(
     against text ``ref_index[i]``. Entry [i, n - 1] of the result is the
     sum over n-grams g of min(count of g in the hypothesis, count of g in
     the reference). Every count is an exact integer.
+
+    An n-gram's id is its (n - 1)-gram's id * (distinct units) + its last
+    unit's rank, below ``n_grams``; the ids are ranked anew only where the
+    next order's (text, n-gram) keys could reach 2**62.
     """
     n_texts, n_pairs = len(units), len(hyp_index)
     matches = np.zeros((n_pairs, max_order), np.int64)
@@ -694,16 +731,19 @@ def _ngram_matches(
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(flat))
     distinct, unigram = np.unique(flat, return_inverse=True)
     position, gram = np.arange(len(flat)), unigram  # the n-grams' starts and ids
+    n_grams = len(distinct)  # a Python int, so the bound check cannot overflow
     for order in range(1, max_order + 1):
         if order > 1:  # each (order - 1)-gram with a unit after it, extended
             keep = left[position] >= order
-            position = position[keep]
-            extended = gram[keep] * len(distinct) + unigram[position + order - 1]
-            _, gram = np.unique(extended, return_inverse=True)
+            position, gram = position[keep], gram[keep]
+            if (n_texts + 1) * n_grams * len(distinct) >= 2**62:
+                ranked, gram = np.unique(gram, return_inverse=True)
+                n_grams = len(ranked)
+            gram = gram * len(distinct) + unigram[position + order - 1]
+            n_grams *= len(distinct)
         if not len(position):
             break
         # (text, n-gram) keys with their counts, sorted, and each text's rows
-        n_grams = gram.max() + 1
         keys, counts = np.unique(text[position] * n_grams + gram, return_counts=True)
         row_starts = keys.searchsorted(np.arange(n_texts + 1) * n_grams)
         # each pair's hypothesis rows, looked up among its reference's

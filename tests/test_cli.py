@@ -309,7 +309,7 @@ def test_robustness_refuses_a_context_it_cannot_compare(tmp_path, capsys, edit, 
     err = capsys.readouterr().err
     assert code == EXIT_DATA, err
     assert err == f"data error: {message}\n"
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_robustness_requires_seed(tmp_path, capsys):
@@ -619,6 +619,29 @@ MALFORMED = [
     ("score-scorer-bad-bigram",
      lambda t, a: _broken_scorer(t, a, lambda p: p["bigrams"].append(["ein", 3])),
      EXIT_DATA, "bigram is not a pair of strings: ['ein', 3]"),
+    ("score-scorer-three-string-bigram",
+     lambda t, a: _broken_scorer(
+         t, a, lambda p: p["bigrams"].append(["ein", "der", "x"])),
+     EXIT_DATA, "bigram is not a pair of strings: ['ein', 'der', 'x']"),
+    ("score-scorer-string-bigram",
+     lambda t, a: _broken_scorer(t, a, lambda p: p["bigrams"].append("ein der")),
+     EXIT_DATA, "bigram is not a pair of strings: 'ein der'"),
+    ("score-scorer-unhashable-bigram-token",
+     lambda t, a: _broken_scorer(
+         t, a, lambda p: p["bigrams"].append(["ein", ["x"]])),
+     EXIT_DATA, "bigram is not a pair of strings: ['ein', ['x']]"),
+    ("score-scorer-null-bigram-token",
+     lambda t, a: _broken_scorer(t, a, lambda p: p["bigrams"].append(["ein", None])),
+     EXIT_DATA, "bigram is not a pair of strings: ['ein', None]"),
+    # of two bad bigrams, the message names the one listed first
+    ("score-scorer-unknown-before-malformed-bigram",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(
+         bigrams=[["ein", "nosuch"], *p["bigrams"], ["ein", 3]])),
+     EXIT_DATA, "not a scorer: bigram outside the vocabulary: ['ein', 'nosuch']"),
+    ("score-scorer-malformed-before-unknown-bigram",
+     lambda t, a: _broken_scorer(t, a, lambda p: p.update(
+         bigrams=[["ein", 3], *p["bigrams"], ["ein", "nosuch"]])),
+     EXIT_DATA, "not a scorer: bigram is not a pair of strings: ['ein', 3]"),
     ("score-scorer-bigrams-object",
      lambda t, a: _broken_scorer(t, a, lambda p: p.update(bigrams={"a": 1})),
      EXIT_DATA, "not a scorer: bigrams must be a list, got dict"),
@@ -832,10 +855,8 @@ def test_malformed_artefact_exit_code_and_location(
     out = Path(argv[argv.index("--out") + 1])
     if expected == EXIT_OK:
         assert not err
-    elif expected == EXIT_USAGE:  # settings are checked before --out is made
+    else:  # a failed command does not even make --out
         assert not out.exists()
-    else:  # a failed command writes nothing
-        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["score", "robustness"])

@@ -189,13 +189,43 @@ def test_toy_scorer_rejects_unknown_format_version():
 
 
 @pytest.mark.parametrize(
-    "pair", [["ein"], ["ein", 3], ["a", "b", "c"], "ab", None], ids=repr
+    "pair",
+    [["ein"], ["ein", 3], ["a", "b", "c"], "ab", None, ["ein", ["x"]], ["ein", None]],
+    ids=repr,
 )
 def test_toy_scorer_refuses_malformed_bigram(pair):
     payload = _small_scorer().to_dict()
     payload["bigrams"].append(pair)
     with pytest.raises(ValueError, match="bigram is not a pair of strings"):
         ToyScorer.from_dict(payload)
+
+
+# Words that sort before and after the start token "<s>", which is a row of
+# the bigram index past the vocabulary unless it is a word itself.
+_AROUND_START = ["!", "0", "<a", "=", "~"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ToyScorer.from_texts([" ".join(_AROUND_START)]),
+        lambda: ToyScorer.from_texts([" ".join(_AROUND_START[::-1]), "~ ~ !", "<a"]),
+        lambda: ToyScorer.from_texts(["!"]),
+        lambda: ToyScorer.from_texts(["~"]),
+        lambda: ToyScorer.from_texts([]),
+        lambda: ToyScorer.from_texts(["<s> = <s> ~", "! <s>"]),  # "<s>" a word
+        lambda: ToyScorer(  # bigrams outside the index, as only direct
+            {"=": 1, "~": 2},  # construction makes them
+            {("<s>", "="), ("!", "="), ("=", "zz"), ("~", "!"), ("<s", "~")},
+        ),
+        lambda: _small_scorer(),
+        lambda: _batch_scorer(7),
+        lambda: _batch_scorer(92),
+    ],
+)
+def test_to_dict_lists_bigrams_in_sorted_order(make):
+    scorer = make()
+    assert scorer.to_dict()["bigrams"] == sorted(list(p) for p in scorer.bigrams)
 
 
 # Successors outside the vocabulary and an <unk> predecessor can only come
@@ -997,8 +1027,11 @@ def test_profiled_metrics_match_counter_oracles_bit_for_bit(pairs, order):
         assert segment_bleu(hyp, ref).hex() == segment_bleu_counter_oracle(hyp, ref).hex()
 
 
-# More characters and more tokens than the default chunk bound, on its own.
+# More characters and more tokens than the default chunk bound, on its own;
+# and over 2,000 distinct characters, whose 6-gram ids, the 5-gram id times
+# the distinct characters plus one, are ranked anew to keep keys below 2**62.
 _LONG = " ".join(["der", "hund", "ab", "ba"] * 2_100)
+_WIDE = "".join(map(chr, range(0x4E00, 0x4E00 + 2_100)))
 _EDGE_PAIRS = [
     ("", ""), (" ", "\t \n"), ("", "der hund"), ("der hund", " "),
     ("der hund", "der hund"), ("a b", "ab"),
@@ -1006,6 +1039,7 @@ _EDGE_PAIRS = [
     ("\U0001d11e ab", "ab \U0001d11e"), ("\U0001d11e", "\U0001d11e"),
     ("\ud800", "\ud800 a"), ("a\udfffb", "a\udfff b"), ("\ud800", "\udfff"),
     ("der hund ab", _LONG), (_LONG, _LONG), (_LONG, "der hund"), ("", _LONG),
+    (_WIDE, _WIDE), (_WIDE[::-1], _WIDE), (_WIDE[:900] + " ab", _WIDE[500:] + "ab"),
 ]
 
 
