@@ -45,9 +45,10 @@ ErrorFreeIndex = Mapping[str, Sequence[SystemTranslation]]
 
 DEFAULT_RESAMPLES = 1000
 DEFAULT_ALPHA = 0.05
-# Cells (rows x units) in one chunk of perm-both swap masks, and in one column
-# block of kendall_tau_swaps' pair matrix: this bounds the temporaries of a
-# perm-both test whatever its number of resamples.
+# Cells (rows x units) in one chunk of perm-both swap masks, and (units x
+# columns) in one column block of kendall_tau_swaps' pair matrix, which is
+# never held whole: beside the masks, this bounds the temporaries of a
+# perm-both test whatever its number of units or resamples.
 _CHUNK_CELLS = 1 << 18
 
 
@@ -200,7 +201,9 @@ def _accuracy(verdicts: Iterable[bool | None]) -> float | None:
 
 def _sign(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """sgn(p - q) elementwise, as int8."""
-    return (p > q).astype(np.int8) - (p < q).astype(np.int8)
+    sign = np.greater(p, q).view(np.int8)
+    sign -= np.less(p, q).view(np.int8)
+    return sign
 
 
 def _tied_pairs(x: np.ndarray) -> np.ndarray:
@@ -213,6 +216,44 @@ def _tied_pairs(x: np.ndarray) -> np.ndarray:
     first = np.where(run_start, position, 0)
     np.maximum.accumulate(first, axis=1, out=first)
     return (position - first).sum(axis=1, dtype=np.int64)
+
+
+def _gather_swaps(
+    swaps: Iterable[np.ndarray], rank_a: np.ndarray, rank_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The swap masks of all chunks as one float32 array, and the tied
+    pairs of ``where(u, b, a)`` and ``where(u, a, b)`` for each row u,
+    counted chunk by chunk."""
+    n = rank_a.size
+    masks = [np.zeros((0, n), dtype=bool)]
+    x_ties = [np.zeros((0, 2), dtype=np.int64)]
+    for chunk in swaps:
+        u = np.asarray(chunk, dtype=bool)
+        if u.ndim != 2 or u.shape[1] != n:
+            raise ValueError(f"swap masks must have shape (rows, {n}), got {u.shape}")
+        masks.append(u)
+        x_ties.append(np.stack([_tied_pairs(np.where(u, rank_b, rank_a)),
+                                _tied_pairs(np.where(u, rank_a, rank_b))], axis=1))
+    return np.concatenate(masks, dtype=np.float32), np.concatenate(x_ties)
+
+
+def _pair_block(
+    rank_a: np.ndarray, rank_b: np.ndarray, rank_y: np.ndarray, cols: slice
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Columns ``cols`` of :func:`kendall_tau_swaps`' K as int8, and the
+    column sums of G_aa, G_bb, G_ab and G_ba over them, each sign product
+    built in turn and added into K in place."""
+    y_sign = _sign(rank_y[:, None], rank_y[None, cols])
+    block = np.zeros(y_sign.shape, dtype=np.int8)
+    col_sums = []
+    for add, p, q in ((np.add, rank_a, rank_a), (np.add, rank_b, rank_b),
+                      (np.subtract, rank_a, rank_b), (np.subtract, rank_b, rank_a)):
+        g_pq = _sign(p[:, None], q[None, cols])
+        g_pq *= y_sign
+        col_sums.append(g_pq.sum(axis=0))
+        add(block, g_pq, out=block)
+        del g_pq  # so that two products never coexist
+    return block, col_sums
 
 
 def kendall_tau_swaps(
@@ -234,17 +275,23 @@ def kendall_tau_swaps(
     and K = G_aa + G_bb - G_ab - G_ba, twice the concordant-minus-discordant
     count of a row is sum(G_aa) + 2 (rowsum(G_ba) - rowsum(G_aa)) . u
     + u' K u for the first resample, and the same with a and b exchanged
-    for the second; the quadratic term is shared. K is an int8 n x n
-    matrix built once per call, and each chunk of rows costs one float32
-    matmul with it, exact because every partial sum is an integer below
-    4n < 2**24.
+    for the second; the quadratic term is shared. G_aa and G_bb are
+    symmetric and G_ba is the transpose of G_ab, so the column sums of a
+    column block of K's terms are the row sums the linear term needs.
 
-    The cost is O(n^2) for K plus O(rows * n^2) for the matmuls, against
-    O(rows * n log^2 n) for per-row :func:`kendall_tau`, which is faster
-    for contexts of several thousand units with few resamples: at 8,000
-    units and 100 resamples, 2.1-2.2 s against 1.1-1.2 s with one BLAS
-    thread on a 2-vCPU host. No benchmark workload or test context exceeds
-    2,500 units.
+    K is walked once, in column blocks of ``_CHUNK_CELLS // n`` columns.
+    Each int8 block is cast to float32 once for one matmul with every mask
+    row; each side's linear term is added to the product, which is then
+    masked and summed by row in float64. Every float32 value is an integer
+    of magnitude below 8n < 2**24 and every float64 sum one below 2**53, so
+    all of it is exact.
+
+    Memory: the masks of all chunks are gathered into one float32 array, 5
+    bytes per mask cell while the chunks' booleans are still held and 4
+    after, plus one block at a time: at most ``_CHUNK_CELLS`` cells of int8
+    and their float32 cast, and the rows x columns product. No n x n array
+    is held. The work is O(n^2) for K and O(rows * n^2) for the matmuls,
+    where per-row :func:`kendall_tau` takes O(rows * n log^2 n).
     """
     a = np.asarray(metric_a, dtype=np.float64)
     b = np.asarray(metric_b, dtype=np.float64)
@@ -254,8 +301,8 @@ def kendall_tau_swaps(
     n = a.size
     if n < 2:
         raise ValueError("need at least 2 paired observations")
-    if n >= 1 << 22:
-        raise ValueError(f"{n} units exceed the float32-exact limit of 2**22")
+    if n >= 1 << 21:
+        raise ValueError(f"{n} units exceed the float32-exact limit of 2**21")
     if np.isnan(a).any() or np.isnan(b).any() or np.isnan(human).any():
         raise ValueError("scores must not be NaN")
 
@@ -266,44 +313,26 @@ def kendall_tau_swaps(
     total = n * (n - 1) // 2
     y_ties = int(_tied_pairs(rank_y[None, :].copy())[0])
 
+    u_float, x_ties = _gather_swaps(swaps, rank_a, rank_b)
     width = max(1, _CHUNK_CELLS // n)
-    blocks = [slice(start, start + width) for start in range(0, n, width)]
-    pair_matrix = np.empty((n, n), dtype=np.int8)
-    row_sums = np.zeros((4, n), dtype=np.int64)  # rowsum of G_aa, G_bb, G_ab, G_ba
-    for cols in blocks:
-        y_sign = _sign(rank_y[:, None], rank_y[None, cols])
-        g = [
-            y_sign * _sign(p[:, None], q[None, cols])
-            for p, q in ((rank_a, rank_a), (rank_b, rank_b),
-                         (rank_a, rank_b), (rank_b, rank_a))
-        ]
-        pair_matrix[:, cols] = g[0] + g[1] - g[2] - g[3]
-        for row_sum, g_pq in zip(row_sums, g):
-            row_sum += g_pq.sum(axis=1)
-    sum_aa, sum_bb, sum_ab, sum_ba = row_sums
-    constant = np.array([sum_aa.sum(), sum_bb.sum()], dtype=np.float64)
-    linear = 2.0 * np.stack([sum_ba - sum_aa, sum_ab - sum_bb], axis=1)
-
-    taus = []
-    for chunk in swaps:
-        u = np.asarray(chunk, dtype=bool)
-        if u.ndim != 2 or u.shape[1] != n:
-            raise ValueError(f"swap masks must have shape (rows, {n}), got {u.shape}")
-        rows = u.shape[0]
-        u_float = u.astype(np.float32)
-        twice_cmd = np.tile(constant, (rows, 1))
-        for cols in blocks:
-            u_cols = u_float[:, cols]
-            partial = u_float @ pair_matrix[:, cols].astype(np.float32)
-            twice_cmd += (partial * u_cols).sum(axis=1, dtype=np.float64)[:, None]
-            twice_cmd += u_cols @ linear[cols]
-        x_ties = np.stack(
-            [_tied_pairs(np.where(u, rank_b, rank_a)),
-             _tied_pairs(np.where(u, rank_a, rank_b))],
-            axis=1,
+    twice_cmd = np.zeros((u_float.shape[0], 2))
+    constant = np.zeros(2, dtype=np.int64)  # sum(G_aa), sum(G_bb)
+    for start in range(0, n, width):
+        cols = slice(start, start + width)
+        pair_block, (sum_aa, sum_bb, sum_ab, sum_ba) = _pair_block(
+            rank_a, rank_b, rank_y, cols
         )
-        taus.append(_tau_b(twice_cmd / 2, x_ties, y_ties, total))
-    tau = np.concatenate(taus)
+        constant += [sum_aa.sum(), sum_bb.sum()]
+        linear_a, linear_b = 2 * (sum_ab - sum_aa), 2 * (sum_ba - sum_bb)
+        # the second step turns (quadratic + linear_a) into (quadratic + linear_b)
+        steps = np.stack([linear_a, linear_b - linear_a]).astype(np.float32)
+        terms = u_float @ pair_block.astype(np.float32)
+        for side, step in enumerate(steps):
+            terms += step
+            terms *= u_float[:, cols]
+            twice_cmd[:, side] += terms.sum(axis=1, dtype=np.float64)
+    twice_cmd += constant
+    tau = _tau_b(twice_cmd / 2, x_ties, y_ties, total)
     return tau[:, 0], tau[:, 1]
 
 

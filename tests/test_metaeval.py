@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -359,10 +360,7 @@ def _assert_rows_match_kendall_tau(a, b, human, swaps):
     for swap, got_a, got_b in zip(masks, rows_a, rows_b):
         for got, x in ((got_a, np.where(swap, b, a)), (got_b, np.where(swap, a, b))):
             want = kendall_tau(x, human)
-            if want is None:
-                assert np.isnan(got)
-            else:
-                assert got == want
+            assert _tau_hex(got) == _tau_hex(math.nan if want is None else want)
             assert _tau_hex(want) == _tau_hex(kendall_tau_scipy_oracle(x, human))
 
 
@@ -386,21 +384,32 @@ def _swap_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_swap_cases())
+@given(
+    _swap_cases(),
+    # 1 and 3 give one-column blocks; 4 to 144 give every width up to n = 12
+    st.sampled_from([1, 3, metaeval._CHUNK_CELLS]) | st.integers(4, 144),
+)
 @example(  # n = 2, and rows whose chosen values tie
     ([1.0, 2.0], [2.0, 1.0], [0.0, 1.0],
-     [np.array([[False, False], [True, False], [False, True], [True, True]])])
+     [np.array([[False, False], [True, False], [False, True], [True, True]])]),
+    metaeval._CHUNK_CELLS,
 )
 @example(  # a constant human side: every row undefined
     ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [0.5, 0.5, 0.5],
-     [np.array([[False, False, False], [True, False, True]])])
+     [np.array([[False, False, False], [True, False, True]])]),
+    metaeval._CHUNK_CELLS,
 )
-def test_kendall_tau_swaps_matches_kendall_tau_bit_for_bit(case):
-    _assert_rows_match_kendall_tau(*case)
+def test_kendall_tau_swaps_matches_kendall_tau_bit_for_bit(case, cells):
+    """Every row equals kendall_tau by float.hex, with the pair matrix cut
+    into column blocks of every width."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metaeval, "_CHUNK_CELLS", cells)
+        _assert_rows_match_kendall_tau(*case)
 
 
 def test_kendall_tau_swaps_is_exact_at_roadmap_scale():
-    """2,500 units with ties on every side: float32 partial sums stay exact."""
+    """2,500 units with ties on every side, over 25 column blocks of the
+    pair matrix: every float32 value stays an exact integer."""
     rng = np.random.default_rng(8)
     n = 2500
     a, b = np.round(rng.normal(size=(2, n)), 1)
@@ -408,6 +417,32 @@ def test_kendall_tau_swaps_is_exact_at_roadmap_scale():
     _assert_rows_match_kendall_tau(a, b, human, [rng.random((6, n)) < 0.5])
     p = perm_both_test(a, b, human, kendall_tau_swaps, n_resamples=100, seed=3)
     assert p == perm_both_oracle(a, b, human, kendall_tau, n_resamples=100, seed=3)
+
+
+def test_kendall_tau_swaps_holds_no_pair_matrix():
+    """4,000 units with ties on every side: the rows are exact, and the
+    call's traced peak stays below n**2 / 4 bytes, a quarter of an int8
+    n x n matrix."""
+    rng = np.random.default_rng(9)
+    n = 4000
+    a, b = np.round(rng.normal(size=(2, n)), 1)
+    human = rng.integers(0, 30, size=n).astype(float)
+    swaps = [rng.random((4, n)) < 0.5]
+    tracemalloc.start()
+    try:
+        kendall_tau_swaps(a, b, human, swaps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n / 4
+    _assert_rows_match_kendall_tau(a, b, human, swaps)
+
+
+@pytest.mark.parametrize("swaps", [[], [np.zeros((0, 3), dtype=bool)]])
+def test_kendall_tau_swaps_of_no_rows_is_empty(swaps):
+    rows = kendall_tau_swaps([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [0.5, 1.5, 2.5], swaps)
+    for row in rows:
+        assert row.dtype == np.float64 and row.shape == (0,)
 
 
 @pytest.mark.parametrize("seed", range(6))
