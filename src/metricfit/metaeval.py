@@ -19,8 +19,8 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
-from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .corpus import (
 from .metrics import Metric, MetricScore, fsum_mean, fsums, system_score
 
 SwapStatistic = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, Iterable[np.ndarray]],
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     "tuple[np.ndarray, np.ndarray]",
 ]
 TextPair = tuple[str, str]  # (hypothesis, reference) texts
@@ -45,10 +45,11 @@ ErrorFreeIndex = Mapping[str, Sequence[SystemTranslation]]
 
 DEFAULT_RESAMPLES = 1000
 DEFAULT_ALPHA = 0.05
-# Cells (rows x units) in one chunk of perm-both swap masks, and (units x
-# columns) in one column block of kendall_tau_swaps' pair matrix, which is
-# never held whole: beside the masks, this bounds the temporaries of a
-# perm-both test whatever its number of units or resamples.
+# Cells (rows x units) in one block of perm-both's random draws and of
+# kendall_tau_swaps' tie counts, and (units x columns) in one column block of
+# its pair matrix, which is never held whole: beside the boolean swap masks
+# and their float32 copy, this bounds the temporaries of a perm-both test
+# whatever its number of units or resamples.
 _CHUNK_CELLS = 1 << 18
 
 
@@ -218,25 +219,6 @@ def _tied_pairs(x: np.ndarray) -> np.ndarray:
     return (position - first).sum(axis=1, dtype=np.int64)
 
 
-def _gather_swaps(
-    swaps: Iterable[np.ndarray], rank_a: np.ndarray, rank_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The swap masks of all chunks as one float32 array, and the tied
-    pairs of ``where(u, b, a)`` and ``where(u, a, b)`` for each row u,
-    counted chunk by chunk."""
-    n = rank_a.size
-    masks = [np.zeros((0, n), dtype=bool)]
-    x_ties = [np.zeros((0, 2), dtype=np.int64)]
-    for chunk in swaps:
-        u = np.asarray(chunk, dtype=bool)
-        if u.ndim != 2 or u.shape[1] != n:
-            raise ValueError(f"swap masks must have shape (rows, {n}), got {u.shape}")
-        masks.append(u)
-        x_ties.append(np.stack([_tied_pairs(np.where(u, rank_b, rank_a)),
-                                _tied_pairs(np.where(u, rank_a, rank_b))], axis=1))
-    return np.concatenate(masks, dtype=np.float32), np.concatenate(x_ties)
-
-
 def _pair_block(
     rank_a: np.ndarray, rank_b: np.ndarray, rank_y: np.ndarray, cols: slice
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -260,13 +242,13 @@ def kendall_tau_swaps(
     metric_a: Sequence[float],
     metric_b: Sequence[float],
     human_penalties: Sequence[float],
-    swaps: Iterable[np.ndarray],
+    swaps: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`kendall_tau` of every swap-resampled pair of metrics at once.
 
-    ``swaps`` is an iterable of 2-D boolean arrays with one swap mask per
-    row. For each row u, this returns tau-b of ``where(u, b, a)`` and of
-    ``where(u, a, b)`` against the human penalties, NaN where
+    ``swaps`` is a boolean (rows, n) array, one swap mask per row, which is
+    only read. For each row u, this returns tau-b of ``where(u, b, a)`` and
+    of ``where(u, a, b)`` against the human penalties, NaN where
     :func:`kendall_tau` returns None. Every value has the bits of
     :func:`kendall_tau`: the integer counts equal :func:`kendall_tau`'s,
     and both turn them into tau-b in :func:`_tau_b`.
@@ -286,12 +268,12 @@ def kendall_tau_swaps(
     of magnitude below 8n < 2**24 and every float64 sum one below 2**53, so
     all of it is exact.
 
-    Memory: the masks of all chunks are gathered into one float32 array, 5
-    bytes per mask cell while the chunks' booleans are still held and 4
-    after, plus one block at a time: at most ``_CHUNK_CELLS`` cells of int8
-    and their float32 cast, and the rows x columns product. No n x n array
-    is held. The work is O(n^2) for K and O(rows * n^2) for the matmuls,
-    where per-row :func:`kendall_tau` takes O(rows * n log^2 n).
+    Memory: the boolean masks and one float32 copy of them, 5 bytes per
+    mask cell, plus one block at a time: each row's x ties are counted in
+    blocks of ``_CHUNK_CELLS // n`` rows, and a block of K holds at most
+    ``_CHUNK_CELLS`` cells of int8 and their float32 cast, beside the rows
+    x columns product. No n x n array is held. The work is O(n^2) for K
+    and O(rows * n^2) for the matmuls, where per-row :func:`kendall_tau` takes O(rows * n log^2 n).
     """
     a = np.asarray(metric_a, dtype=np.float64)
     b = np.asarray(metric_b, dtype=np.float64)
@@ -313,8 +295,18 @@ def kendall_tau_swaps(
     total = n * (n - 1) // 2
     y_ties = int(_tied_pairs(rank_y[None, :].copy())[0])
 
-    u_float, x_ties = _gather_swaps(swaps, rank_a, rank_b)
+    u = np.asarray(swaps, dtype=bool)
+    if u.ndim != 2 or u.shape[1] != n:
+        raise ValueError(f"swap masks must have shape (rows, {n}), got {u.shape}")
     width = max(1, _CHUNK_CELLS // n)
+    x_ties = np.zeros((u.shape[0], 2), dtype=np.int64)
+    for start in range(0, u.shape[0], width):
+        block = u[start : start + width]
+        x_ties[start : start + width] = np.stack(
+            [_tied_pairs(np.where(block, rank_b, rank_a)),
+             _tied_pairs(np.where(block, rank_a, rank_b))], axis=1
+        )
+    u_float = u.astype(np.float32)
     twice_cmd = np.zeros((u_float.shape[0], 2))
     constant = np.zeros(2, dtype=np.int64)  # sum(G_aa), sum(G_bb)
     for start in range(0, n, width):
@@ -336,15 +328,6 @@ def kendall_tau_swaps(
     return tau[:, 0], tau[:, 1]
 
 
-def _swap_chunks(rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
-    """``rows`` masks swapping each of ``n`` units with probability 1/2, in
-    chunks of at most ``_CHUNK_CELLS`` cells; the values are those of
-    ``rows`` consecutive ``rng.random(n)`` draws."""
-    per_chunk = max(1, _CHUNK_CELLS // n)
-    for start in range(0, rows, per_chunk):
-        yield rng.random((min(per_chunk, rows - start), n)) < 0.5
-
-
 def perm_both_test(
     metric_a: Sequence[float],
     metric_b: Sequence[float],
@@ -362,12 +345,13 @@ def perm_both_test(
     correlation is undefined are redrawn, up to 10 * n_resamples attempts.
 
     ``statistic(a, b, human, swaps)`` computes the correlation of both
-    resampled metrics for each swap mask row in ``swaps`` (an iterable of
-    2-D boolean arrays), NaN where it is undefined, as
-    :func:`kendall_tau_swaps` does. Resamples are drawn and evaluated in
-    batches: the first holds all ``n_resamples`` draws, preceded by an
-    all-False row for the observed scores, and each later one the draws
-    still missing after redraws.
+    resampled metrics for each row of the boolean swap mask array
+    ``swaps``, NaN where it is undefined, as :func:`kendall_tau_swaps`
+    does. Resamples are drawn and evaluated in batches, each one array:
+    the first holds all ``n_resamples`` draws, preceded by an all-False
+    row for the observed scores, and each later one the draws still
+    missing after redraws. The rows are consecutive ``rng.random(n)``
+    draws, made at most ``_CHUNK_CELLS`` cells at a time.
     """
     a = np.asarray(metric_a, dtype=np.float64)
     b = np.asarray(metric_b, dtype=np.float64)
@@ -385,6 +369,7 @@ def perm_both_test(
     completed = 0
     attempts = 0
     max_attempts = 10 * n_resamples
+    per_block = max(1, _CHUNK_CELLS // a.size)
     while completed < n_resamples:
         rows = min(n_resamples - completed, max_attempts - attempts)
         if rows == 0:
@@ -392,9 +377,11 @@ def perm_both_test(
                 f"exceeded {max_attempts} resampling attempts; correlations "
                 "are undefined on almost all resamples"
             )
-        swaps = _swap_chunks(rng, a.size, rows)
-        if observed is None:
-            swaps = chain([np.zeros((1, a.size), dtype=bool)], swaps)
+        head = int(observed is None)  # the all-False row of the observed scores
+        swaps = np.zeros((head + rows, a.size), dtype=bool)
+        for start in range(head, head + rows, per_block):
+            block = swaps[start : start + per_block]
+            np.less(rng.random(block.shape), 0.5, out=block)
         gaps = np.abs(np.subtract(*statistic(a, b, h, swaps)))
         if observed is None:
             observed, gaps = gaps[0], gaps[1:]

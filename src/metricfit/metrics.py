@@ -22,7 +22,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import (
     Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence,
@@ -282,35 +282,35 @@ class ToyScorer:
         lowercase: bool = False,
     ):
         self.unigram_counts = dict(unigram_counts)
-        self.bigrams = frozenset(map(tuple, bigrams))
         self.lowercase = lowercase
         self.vocab = tuple(sorted(set(self.unigram_counts) | {EOS_TOKEN, UNK_TOKEN}))
         self._index = dict(zip(self.vocab, range(len(self.vocab))))
-        if theta is None:
-            theta = np.zeros(len(self.FEATURE_NAMES))
-        self.theta = np.asarray(theta, dtype=np.float64).copy()
-        if self.theta.shape != (len(self.FEATURE_NAMES),):
-            raise ValueError(f"theta must have shape (3,), got {self.theta.shape}")
+        self.theta = self._checked_theta(
+            np.zeros(len(self.FEATURE_NAMES)) if theta is None else theta
+        )
 
         total = sum(self.unigram_counts.values())
         counts = np.array(
             list(map(self.unigram_counts.get, self.vocab, repeat(0))), np.float64
         )
         self._unigram_feature = np.log2((counts + 1.0) / (total + len(self.vocab)))
-        # The bigram index: one key row * V + successor per bigram that can
-        # occur in scoring, sorted, so a row's successors are one slice. A
-        # previous token's row is its vocabulary index; the start token's is
-        # V unless it is a word of the vocabulary. A last key past every row
-        # makes every search land on an entry.
+        # The bigram index: one key row * V + successor per bigram, sorted,
+        # so a row's successors are one slice. A previous token's row is its
+        # vocabulary index; the start token's is V unless it is a word of the
+        # vocabulary. A last key past every row makes every search land on an
+        # entry. A bigram with a token outside the rows or the vocabulary never
+        # occurs in scoring; it is dropped, so that a saved scorer loads.
         n_vocab = len(self.vocab)
         self._start_row = self._index.get(BOS_TOKEN, n_vocab)
         rows = {**self._index, BOS_TOKEN: self._start_row}
-        previous, following = tuple(zip(*self.bigrams)) or ((), ())
+        pairs = frozenset(map(tuple, bigrams))
+        previous, following = tuple(zip(*pairs)) or ((), ())
         key_rows, successors = (  # -1 for a token outside rows or the vocabulary
             np.fromiter(map(lookup.get, tokens, repeat(-1)), np.int64, len(tokens))
             for lookup, tokens in ((rows, previous), (self._index, following))
         )
         indexed = (key_rows >= 0) & (successors >= 0)
+        self.bigrams = pairs if indexed.all() else frozenset(compress(pairs, indexed))
         keys = np.sort(key_rows[indexed] * n_vocab + successors[indexed])  # distinct
         self._bigram_keys = np.append(keys, (n_vocab + 2) * n_vocab)
         self._successor_starts = np.searchsorted(
@@ -332,10 +332,19 @@ class ToyScorer:
         ))
         return cls(unigram_counts, bigrams, theta=theta, lowercase=lowercase)
 
+    @classmethod
+    def _checked_theta(cls, theta: Sequence[float]) -> np.ndarray:
+        """A float64 copy of ``theta``, refused unless it holds one weight
+        per feature."""
+        weights = np.array(theta, dtype=np.float64)
+        if weights.shape != (len(cls.FEATURE_NAMES),):
+            raise ValueError(f"theta must have shape (3,), got {weights.shape}")
+        return weights
+
     def with_theta(self, theta: Sequence[float]) -> "ToyScorer":
         """A copy of this scorer sharing the count tables but with new weights."""
         clone = copy.copy(self)
-        clone.theta = np.asarray(theta, dtype=np.float64).copy()
+        clone.theta = self._checked_theta(theta)
         return clone
 
     def score_batch(
@@ -600,13 +609,7 @@ class ToyScorer:
         )
         words = np.array([*self.vocab, BOS_TOKEN], object)  # row V is <s>
         rows, successors = np.divmod(keys, len(self.vocab))
-        bigrams = list(map(list, zip(words[rows].tolist(), words[successors].tolist())))
-        if len(bigrams) < len(self.bigrams):  # outside the index, only built directly
-            previous = {*self.vocab, BOS_TOKEN}
-            for pair in self.bigrams:
-                if pair[0] not in previous or pair[1] not in self._index:
-                    bisect.insort(bigrams, list(pair))
-        return bigrams
+        return list(map(list, zip(words[rows].tolist(), words[successors].tolist())))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ToyScorer":

@@ -832,35 +832,32 @@ def rowwise(fn):
 
     def statistic(a, b, human, swaps):
         rows_a, rows_b = [], []
-        for chunk in swaps:
-            for swap in chunk:
-                for rows, x in ((rows_a, np.where(swap, b, a)),
-                                (rows_b, np.where(swap, a, b))):
-                    value = fn(x, human)
-                    rows.append(math.nan if value is None else value)
+        for swap in swaps:
+            for rows, x in ((rows_a, np.where(swap, b, a)),
+                            (rows_b, np.where(swap, a, b))):
+                value = fn(x, human)
+                rows.append(math.nan if value is None else value)
         return np.array(rows_a, dtype=np.float64), np.array(rows_b, dtype=np.float64)
 
     return statistic
 
 
 def batched_pearson(a, b, human, swaps):
-    """``rowwise(pearson)`` a chunk at a time: each resampled row is
-    centred, then correlated with the centred human vector by one matmul;
-    NaN where either side is constant."""
+    """``rowwise(pearson)`` on the whole mask array at once: each resampled
+    row is centred, then correlated with the centred human vector by one
+    matmul; NaN where either side is constant."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     h = np.asarray(human, dtype=np.float64)
     h = h - h.mean()
     h_norm = float(h @ h)
-    rows_a, rows_b = [], []
-    for chunk in swaps:
-        for rows, x in ((rows_a, np.where(chunk, b, a)),
-                        (rows_b, np.where(chunk, a, b))):
-            x -= x.mean(axis=1, keepdims=True)
-            denominator = np.sqrt(np.einsum("ij,ij->i", x, x) * h_norm)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rows.append(np.where(denominator == 0.0, np.nan, (x @ h) / denominator))
-    return np.concatenate(rows_a), np.concatenate(rows_b)
+    rows = []
+    for x in (np.where(swaps, b, a), np.where(swaps, a, b)):
+        x -= x.mean(axis=1, keepdims=True)
+        denominator = np.sqrt(np.einsum("ij,ij->i", x, x) * h_norm)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows.append(np.where(denominator == 0.0, np.nan, (x @ h) / denominator))
+    return rows[0], rows[1]
 
 
 def perm_both_oracle(metric_a, metric_b, human, correlation_fn, n_resamples, seed):

@@ -289,7 +289,7 @@ def test_batched_pearson_gives_the_p_values_of_rowwise_pearson():
 
 def test_batched_pearson_is_nan_where_pearson_is_undefined():
     a, b, human = [1.0, 1.0, 1.0], [1.0, 2.0, 4.0], [0.5, 2.0, 1.0]
-    swaps = [np.array([[False] * 3, [True, False, False], [False, True, True]])]
+    swaps = np.array([[False] * 3, [True, False, False], [False, True, True]])
     batched = batched_pearson(a, b, human, swaps)
     scalar = rowwise(pearson)(a, b, human, swaps)
     for got, want in zip(batched, scalar):
@@ -355,9 +355,8 @@ def _assert_rows_match_kendall_tau(a, b, human, swaps):
     """kendall_tau_swaps equals kendall_tau on every resample, bit for bit,
     and kendall_tau equals the scipy oracle."""
     rows_a, rows_b = kendall_tau_swaps(a, b, human, swaps)
-    masks = [row for chunk in swaps for row in chunk]
-    assert rows_a.shape == rows_b.shape == (len(masks),)
-    for swap, got_a, got_b in zip(masks, rows_a, rows_b):
+    assert rows_a.shape == rows_b.shape == (len(swaps),)
+    for swap, got_a, got_b in zip(swaps, rows_a, rows_b):
         for got, x in ((got_a, np.where(swap, b, a)), (got_b, np.where(swap, a, b))):
             want = kendall_tau(x, human)
             assert _tau_hex(got) == _tau_hex(math.nan if want is None else want)
@@ -378,9 +377,9 @@ def _swap_cases(draw):
     a = vector(draw(st.integers(1, 3)))
     b = vector(draw(st.integers(1, 3)))
     human = vector(draw(st.integers(1, 4)))
-    rows = st.lists(st.booleans(), min_size=n, max_size=n)
-    chunks = draw(st.lists(st.lists(rows, min_size=1, max_size=4), min_size=1, max_size=3))
-    return a, b, human, [np.array(chunk, dtype=bool) for chunk in chunks]
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                         min_size=1, max_size=12))
+    return a, b, human, np.array(rows, dtype=bool)
 
 
 @settings(max_examples=300, deadline=None)
@@ -391,12 +390,12 @@ def _swap_cases(draw):
 )
 @example(  # n = 2, and rows whose chosen values tie
     ([1.0, 2.0], [2.0, 1.0], [0.0, 1.0],
-     [np.array([[False, False], [True, False], [False, True], [True, True]])]),
+     np.array([[False, False], [True, False], [False, True], [True, True]])),
     metaeval._CHUNK_CELLS,
 )
 @example(  # a constant human side: every row undefined
     ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [0.5, 0.5, 0.5],
-     [np.array([[False, False, False], [True, False, True]])]),
+     np.array([[False, False, False], [True, False, True]])),
     metaeval._CHUNK_CELLS,
 )
 def test_kendall_tau_swaps_matches_kendall_tau_bit_for_bit(case, cells):
@@ -414,7 +413,7 @@ def test_kendall_tau_swaps_is_exact_at_roadmap_scale():
     n = 2500
     a, b = np.round(rng.normal(size=(2, n)), 1)
     human = rng.integers(0, 30, size=n).astype(float)
-    _assert_rows_match_kendall_tau(a, b, human, [rng.random((6, n)) < 0.5])
+    _assert_rows_match_kendall_tau(a, b, human, rng.random((6, n)) < 0.5)
     p = perm_both_test(a, b, human, kendall_tau_swaps, n_resamples=100, seed=3)
     assert p == perm_both_oracle(a, b, human, kendall_tau, n_resamples=100, seed=3)
 
@@ -427,7 +426,7 @@ def test_kendall_tau_swaps_holds_no_pair_matrix():
     n = 4000
     a, b = np.round(rng.normal(size=(2, n)), 1)
     human = rng.integers(0, 30, size=n).astype(float)
-    swaps = [rng.random((4, n)) < 0.5]
+    swaps = rng.random((4, n)) < 0.5
     tracemalloc.start()
     try:
         kendall_tau_swaps(a, b, human, swaps)
@@ -438,8 +437,26 @@ def test_kendall_tau_swaps_holds_no_pair_matrix():
     _assert_rows_match_kendall_tau(a, b, human, swaps)
 
 
-@pytest.mark.parametrize("swaps", [[], [np.zeros((0, 3), dtype=bool)]])
-def test_kendall_tau_swaps_of_no_rows_is_empty(swaps):
+def test_kendall_tau_swaps_reads_its_masks_twice_alike(monkeypatch):
+    """Two calls on one mask array, cut into row and column blocks, give
+    the same rows bit for bit and leave the masks as they were: a paired
+    test can run two statistics on the same masks."""
+    monkeypatch.setattr(metaeval, "_CHUNK_CELLS", 1000)
+    rng = np.random.default_rng(12)
+    n = 300
+    a, b = np.round(rng.normal(size=(2, n)), 1)
+    human = rng.integers(0, 8, size=n).astype(float)
+    swaps = rng.random((10, n)) < 0.5
+    before = swaps.copy()
+    first, second = (kendall_tau_swaps(a, b, human, swaps) for _ in range(2))
+    for got, again in zip(first, second):
+        assert list(map(_tau_hex, got)) == list(map(_tau_hex, again))
+    assert np.array_equal(swaps, before)
+    _assert_rows_match_kendall_tau(a, b, human, swaps)
+
+
+def test_kendall_tau_swaps_of_no_rows_is_empty():
+    swaps = np.zeros((0, 3), dtype=bool)
     rows = kendall_tau_swaps([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [0.5, 1.5, 2.5], swaps)
     for row in rows:
         assert row.dtype == np.float64 and row.shape == (0,)
@@ -467,7 +484,7 @@ def test_perm_both_kernel_matches_scalar_loop_across_chunks(monkeypatch, cells):
     b = np.round(a + rng.normal(size=120), 1)
     p = perm_both_test(a, b, human, kendall_tau_swaps, n_resamples=60, seed=2)
     assert p == perm_both_oracle(a, b, human, kendall_tau, 60, 2)
-    _assert_rows_match_kendall_tau(a, b, human, [rng.random((5, 120)) < 0.5])
+    _assert_rows_match_kendall_tau(a, b, human, rng.random((5, 120)) < 0.5)
 
 
 def _sampling_fixture(error_free_systems, rated_with_error=(), n_segments=1):

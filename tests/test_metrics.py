@@ -7,6 +7,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import string
 import unittest.mock
 
@@ -167,6 +168,15 @@ def test_with_theta_shares_tables_but_not_theta():
     )
 
 
+@pytest.mark.parametrize(
+    "theta", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), 1.0, [[1.0, 2.0, 3.0]]]
+)
+def test_with_theta_refuses_other_than_three_weights(theta):
+    message = f"theta must have shape (3,), got {np.shape(theta)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _small_scorer().with_theta(theta)
+
+
 def test_toy_scorer_serialization_round_trip(tmp_path):
     scorer = _small_scorer(theta=(0.25, -1.5, 2.0))
     path = tmp_path / "scorer.json"
@@ -178,6 +188,16 @@ def test_toy_scorer_serialization_round_trip(tmp_path):
     assert loaded.token_logprobs(target, context) == scorer.token_logprobs(
         target, context
     )
+
+
+def test_toy_scorer_drops_bigrams_outside_its_vocabulary_so_saves_load(tmp_path):
+    scorer = ToyScorer({"a": 2, "b": 1}, [("a", "b"), ("a", "zzz"), ("zzz", "a")])
+    assert scorer.bigrams == {("a", "b")}
+    path = tmp_path / "scorer.json"
+    scorer.save(path)
+    loaded = ToyScorer.load(path)
+    assert loaded.bigrams == scorer.bigrams
+    assert loaded.to_dict() == scorer.to_dict()
 
 
 def test_toy_scorer_rejects_unknown_format_version():
@@ -214,8 +234,8 @@ _AROUND_START = ["!", "0", "<a", "=", "~"]
         lambda: ToyScorer.from_texts(["~"]),
         lambda: ToyScorer.from_texts([]),
         lambda: ToyScorer.from_texts(["<s> = <s> ~", "! <s>"]),  # "<s>" a word
-        lambda: ToyScorer(  # bigrams outside the index, as only direct
-            {"=": 1, "~": 2},  # construction makes them
+        lambda: ToyScorer(  # bigrams outside the vocabulary, which the
+            {"=": 1, "~": 2},  # constructor drops
             {("<s>", "="), ("!", "="), ("=", "zz"), ("~", "!"), ("<s", "~")},
         ),
         lambda: _small_scorer(),
@@ -228,8 +248,9 @@ def test_to_dict_lists_bigrams_in_sorted_order(make):
     assert scorer.to_dict()["bigrams"] == sorted(list(p) for p in scorer.bigrams)
 
 
-# Successors outside the vocabulary and an <unk> predecessor can only come
-# from a scorer file; the index must leave the first out and keep the second.
+# An <unk> predecessor can only come from a scorer file, and the index must
+# keep it. Load refuses successors outside the vocabulary, and the
+# constructor drops them.
 _ORACLE_SCORER = _small_scorer()
 _ORACLE_BIGRAMS = _ORACLE_SCORER.bigrams | {
     ("der", "fremd"),
@@ -327,8 +348,9 @@ def test_toy_scorer_matches_dense_oracle_across_feature_blocks(
 @functools.lru_cache(maxsize=4)  # a shrinking draw keeps its vocabulary size
 def _batch_scorer(n_vocab):
     """A scorer of ``n_vocab`` words, end and unknown tokens included, with a
-    few successors per word; one bigram has an out-of-vocabulary successor
-    and one an ``<unk>`` predecessor, as only a scorer file can hold."""
+    few successors per word; one bigram has an out-of-vocabulary successor,
+    which the constructor drops, and one an ``<unk>`` predecessor, as only a
+    scorer file can hold."""
     words = [f"v{i:04d}" for i in range(n_vocab - 2)]
     counts = {word: 1 + i % 5 for i, word in enumerate(words)}
     bigrams = {("<unk>", words[-1]), (words[0], "fremd")}
@@ -775,10 +797,10 @@ def test_successor_index_has_one_entry_per_bigram_and_scoring_adds_no_state():
     n_vocab = len(scorer.vocab)
     assert n_vocab == 20_002
 
-    # every bigram but the two with an unseen word, as (row, successor) keys
-    # with the start token's row after the vocabulary's, then one end key
+    # every bigram, the two with an unseen word dropped, as (row, successor)
+    # keys with the start token's row after the vocabulary's, then one end key
     keys = scorer._bigram_keys
-    assert len(keys) - 1 == len(scorer.bigrams) - 2
+    assert len(keys) - 1 == len(scorer.bigrams)
     assert keys[-1] > keys[-2] and (np.diff(keys[:-1]) > 0).all()
     rows = list(scorer.vocab) + ["<s>"]
     assert {
